@@ -27,9 +27,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_FORMULA_NODES = (lang.Eq, lang.Lt, lang.Not, lang.And, lang.Or)
-
-
 class CliError(Exception):
     """Input problem reported as a one-line diagnostic with exit code 2."""
 
@@ -89,13 +86,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise CliError(f"--let name {name!r} is not a variable")
         env[name] = gamma.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
-    if isinstance(node, _FORMULA_NODES):
-        kind, value = "formula", lang.eval_formula(node, env)
-    else:
-        kind, value = "term", lang.eval_term(node, env)
+    value = lang.evaluate(node, env)
     if args.json:
-        result = value if isinstance(value, bool) else gamma.format_element(value)
-        _emit_json({"kind": kind, "input": lang.format_any(node), "result": result})
+        kind = "formula" if isinstance(node, lang.FormulaNode) else "term"
+        _emit_json(gamma.jsonable({"kind": kind, "input": lang.format_any(node), "result": value}))
     else:
         print(_result_text(value))
     if args.fail_on_false and value is False:
@@ -109,7 +103,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cfg = SamplerConfig(seed=args.seed, trials=args.trials)
     report = harness.run_suite(args.suite, cfg)
     if args.json:
-        _emit_json(report.to_json_dict())
+        _emit_json(gamma.jsonable(report))
     else:
         print(report.to_text())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -155,7 +149,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
         reports = [growth_check(space, extra, function) for function in ("psi", "s", "p")]
         ok = all(r.passed for r in reports)
         if args.json:
-            _emit_json({"passed": ok, "growth": [r.to_json_dict() for r in reports]})
+            _emit_json(gamma.jsonable({"passed": ok, "growth": reports}))
         else:
             print("\n\n".join(_growth_text(r) for r in reports))
         return EXIT_PASS if ok else EXIT_FAIL
@@ -163,7 +157,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
         space = echelonize(generators + load_generators(args.extend))
     report = space.image(args.op)
     if args.json:
-        _emit_json(report.to_json_dict())
+        _emit_json(gamma.jsonable(report))
     else:
         print(_image_text(space, report))
     return EXIT_PASS
@@ -175,7 +169,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise CliError("epsilon must be a group element, not inf")
     report = harness.make_witness(epsilon, args.count)
     if args.json:
-        _emit_json(report.to_json_dict())
+        _emit_json(gamma.jsonable(report))
     else:
         print(report.to_text())
     return EXIT_PASS
@@ -183,11 +177,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
-    kind = "formula" if isinstance(node, _FORMULA_NODES) else "term"
     formatted = lang.format_any(node)
     if args.json:
-        payload = lang.formula_to_json(node) if kind == "formula" else lang.term_to_json(node)
-        _emit_json({"kind": kind, "formatted": formatted, "ast": payload})
+        kind = "formula" if isinstance(node, lang.FormulaNode) else "term"
+        try:
+            _emit_json({"kind": kind, "formatted": formatted, "ast": lang.to_json(node)})
+        except RecursionError:
+            raise CliError("expression nested too deeply for JSON output") from None
     else:
         print(formatted)
     return EXIT_PASS

@@ -22,8 +22,9 @@ and addition with it yields it, so partial operations never raise.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -270,11 +271,6 @@ def psi_level(x: ExtendedElement) -> Optional[int]:
     return len(coords) - 1
 
 
-def leading_index(a: GammaElement) -> Optional[int]:
-    """Smallest supported index, or None for zero."""
-    return a.coords[0][0] if a.coords else None
-
-
 def first_non_one_index(a: GammaElement) -> int:
     """Least index whose coefficient differs from 1.
 
@@ -360,11 +356,13 @@ def derivative(x: ExtendedElement) -> ExtendedElement:
 
 
 def successor(x: ExtendedElement) -> ExtendedElement:
-    """Next psi-set member strictly above ``psi(integrate(x))``'s argument.
+    """The psi-set member ``psi(integrate(x))``.
 
-    Equals ``psi(integrate(x))``: the run of ones below the first
-    non-one coordinate determines the level.  ``successor(0)`` is the
-    least psi-set member ``e0``; ``successor(inf) = inf``.
+    Its level is the length of the run of ones that ``x`` starts with,
+    i.e. the least index whose coefficient differs from 1.  A psi-set
+    member of level n goes to level n+1, ``successor(0)`` is the least
+    member ``e0``, and ``successor(2*e0) = e0`` lies below its argument;
+    ``successor(inf) = inf``.
     """
     if isinstance(x, Infinity):
         return INF
@@ -486,6 +484,28 @@ def format_element(x: ExtendedElement) -> str:
         else:
             chunks.append(f" + {body}" if q > 0 else f" - {body}")
     return "".join(chunks)
+
+
+def jsonable(value: object) -> object:
+    """The JSON form of a report: the one serializer of every report type.
+
+    Elements become element text and Fractions ``n/d`` text.  A dataclass
+    becomes a dict of its fields in declaration order, leaving out fields
+    that are None.  Mappings become dicts with ``str`` keys, tuples and
+    lists become lists, and other values are kept as they are.
+    """
+    if isinstance(value, (GammaElement, Infinity)):
+        return format_element(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: jsonable(v) for name, v in pairs if v is not None}
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
 
 
 def parse_element(text: str) -> ExtendedElement:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import gamma, lang
+from . import gamma
 from .gamma import INF, ZERO, ExtendedElement, GammaElement, Infinity
 from .subspace import echelonize, growth_check
 
@@ -124,16 +124,8 @@ _MAX_RECORDED_FAILURES = 10
 class Failure:
     trial: int
     check: str
-    inputs: Tuple[Tuple[str, str], ...]
+    inputs: Dict[str, str]
     detail: str
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "trial": self.trial,
-            "check": self.check,
-            "inputs": {k: v for k, v in self.inputs},
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,24 +133,10 @@ class SuiteReport:
     suite: str
     seed: int
     trials: int
+    passed: bool
     failure_count: int
     failures: Tuple[Failure, ...]
-    counters: Tuple[Tuple[str, int], ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.failure_count == 0
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "failure_count": self.failure_count,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "counters": {k: v for k, v in self.counters},
-        }
+    counters: Dict[str, int]  # sorted by name
 
     def to_text(self) -> str:
         lines = [
@@ -166,7 +144,7 @@ class SuiteReport:
             f"seed: {self.seed}",
             f"trials: {self.trials}",
         ]
-        for key, value in self.counters:
+        for key, value in self.counters.items():
             lines.append(f"  {key}: {value}")
         if self.passed:
             lines.append("result: PASS")
@@ -174,7 +152,7 @@ class SuiteReport:
             lines.append(f"result: FAIL ({self.failure_count} failures)")
             for f in self.failures:
                 lines.append(f"  trial {f.trial} [{f.check}] {f.detail}")
-                for key, value in f.inputs:
+                for key, value in f.inputs.items():
                     lines.append(f"    {key} = {value}")
         return "\n".join(lines)
 
@@ -203,16 +181,17 @@ class _Recorder:
             return
         self.failure_count += 1
         if len(self.failures) < _MAX_RECORDED_FAILURES:
-            self.failures.append(Failure(trial, check, tuple(inputs), detail))
+            self.failures.append(Failure(trial, check, dict(inputs), detail))
 
     def report(self) -> SuiteReport:
         return SuiteReport(
             self.suite,
             self.cfg.seed,
             self.cfg.trials,
+            self.failure_count == 0,
             self.failure_count,
             tuple(self.failures),
-            tuple(sorted(self.counters.items())),
+            dict(sorted(self.counters.items())),
         )
 
 
@@ -503,7 +482,7 @@ class AffineMap:
     def arity(self) -> int:
         return len(self.coefficients)
 
-    def evaluate(self, point: Sequence[ExtendedElement]) -> ExtendedElement:
+    def apply(self, point: Sequence[ExtendedElement]) -> ExtendedElement:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(point)}")
         if isinstance(self.constant, Infinity):
@@ -516,12 +495,6 @@ class AffineMap:
                 return INF
             acc = gamma.add(acc, gamma.scale(a, q))
         return acc
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "coefficients": [str(q) for q in self.coefficients],
-            "constant": gamma.format_element(self.constant),
-        }
 
 
 @dataclass(frozen=True)
@@ -574,20 +547,23 @@ def classify_affine_image(
     identical or everywhere distinct, and that after merging identical
     coordinates the retained entries be globally pairwise distinct.
     Under genericity, if the map's value lies in the psi-set-or-inf on
-    at least ``min_hits`` (default arity+2) family members, the map is
-    identically inf, identically one psi-set member, or a coordinate
-    projection on the whole family; the returned classification is
-    verified extensionally before being returned.
+    at least ``min_hits`` family members, the map is identically inf,
+    identically one psi-set member, or a coordinate projection on the
+    whole family; the returned classification is verified extensionally
+    before being returned.
 
-    Type-level violations raise ValueError; genericity or hit-count
-    shortfalls return NotApplicable; a verification miss raises
-    TrichotomyFailure (which would indicate a bug, not new math).
+    The floor on ``min_hits`` is r + 2, where r counts the coordinates
+    that vary over the family: a constant coordinate only shifts the
+    map's constant, so on the family the map agrees with an affine map
+    of the r varying arguments, and the arity + 2 hypothesis is applied
+    to that map.  The default is arity + 2, never below the floor.
+
+    An empty family and type-level violations raise ValueError;
+    genericity or hit-count shortfalls return NotApplicable; a
+    verification miss raises TrichotomyFailure (which would indicate a
+    bug, not new math).
     """
     m = mapping.arity
-    if min_hits is None:
-        min_hits = m + 2
-    if min_hits < m + 2:
-        raise ValueError(f"min_hits must be at least arity+2 = {m + 2}, got {min_hits}")
     rows: List[Tuple[ExtendedElement, ...]] = []
     for t in family:
         t = tuple(t)
@@ -597,9 +573,18 @@ def classify_affine_image(
             if not isinstance(v, Infinity) and gamma.psi_level(v) is None:
                 raise ValueError(f"family entries must be psi-set members or inf, got {v!r}")
         rows.append(t)
+    if not rows:
+        raise ValueError("family must not be empty")
 
     columns = [tuple(row[j] for row in rows) for j in range(m)]
     retained = [j for j in range(m) if len(set(columns[j])) > 1]
+    if min_hits is None:
+        min_hits = m + 2
+    if min_hits < len(retained) + 2:
+        raise ValueError(
+            f"min_hits must be at least varying coordinates + 2 = {len(retained) + 2}, "
+            f"got {min_hits}"
+        )
     for j in retained:
         if any(isinstance(v, Infinity) for v in columns[j]):
             return NotApplicable(f"nonconstant coordinate {j} contains inf")
@@ -625,7 +610,7 @@ def classify_affine_image(
                 )
             seen[v] = (i, j)
 
-    values = [mapping.evaluate(row) for row in rows]
+    values = [mapping.apply(row) for row in rows]
     hits = sum(
         1 for v in values if isinstance(v, Infinity) or gamma.psi_level(v) is not None
     )
@@ -633,11 +618,7 @@ def classify_affine_image(
         return NotApplicable(f"{hits} psi-set hits, need at least {min_hits}")
 
     def bundle() -> Dict[str, object]:
-        return {
-            "map": mapping.to_json_dict(),
-            "family": [[gamma.format_element(v) for v in row] for row in rows],
-            "values": [gamma.format_element(v) for v in values],
-        }
+        return gamma.jsonable({"map": mapping, "family": rows, "values": values})
 
     if all(isinstance(v, Infinity) for v in values):
         return ConstInf()
@@ -959,15 +940,6 @@ class WitnessReport:
     bound: GammaElement
     prefix: Tuple[GammaElement, ...]
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "epsilon": gamma.format_element(self.epsilon),
-            "alpha_level": self.alpha_level,
-            "alpha": gamma.format_element(self.alpha),
-            "bound": gamma.format_element(self.bound),
-            "prefix": [gamma.format_element(x) for x in self.prefix],
-        }
-
     def to_text(self) -> str:
         lines = [
             f"epsilon: {gamma.format_element(self.epsilon)}",
@@ -1014,56 +986,3 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
             raise RuntimeError("alpha + 2(s(alpha)-alpha) failed to cap the enumeration")
         previous = x
     return WitnessReport(epsilon, level, alpha, bound, tuple(prefix))
-
-
-# --- random ASTs for the language round trip --------------------------------------
-
-_AST_VARS = ("x", "y", "z")
-
-
-def sample_literal_ast(rng: random.Random, cfg: SamplerConfig) -> lang.Literal:
-    roll = rng.random()
-    if roll < 0.15:
-        return lang.Literal(ZERO)
-    if roll < 0.3:
-        return lang.Literal(INF)
-    coeff = abs(sample_coefficient(rng, cfg))
-    return lang.Literal(gamma.scale(gamma.unit(rng.randint(0, cfg.max_support)), coeff))
-
-
-def sample_term_ast(
-    rng: random.Random, cfg: SamplerConfig, depth: int = 4
-) -> lang.TermNode:
-    """Random parser-canonical term AST (literals are single pieces)."""
-    if depth <= 0 or rng.random() < 0.3:
-        if rng.random() < 0.4:
-            return lang.Var(rng.choice(_AST_VARS))
-        return sample_literal_ast(rng, cfg)
-    roll = rng.randrange(4)
-    if roll == 0:
-        return lang.Add(
-            sample_term_ast(rng, cfg, depth - 1), sample_term_ast(rng, cfg, depth - 1)
-        )
-    if roll == 1:
-        return lang.Neg(sample_term_ast(rng, cfg, depth - 1))
-    if roll == 2:
-        return lang.Div(sample_term_ast(rng, cfg, depth - 1), rng.randint(1, 9))
-    return lang.Apply(rng.choice(lang.FUNCTIONS), sample_term_ast(rng, cfg, depth - 1))
-
-
-def sample_formula_ast(
-    rng: random.Random, cfg: SamplerConfig, depth: int = 3
-) -> lang.FormulaNode:
-    if depth <= 0 or rng.random() < 0.35:
-        ctor = lang.Eq if rng.random() < 0.5 else lang.Lt
-        return ctor(sample_term_ast(rng, cfg, 2), sample_term_ast(rng, cfg, 2))
-    roll = rng.randrange(3)
-    if roll == 0:
-        return lang.Not(sample_formula_ast(rng, cfg, depth - 1))
-    if roll == 1:
-        return lang.And(
-            sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
-        )
-    return lang.Or(
-        sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
-    )

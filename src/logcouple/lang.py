@@ -10,12 +10,19 @@ Formulas: ``t1 = t2``, ``t1 < t2``, ``!``, ``&``, ``|`` with precedence
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
 rejected with a pointed message; the language is quantifier-free.
+Parentheses, including those of function calls, nest at most
+``MAX_NESTING`` deep; deeper input is a ParseError.
+
+``evaluate`` (value or truth), ``format_any`` (canonical text) and
+``to_json`` (nested dicts) take a term or a formula alike.  They share one
+walk that keeps its own stack, so a long sum or a long run of ``!`` is no
+deeper for them than a short one.
 
 Grammar (terms):
 
     term     := product (('+' | '-') product)*        left assoc
     product  := unary ('/' nat)*                      left assoc
-    unary    := '-' unary | atom
+    unary    := '-'* atom
     atom     := literal | var | func '(' term ')' | '(' term ')'
     literal  := '0' | 'inf' | (rational '*')? 'e' digits
 
@@ -29,17 +36,22 @@ sums).
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from types import GeneratorType
+from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, Optional, Tuple, Union
 
 from . import gamma
-from .gamma import INF, ZERO, ExtendedElement, GammaElement, Infinity
+from .gamma import INF, ZERO, ExtendedElement
 
 FUNCTIONS = ("psi", "s", "p", "int")
 _QUANTIFIERS = ("forall", "exists")
+
+# Deepest nesting of parentheses (grouping or function calls) the parser
+# accepts.  The parser recurses only into parentheses, a few frames per
+# level, so the cap keeps it far below Python's recursion limit.
+MAX_NESTING = 128
 
 
 # --- AST --------------------------------------------------------------------
@@ -119,6 +131,7 @@ class Or:
 
 
 FormulaNode = Union[Eq, Lt, Not, And, Or]
+Node = Union[TermNode, FormulaNode]
 
 
 class ParseError(ValueError):
@@ -164,6 +177,7 @@ def _lex(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     pos = 0
     n = len(text)
+    depth = 0
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -186,6 +200,9 @@ def _lex(text: str) -> List[_Token]:
             else:
                 tokens.append(_Token("var", lexeme, pos))
         else:
+            depth += {"(": 1, ")": -1}.get(lexeme, 0)
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             tokens.append(_Token(lexeme, lexeme, pos))
         pos = m.end()
     tokens.append(_Token("eof", "", n))
@@ -249,10 +266,18 @@ class _Parser:
         return node
 
     def unary(self) -> TermNode:
-        if self.peek().kind == "-":
+        signs = self.count_prefix("-")
+        node = self.atom()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
+
+    def count_prefix(self, kind: str) -> int:
+        count = 0
+        while self.peek().kind == kind:
             self.take()
-            return Neg(self.unary())
-        return self.atom()
+            count += 1
+        return count
 
     def atom(self) -> TermNode:
         tok = self.peek()
@@ -321,10 +346,11 @@ class _Parser:
         return node
 
     def negation(self) -> FormulaNode:
-        if self.peek().kind == "!":
-            self.take()
-            return Not(self.negation())
-        return self.formula_atom()
+        nots = self.count_prefix("!")
+        node = self.formula_atom()
+        for _ in range(nots):
+            node = Not(node)
+        return node
 
     def formula_atom(self) -> FormulaNode:
         if self.peek().kind == "(":
@@ -372,7 +398,7 @@ def parse_formula(text: str, strict_llog: bool = False) -> FormulaNode:
     return node
 
 
-def parse_any(text: str, strict_llog: bool = False) -> Union[TermNode, FormulaNode]:
+def parse_any(text: str, strict_llog: bool = False) -> Node:
     """Parse a formula if the text contains one, otherwise a term.
 
     On failure, report whichever error got further into the input.
@@ -380,7 +406,7 @@ def parse_any(text: str, strict_llog: bool = False) -> Union[TermNode, FormulaNo
     tokens = _lex(text)
     try:
         parser = _Parser(tokens, strict_llog)
-        node: Union[TermNode, FormulaNode] = parser.formula()
+        node: Node = parser.formula()
         parser.done()
         return node
     except ParseError as formula_err:
@@ -391,6 +417,57 @@ def parse_any(text: str, strict_llog: bool = False) -> Union[TermNode, FormulaNo
             return node
         except ParseError as term_err:
             raise term_err if term_err.position > formula_err.position else formula_err
+
+
+# --- one walk for every job ---------------------------------------------------
+#
+# Evaluation, formatting and the JSON dump are tables from node type to a
+# step.  A leaf step is a plain function of (node, arg) that returns the
+# node's result.  An inner step is a generator: it yields (child, arg)
+# pairs, is sent each child's result, and returns its own; a step that
+# returns before yielding a child never visits it.  ``_walk`` keeps the
+# unfinished steps on a list, so no tree is too deep for it.
+
+
+def _walk(steps: Mapping[type, Callable], node: Node, arg: object) -> object:
+    def root() -> Generator:
+        return (yield node, arg)
+
+    stack = [root()]
+    result = None
+    while stack:
+        try:
+            child, child_arg = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            continue
+        step = steps.get(type(child))
+        if step is None:
+            raise TypeError(f"not a node of the language: {child!r}")
+        result = step(child, child_arg)
+        if isinstance(result, GeneratorType):
+            stack.append(result)
+            result = None
+    return result
+
+
+# Steps that walk the operand, resp. both sides, and hand the results to
+# ``combine(node, operand)``, resp. ``combine(left, right)``.
+
+
+def _unary(combine: Callable) -> Callable:
+    def step(node: Node, arg: object) -> Generator:
+        return combine(node, (yield node.operand, arg))
+
+    return step
+
+
+def _binary(combine: Callable) -> Callable:
+    def step(node: Node, arg: object) -> Generator:
+        return combine((yield node.left, arg), (yield node.right, arg))
+
+    return step
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -405,198 +482,115 @@ _FUNC_EVAL = {
 Env = Mapping[str, ExtendedElement]
 
 
-def eval_term(node: TermNode, env: Optional[Env] = None) -> ExtendedElement:
-    env = env or {}
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Add):
-        return gamma.add(eval_term(node.left, env), eval_term(node.right, env))
-    if isinstance(node, Neg):
-        return gamma.negate(eval_term(node.operand, env))
-    if isinstance(node, Div):
-        return gamma.divide_by(eval_term(node.operand, env), node.divisor)
-    if isinstance(node, Apply):
-        return _FUNC_EVAL[node.func](eval_term(node.operand, env))
-    raise TypeError(f"not a term node: {node!r}")
+def _lookup(node: Var, env: Env) -> ExtendedElement:
+    try:
+        return env[node.name]
+    except KeyError:
+        raise EvalError(f"unbound variable {node.name!r}") from None
 
 
-def eval_formula(node: FormulaNode, env: Optional[Env] = None) -> bool:
-    env = env or {}
-    if isinstance(node, Eq):
-        return gamma.compare(eval_term(node.left, env), eval_term(node.right, env)) == gamma.EQ
-    if isinstance(node, Lt):
-        return gamma.compare(eval_term(node.left, env), eval_term(node.right, env)) == gamma.LT
-    if isinstance(node, Not):
-        return not eval_formula(node.operand, env)
-    if isinstance(node, And):
-        return eval_formula(node.left, env) and eval_formula(node.right, env)
-    if isinstance(node, Or):
-        return eval_formula(node.left, env) or eval_formula(node.right, env)
-    raise TypeError(f"not a formula node: {node!r}")
+def _and(node: And, env: Env) -> Generator:
+    return (yield node.left, env) and (yield node.right, env)
 
 
-def term_variables(node: TermNode) -> FrozenSet[str]:
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, Literal):
-        return frozenset()
-    if isinstance(node, (Neg, Div, Apply)):
-        return term_variables(node.operand)
-    return term_variables(node.left) | term_variables(node.right)
+def _or(node: Or, env: Env) -> Generator:
+    return (yield node.left, env) or (yield node.right, env)
 
 
-def formula_variables(node: FormulaNode) -> FrozenSet[str]:
-    if isinstance(node, (Eq, Lt)):
-        return term_variables(node.left) | term_variables(node.right)
-    if isinstance(node, Not):
-        return formula_variables(node.operand)
-    return formula_variables(node.left) | formula_variables(node.right)
+_EVAL = {
+    Literal: lambda node, env: node.value,
+    Var: _lookup,
+    Add: _binary(gamma.add),
+    Neg: _unary(lambda node, a: gamma.negate(a)),
+    Div: _unary(lambda node, a: gamma.divide_by(a, node.divisor)),
+    Apply: _unary(lambda node, a: _FUNC_EVAL[node.func](a)),
+    Eq: _binary(lambda a, b: gamma.compare(a, b) == gamma.EQ),
+    Lt: _binary(lambda a, b: gamma.compare(a, b) == gamma.LT),
+    Not: _unary(lambda node, a: not a),
+    And: _and,
+    Or: _or,
+}
 
 
-def uses_integral(node: Union[TermNode, FormulaNode]) -> bool:
-    """True if any subterm applies the flagged ``int`` extension."""
-    if isinstance(node, Apply):
-        return node.func == "int" or uses_integral(node.operand)
-    if isinstance(node, (Neg, Div, Not)):
-        return uses_integral(node.operand)
-    if isinstance(node, (Add, Eq, Lt, And, Or)):
-        return uses_integral(node.left) or uses_integral(node.right)
-    return False
+def evaluate(node: Node, env: Optional[Env] = None) -> Union[ExtendedElement, bool]:
+    """The element a term denotes, or the truth of a formula, under ``env``.
+
+    ``&`` and ``|`` evaluate their right side only when the left side does
+    not decide the result, so an unbound variable there is no error.
+    """
+    return _walk(_EVAL, node, env or {})
 
 
 # --- formatting ---------------------------------------------------------------
 #
-# Term precedence: Add = 1, Neg = Div = 3, atoms = 4.  Multi-term and
-# negative literals are not parser atoms; they format at the precedence
-# of the tree that would reparse to their value (sum, resp. negation).
+# A formatted subtree is (precedence, text); the parent puts parentheses
+# around text whose precedence is below what its position needs.  Terms:
+# Add = 1, Neg = Div = 3, atoms = 4; formulas: | = 1, & = 2, ! = 3,
+# comparisons = 4.  Multi-term and negative literals are not parser atoms;
+# they take the precedence of the sum, resp. negation, they reparse as.
 
 _P_SUM, _P_OPERAND, _P_PRODUCT, _P_ATOM = 1, 2, 3, 4
-
-
-def _term_prec(node: TermNode) -> int:
-    if isinstance(node, Add):
-        return _P_SUM
-    if isinstance(node, (Neg, Div)):
-        return _P_PRODUCT
-    if isinstance(node, Literal) and isinstance(node.value, GammaElement):
-        coords = node.value.coords
-        if len(coords) > 1:
-            return _P_SUM
-        if coords and coords[0][1] < 0:
-            return _P_PRODUCT
-    return _P_ATOM
-
-
-def _fmt_term(node: TermNode, ctx: int) -> str:
-    if isinstance(node, Literal):
-        body = gamma.format_element(node.value)
-    elif isinstance(node, Var):
-        body = node.name
-    elif isinstance(node, Apply):
-        body = f"{node.func}({_fmt_term(node.operand, _P_SUM)})"
-    elif isinstance(node, Neg):
-        body = f"-{_fmt_term(node.operand, _P_ATOM)}"
-    elif isinstance(node, Div):
-        body = f"{_fmt_term(node.operand, _P_PRODUCT)} / {node.divisor}"
-    elif isinstance(node, Add):
-        left = _fmt_term(node.left, _P_SUM)
-        if isinstance(node.right, Neg):
-            body = f"{left} - {_fmt_term(node.right.operand, _P_OPERAND)}"
-        else:
-            body = f"{left} + {_fmt_term(node.right, _P_OPERAND)}"
-    else:
-        raise TypeError(f"not a term node: {node!r}")
-    if _term_prec(node) < ctx:
-        return f"({body})"
-    return body
-
-
-def format_term(node: TermNode) -> str:
-    return _fmt_term(node, _P_SUM)
-
-
 _F_OR, _F_AND, _F_NOT, _F_CMP = 1, 2, 3, 4
 
-_FORMULA_PREC = {Or: _F_OR, And: _F_AND, Not: _F_NOT, Eq: _F_CMP, Lt: _F_CMP}
+
+def _at(formatted: Tuple[int, str], ctx: int) -> str:
+    prec, text = formatted
+    return f"({text})" if prec < ctx else text
 
 
-def _fmt_formula(node: FormulaNode, ctx: int) -> str:
-    if isinstance(node, Eq):
-        body = f"{format_term(node.left)} = {format_term(node.right)}"
-    elif isinstance(node, Lt):
-        body = f"{format_term(node.left)} < {format_term(node.right)}"
-    elif isinstance(node, Not):
-        body = f"!{_fmt_formula(node.operand, _F_NOT)}"
-    elif isinstance(node, And):
-        body = f"{_fmt_formula(node.left, _F_AND)} & {_fmt_formula(node.right, _F_NOT)}"
-    elif isinstance(node, Or):
-        body = f"{_fmt_formula(node.left, _F_OR)} | {_fmt_formula(node.right, _F_AND)}"
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-    if _FORMULA_PREC[type(node)] < ctx:
-        return f"({body})"
-    return body
+def _fmt_literal(node: Literal, _: object) -> Tuple[int, str]:
+    text = gamma.format_element(node.value)
+    return (_P_SUM if " " in text else _P_PRODUCT if text.startswith("-") else _P_ATOM), text
 
 
-def format_formula(node: FormulaNode) -> str:
-    return _fmt_formula(node, _F_OR)
+def _fmt_add(node: Add, _: object) -> Generator:
+    left = _at((yield node.left, None), _P_SUM)
+    minus = isinstance(node.right, Neg)
+    right = _at((yield node.right.operand if minus else node.right, None), _P_OPERAND)
+    return _P_SUM, f"{left} {'-' if minus else '+'} {right}"
 
 
-def format_any(node: Union[TermNode, FormulaNode]) -> str:
-    if isinstance(node, (Eq, Lt, Not, And, Or)):
-        return format_formula(node)
-    return format_term(node)
+def _infix(op: str, prec: int, left: int, right: int) -> Callable:
+    return _binary(lambda a, b: (prec, f"{_at(a, left)} {op} {_at(b, right)}"))
+
+
+_FORMAT = {
+    Literal: _fmt_literal,
+    Var: lambda node, _: (_P_ATOM, node.name),
+    Add: _fmt_add,
+    Neg: _unary(lambda node, a: (_P_PRODUCT, "-" + _at(a, _P_ATOM))),
+    Div: _unary(lambda node, a: (_P_PRODUCT, f"{_at(a, _P_PRODUCT)} / {node.divisor}")),
+    Apply: _unary(lambda node, a: (_P_ATOM, f"{node.func}({a[1]})")),
+    Eq: _infix("=", _F_CMP, _P_SUM, _P_SUM),
+    Lt: _infix("<", _F_CMP, _P_SUM, _P_SUM),
+    Not: _unary(lambda node, a: (_F_NOT, "!" + _at(a, _F_NOT))),
+    And: _infix("&", _F_AND, _F_AND, _F_NOT),
+    Or: _infix("|", _F_OR, _F_OR, _F_AND),
+}
+
+
+def format_any(node: Node) -> str:
+    """Canonical text of a term or formula; the parser reads it back to ``node``."""
+    return _walk(_FORMAT, node, None)[1]
 
 
 # --- JSON dump ----------------------------------------------------------------
 
-
-def term_to_json(node: TermNode) -> Dict[str, object]:
-    if isinstance(node, Literal):
-        return {"node": "literal", "value": gamma.format_element(node.value)}
-    if isinstance(node, Var):
-        return {"node": "var", "name": node.name}
-    if isinstance(node, Add):
-        return {"node": "add", "left": term_to_json(node.left), "right": term_to_json(node.right)}
-    if isinstance(node, Neg):
-        return {"node": "negate", "operand": term_to_json(node.operand)}
-    if isinstance(node, Div):
-        return {"node": "divide", "operand": term_to_json(node.operand), "divisor": node.divisor}
-    if isinstance(node, Apply):
-        return {"node": "apply", "func": node.func, "operand": term_to_json(node.operand)}
-    raise TypeError(f"not a term node: {node!r}")
+_JSON_NAMES = {kind: kind.__name__.lower() for kind in _EVAL} | {Neg: "negate", Div: "divide"}
 
 
-def formula_to_json(node: FormulaNode) -> Dict[str, object]:
-    if isinstance(node, Eq):
-        return {"node": "eq", "left": term_to_json(node.left), "right": term_to_json(node.right)}
-    if isinstance(node, Lt):
-        return {"node": "lt", "left": term_to_json(node.left), "right": term_to_json(node.right)}
-    if isinstance(node, Not):
-        return {"node": "not", "operand": formula_to_json(node.operand)}
-    if isinstance(node, And):
-        return {
-            "node": "and",
-            "left": formula_to_json(node.left),
-            "right": formula_to_json(node.right),
-        }
-    if isinstance(node, Or):
-        return {
-            "node": "or",
-            "left": formula_to_json(node.left),
-            "right": formula_to_json(node.right),
-        }
-    raise TypeError(f"not a formula node: {node!r}")
+def _json_step(node: Node, _: object) -> Generator:
+    out: Dict[str, object] = {"node": _JSON_NAMES[type(node)]}
+    for field in fields(node):
+        value = getattr(node, field.name)
+        is_node = type(value) in _JSON_NAMES
+        out[field.name] = (yield value, None) if is_node else gamma.jsonable(value)
+    return out
 
 
-def ast_json(node: Union[TermNode, FormulaNode]) -> str:
-    if isinstance(node, (Eq, Lt, Not, And, Or)):
-        payload = formula_to_json(node)
-    else:
-        payload = term_to_json(node)
-    return json.dumps(payload, indent=2)
+_JSON = dict.fromkeys(_JSON_NAMES, _json_step)
+
+
+def to_json(node: Node) -> Dict[str, object]:
+    """The tree as nested dicts: ``"node"`` names the kind, then the fields in order."""
+    return _walk(_JSON, node, None)

@@ -40,16 +40,7 @@ class ImageReport:
 
     function: str
     levels: Tuple[int, ...]
-    witnesses: Dict[int, GammaElement]
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "levels": list(self.levels),
-            "witnesses": {
-                str(level): gamma.format_element(self.witnesses[level]) for level in self.levels
-            },
-        }
+    witnesses: Dict[int, GammaElement]  # in level order
 
 
 @dataclass(frozen=True)
@@ -63,21 +54,7 @@ class GrowthReport:
     new_generator_count: int
     bound: int
     passed: bool
-    counterexample: Optional[Dict[str, object]] = None
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "function": self.function,
-            "old_levels": list(self.old_levels),
-            "new_levels": list(self.new_levels),
-            "added_levels": list(self.added_levels),
-            "new_generator_count": self.new_generator_count,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
-        if self.counterexample is not None:
-            payload["counterexample"] = self.counterexample
-        return payload
+    counterexample: Optional[Dict[str, object]] = None  # JSON-ready
 
 
 class Subspace:
@@ -312,17 +289,17 @@ def growth_check(
     passed = len(added) <= bound
     counterexample = None
     if not passed:
-        counterexample = {
-            "old_basis": [gamma.format_element(row) for row in space.basis],
-            "new_generators": [gamma.format_element(g) for g in new_generators],
-            "extended_basis": [gamma.format_element(row) for row in extended.basis],
-            "old_levels": list(old_report.levels),
-            "new_levels": list(new_report.levels),
-            "added_levels": list(added),
-            "witnesses": {
-                str(level): gamma.format_element(new_report.witnesses[level]) for level in added
-            },
-        }
+        counterexample = gamma.jsonable(
+            {
+                "old_basis": space.basis,
+                "new_generators": new_generators,
+                "extended_basis": extended.basis,
+                "old_levels": old_report.levels,
+                "new_levels": new_report.levels,
+                "added_levels": added,
+                "witnesses": {level: new_report.witnesses[level] for level in added},
+            }
+        )
     return GrowthReport(
         function,
         old_report.levels,
@@ -332,72 +309,4 @@ def growth_check(
         bound,
         passed,
         counterexample,
-    )
-
-
-def psi_independence_check(levels: Iterable[int]) -> bool:
-    """Distinct psi-set members are linearly independent over Q.
-
-    Computes the rank of the span of the requested members and compares
-    it with the number of distinct levels.
-    """
-    distinct = sorted(set(levels))
-    space = echelonize([gamma.psi_element(level) for level in distinct])
-    return space.dim == len(distinct)
-
-
-@dataclass(frozen=True)
-class CombinationReport:
-    """Successor of a rational combination of psi-set members vs. the rule.
-
-    Rule: for alpha = sum q_j * PsiValue(l_j) with nonzero q_j and
-    strictly increasing levels, successor(alpha) is the least psi-set
-    member when sum(q_j) != 1, and the successor of the SMALLEST
-    constituent when sum(q_j) == 1.
-    """
-
-    coefficients: Tuple[Fraction, ...]
-    levels: Tuple[int, ...]
-    alpha: GammaElement
-    rule: str  # "sum=1" or "sum!=1"
-    expected: GammaElement
-    observed: GammaElement
-    passed: bool
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "coefficients": [str(c) for c in self.coefficients],
-            "levels": list(self.levels),
-            "alpha": gamma.format_element(self.alpha),
-            "rule": self.rule,
-            "expected": gamma.format_element(self.expected),
-            "observed": gamma.format_element(self.observed),
-            "passed": self.passed,
-        }
-
-
-def combination_successor_check(
-    coefficients: Sequence[Fraction], levels: Sequence[int]
-) -> CombinationReport:
-    """Check the successor rule for one combination of psi-set members."""
-    coefficients = tuple(Fraction(c) for c in coefficients)
-    levels = tuple(levels)
-    if not coefficients or len(coefficients) != len(levels):
-        raise ValueError("need matching nonempty coefficient and level sequences")
-    if any(c == 0 for c in coefficients):
-        raise ValueError("coefficients must be nonzero")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    alpha = ZERO
-    for c, level in zip(coefficients, levels):
-        alpha = alpha + gamma.scale(gamma.psi_element(level), c)
-    if sum(coefficients) == 1:
-        rule = "sum=1"
-        expected = gamma.psi_element(levels[0] + 1)
-    else:
-        rule = "sum!=1"
-        expected = gamma.psi_element(0)
-    observed = gamma.successor(alpha)
-    return CombinationReport(
-        coefficients, levels, alpha, rule, expected, observed, observed == expected
     )

@@ -5,7 +5,9 @@ Fixed expected values are derived by hand from the defining formulas
 cross-checked against brute-force oracles local to this file.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given
@@ -406,3 +408,26 @@ def test_element_text_round_trip(a):
 
 def test_repr_is_text_format():
     assert "e0" in repr(unit(0))
+
+
+# --- JSON form of reports ---------------------------------------------------------
+
+
+def test_jsonable_rules():
+    @dataclass
+    class Report:
+        level: int
+        value: object
+        ratio: Fraction
+        by_level: dict
+        note: Optional[str] = None
+
+    report = Report(3, (unit(0) + unit(2), INF), Fraction(3, 2), {1: ZERO, 0: True})
+    assert gamma.jsonable(report) == {
+        "level": 3,
+        "value": ["e0 + e2", "inf"],
+        "ratio": "3/2",
+        "by_level": {"1": "0", "0": True},
+    }
+    assert list(gamma.jsonable(report)) == ["level", "value", "ratio", "by_level"]
+    assert gamma.jsonable(Fraction(4, 2)) == "2"

@@ -59,7 +59,7 @@ def test_reports_are_byte_reproducible():
     second = run_suite("successor", SamplerConfig(seed=11, trials=150))
     assert first == second
     assert first.to_text() == second.to_text()
-    assert first.to_json_dict() == second.to_json_dict()
+    assert gamma.jsonable(first) == gamma.jsonable(second)
 
 
 def test_seed_changes_the_stream():
@@ -77,7 +77,7 @@ def test_corrupted_psi_fails_with_counterexamples():
     assert {f.check for f in report.failures} & {"psi_gap", "psi_antitone"}
     assert any(f.check == "psi_gap" for f in report.failures)
     bundle = report.failures[0]
-    for _, text in bundle.inputs:
+    for text in bundle.inputs.values():
         gamma.parse_element(text)  # replayable through the element grammar
     assert report.failure_count >= len(report.failures)
 
@@ -133,6 +133,17 @@ def test_classify_const_psi():
     )
     mapping = AffineMap((Fraction(0), Fraction(1)), ZERO)
     assert classify_affine_image(mapping, table, min_hits=3) == ConstPsi(5)
+
+
+def test_min_hits_floor_counts_varying_coordinates():
+    mapping = AffineMap((Fraction(1), Fraction(0)), ZERO)
+    both_vary = _family((psi(0), psi(5)), (psi(1), psi(6)), (psi(2), psi(7)))
+    with pytest.raises(ValueError):
+        classify_affine_image(mapping, both_vary, min_hits=3)
+    one_varies = _family((psi(0), psi(5)), (psi(1), psi(5)), (psi(2), psi(5)))
+    with pytest.raises(ValueError):
+        classify_affine_image(mapping, one_varies, min_hits=2)
+    assert classify_affine_image(mapping, one_varies, min_hits=3) == Projection(0)
 
 
 def test_classify_const_inf():
@@ -255,7 +266,7 @@ def test_witness_domain_errors():
 
 
 def test_witness_json_shape():
-    payload = make_witness(unit(0), 1).to_json_dict()
+    payload = gamma.jsonable(make_witness(unit(0), 1))
     assert payload == {
         "epsilon": "e0",
         "alpha_level": 1,

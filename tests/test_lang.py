@@ -1,12 +1,14 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from logcouple import gamma, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
-from logcouple.harness import SamplerConfig, sample_formula_ast, sample_term_ast
+from logcouple.harness import SamplerConfig, sample_coefficient
 from logcouple.lang import (
     Add,
     And,
@@ -67,7 +69,7 @@ GOLDEN_TERMS = [
 def test_term_production(text, node, canonical):
     parsed = term(text)
     assert parsed == node
-    assert lang.format_term(parsed) == canonical
+    assert lang.format_any(parsed) == canonical
     assert term(canonical) == parsed
 
 
@@ -108,7 +110,7 @@ GOLDEN_FORMULAS = [
 def test_formula_production(text, node, canonical):
     parsed = formula(text)
     assert parsed == node
-    assert lang.format_formula(parsed) == canonical
+    assert lang.format_any(parsed) == canonical
     assert formula(canonical) == parsed
 
 
@@ -185,70 +187,153 @@ def test_divide_node_validates():
 
 
 def test_default_values():
-    assert lang.eval_term(term("psi(0)")) == INF
-    assert lang.eval_term(term("s(inf)")) == INF
-    assert lang.eval_term(term("p(e0)")) == INF
-    assert lang.eval_term(term("e0 + inf")) == INF
-    assert lang.eval_term(term("-inf")) == INF
-    assert lang.eval_term(term("inf / 4")) == INF
-    assert lang.eval_term(term("int(0)")) == -unit(0)
+    assert lang.evaluate(term("psi(0)")) == INF
+    assert lang.evaluate(term("s(inf)")) == INF
+    assert lang.evaluate(term("p(e0)")) == INF
+    assert lang.evaluate(term("e0 + inf")) == INF
+    assert lang.evaluate(term("-inf")) == INF
+    assert lang.evaluate(term("inf / 4")) == INF
+    assert lang.evaluate(term("int(0)")) == -unit(0)
 
 
 def test_eval_with_bindings():
     env = {"x": gamma.scale(unit(3), 2)}
-    assert lang.eval_term(term("psi(x)"), env) == gamma.psi_element(3)
-    assert lang.eval_term(term("x / 2 + e0"), env) == GammaElement([(0, 1), (3, 1)])
-    assert lang.eval_formula(formula("psi(e1) = e0 + e1")) is True
-    assert lang.eval_formula(formula("e0 < e1")) is False
-    assert lang.eval_formula(formula("!e0 < e1")) is True
-    assert lang.eval_formula(formula("e0 = e0 & e1 < e0")) is True
-    assert lang.eval_formula(formula("e1 = e0 | e1 < e0")) is True
+    assert lang.evaluate(term("psi(x)"), env) == gamma.psi_element(3)
+    assert lang.evaluate(term("x / 2 + e0"), env) == GammaElement([(0, 1), (3, 1)])
+    assert lang.evaluate(formula("psi(e1) = e0 + e1")) is True
+    assert lang.evaluate(formula("e0 < e1")) is False
+    assert lang.evaluate(formula("!e0 < e1")) is True
+    assert lang.evaluate(formula("e0 = e0 & e1 < e0")) is True
+    assert lang.evaluate(formula("e1 = e0 | e1 < e0")) is True
 
 
 def test_eval_inf_comparisons():
-    assert lang.eval_formula(formula("inf = inf")) is True
-    assert lang.eval_formula(formula("e0 < inf")) is True
-    assert lang.eval_formula(formula("inf < e0")) is False
+    assert lang.evaluate(formula("inf = inf")) is True
+    assert lang.evaluate(formula("e0 < inf")) is True
+    assert lang.evaluate(formula("inf < e0")) is False
     # absorption makes both sides inf
-    assert lang.eval_formula(formula("psi(0) = s(inf)")) is True
+    assert lang.evaluate(formula("psi(0) = s(inf)")) is True
 
 
 def test_unbound_variable_is_named():
     with pytest.raises(EvalError) as err:
-        lang.eval_term(term("x + e0"), {"y": ZERO})
+        lang.evaluate(term("x + e0"), {"y": ZERO})
     assert "'x'" in str(err.value)
 
 
-# --- variables and the extension flag ----------------------------------------------
+def test_and_or_short_circuit():
+    assert lang.evaluate(formula("e0 = e0 | y = e0")) is True
+    assert lang.evaluate(formula("e1 = e0 & y = e0")) is False
+    with pytest.raises(EvalError):
+        lang.evaluate(formula("e0 = e0 & y = e0"))
 
 
-def test_variable_collection():
-    node = formula("psi(x) = y & z < e0")
-    assert lang.formula_variables(node) == frozenset({"x", "y", "z"})
-    assert lang.term_variables(term("s(a) + b / 2")) == frozenset({"a", "b"})
+def test_non_node_is_rejected():
+    with pytest.raises(TypeError):
+        lang.evaluate(Add(Var("x"), "y"), {"x": ZERO})
 
 
-def test_uses_integral_flag():
-    assert lang.uses_integral(term("int(x)"))
-    assert lang.uses_integral(formula("psi(int(x)) = y"))
-    assert not lang.uses_integral(formula("psi(x) = y"))
+# --- depth ------------------------------------------------------------------------
+
+
+def test_walks_do_not_recurse_per_level():
+    depth = 20000
+    sum_tree = Literal(unit(0))
+    nots = Eq(Var("x"), Var("x"))
+    for _ in range(depth):
+        sum_tree = Add(sum_tree, Literal(unit(0)))
+        nots = Not(nots)
+    assert lang.evaluate(sum_tree) == gamma.scale(unit(0), depth + 1)
+    assert lang.evaluate(nots, {"x": ZERO}) is True
+    assert lang.format_any(sum_tree) == " + ".join(["e0"] * (depth + 1))
+    assert lang.format_any(nots) == "!" * depth + "x = x"
+    payload = lang.to_json(nots)
+    for _ in range(depth):
+        payload = payload["operand"]
+    assert payload["node"] == "eq"
+
+
+def test_prefix_runs_parse_without_recursion():
+    assert lang.evaluate(formula("!" * 5001 + "e0 = e0")) is False
+    assert lang.evaluate(term("-" * 5000 + "e1")) == unit(1)
+
+
+def test_nesting_cap():
+    depth = lang.MAX_NESTING
+    calls = "psi(" * depth + "x" + ")" * depth
+    assert lang.format_any(term(calls)) == calls
+    assert formula("(" * depth + "x = y" + ")" * depth) == Eq(Var("x"), Var("y"))
+    with pytest.raises(ParseError) as err:
+        term("(" * depth + "psi(x" + ")" * (depth + 1))
+    assert err.value.position == depth + len("psi")
+    assert "nested deeper than" in str(err.value)
 
 
 # --- round trips over sampled ASTs -------------------------------------------------
+
+_AST_VARS = ("x", "y", "z")
+
+
+def sample_literal_ast(rng: random.Random, cfg: SamplerConfig) -> Literal:
+    roll = rng.random()
+    if roll < 0.15:
+        return Literal(ZERO)
+    if roll < 0.3:
+        return Literal(INF)
+    coeff = abs(sample_coefficient(rng, cfg))
+    return Literal(gamma.scale(gamma.unit(rng.randint(0, cfg.max_support)), coeff))
+
+
+def sample_term_ast(
+    rng: random.Random, cfg: SamplerConfig, depth: int = 4
+) -> lang.TermNode:
+    """Random parser-canonical term AST (literals are single pieces)."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return Var(rng.choice(_AST_VARS))
+        return sample_literal_ast(rng, cfg)
+    roll = rng.randrange(4)
+    if roll == 0:
+        return Add(
+            sample_term_ast(rng, cfg, depth - 1), sample_term_ast(rng, cfg, depth - 1)
+        )
+    if roll == 1:
+        return Neg(sample_term_ast(rng, cfg, depth - 1))
+    if roll == 2:
+        return Div(sample_term_ast(rng, cfg, depth - 1), rng.randint(1, 9))
+    return Apply(rng.choice(lang.FUNCTIONS), sample_term_ast(rng, cfg, depth - 1))
+
+
+def sample_formula_ast(
+    rng: random.Random, cfg: SamplerConfig, depth: int = 3
+) -> lang.FormulaNode:
+    if depth <= 0 or rng.random() < 0.35:
+        ctor = Eq if rng.random() < 0.5 else Lt
+        return ctor(sample_term_ast(rng, cfg, 2), sample_term_ast(rng, cfg, 2))
+    roll = rng.randrange(3)
+    if roll == 0:
+        return Not(sample_formula_ast(rng, cfg, depth - 1))
+    if roll == 1:
+        return And(
+            sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
+        )
+    return Or(
+        sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
+    )
 
 
 def test_term_round_trip_sampled():
     cfg = SamplerConfig(seed=2024)
     for trial in range(2000):
         node = sample_term_ast(cfg.trial_rng(trial), cfg)
-        assert term(lang.format_term(node)) == node
+        assert term(lang.format_any(node)) == node
 
 
 def test_formula_round_trip_sampled():
     cfg = SamplerConfig(seed=4096)
     for trial in range(1500):
         node = sample_formula_ast(cfg.trial_rng(trial), cfg)
-        assert formula(lang.format_formula(node)) == node
+        assert formula(lang.format_any(node)) == node
 
 
 def test_format_any_dispatch():
@@ -260,15 +345,15 @@ def test_noncanonical_literal_formats_value_correctly():
     # multi-term literals exist programmatically; reparsing yields an
     # equal-valued sum tree rather than the literal node
     node = Literal(GammaElement([(0, 1), (1, -2)]))
-    text = lang.format_term(node)
-    assert lang.eval_term(term(text)) == lang.eval_term(node)
+    text = lang.format_any(node)
+    assert lang.evaluate(term(text)) == lang.evaluate(node)
 
 
 # --- JSON dump --------------------------------------------------------------------
 
 
 def test_term_json_shape():
-    payload = lang.term_to_json(term("s(x) / 2"))
+    payload = lang.to_json(term("s(x) / 2"))
     assert payload == {
         "node": "divide",
         "operand": {"node": "apply", "func": "s", "operand": {"node": "var", "name": "x"}},
@@ -277,7 +362,7 @@ def test_term_json_shape():
 
 
 def test_formula_json_shape():
-    payload = lang.formula_to_json(formula("x = y & !x < y"))
+    payload = lang.to_json(formula("x = y & !x < y"))
     assert payload["node"] == "and"
     assert payload["right"]["node"] == "not"
     assert payload["left"] == {
@@ -287,10 +372,8 @@ def test_formula_json_shape():
     }
 
 
-def test_ast_json_is_valid_json():
-    import json
-
-    payload = json.loads(lang.ast_json(formula("psi(e1) = e0 + e1")))
+def test_to_json_dumps_as_json():
+    payload = json.loads(json.dumps(lang.to_json(formula("psi(e1) = e0 + e1"))))
     assert payload["node"] == "eq"
     assert payload["left"] == {
         "node": "apply",

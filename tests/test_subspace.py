@@ -7,7 +7,9 @@ never certifies itself.
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence, Tuple
 
 import pytest
 from hypothesis import given
@@ -15,14 +17,7 @@ from hypothesis import strategies as st
 
 from logcouple import gamma
 from logcouple.gamma import ZERO, GammaElement, unit
-from logcouple.subspace import (
-    Subspace,
-    combination_successor_check,
-    echelonize,
-    growth_check,
-    psi_independence_check,
-    solve_affine,
-)
+from logcouple.subspace import Subspace, echelonize, growth_check, solve_affine
 
 
 def elt(*pairs):
@@ -309,13 +304,73 @@ def test_growth_s_fails_on_stalled_chain_bases():
 
 
 def test_growth_report_json_shape():
-    payload = growth_check(span("e0"), [unit(1)], "psi").to_json_dict()
+    payload = gamma.jsonable(growth_check(span("e0"), [unit(1)], "psi"))
     assert payload["passed"] is True
     assert payload["added_levels"] == [1]
     assert "counterexample" not in payload
 
 
 # --- independence and combination rules --------------------------------------------
+#
+# Statements about psi-set members that the CLI does not expose; the checks
+# live here, next to their only callers.
+
+
+def psi_independence_check(levels: Iterable[int]) -> bool:
+    """Distinct psi-set members are linearly independent over Q.
+
+    Computes the rank of the span of the requested members and compares
+    it with the number of distinct levels.
+    """
+    distinct = sorted(set(levels))
+    space = echelonize([gamma.psi_element(level) for level in distinct])
+    return space.dim == len(distinct)
+
+
+@dataclass(frozen=True)
+class CombinationReport:
+    """Successor of a rational combination of psi-set members vs. the rule.
+
+    Rule: for alpha = sum q_j * PsiValue(l_j) with nonzero q_j and
+    strictly increasing levels, successor(alpha) is the least psi-set
+    member when sum(q_j) != 1, and the successor of the SMALLEST
+    constituent when sum(q_j) == 1.
+    """
+
+    coefficients: Tuple[Fraction, ...]
+    levels: Tuple[int, ...]
+    alpha: GammaElement
+    rule: str  # "sum=1" or "sum!=1"
+    expected: GammaElement
+    observed: GammaElement
+    passed: bool
+
+
+def combination_successor_check(
+    coefficients: Sequence[Fraction], levels: Sequence[int]
+) -> CombinationReport:
+    """Check the successor rule for one combination of psi-set members."""
+    coefficients = tuple(Fraction(c) for c in coefficients)
+    levels = tuple(levels)
+    if not coefficients or len(coefficients) != len(levels):
+        raise ValueError("need matching nonempty coefficient and level sequences")
+    if any(c == 0 for c in coefficients):
+        raise ValueError("coefficients must be nonzero")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
+    alpha = ZERO
+    for c, level in zip(coefficients, levels):
+        alpha = alpha + gamma.scale(gamma.psi_element(level), c)
+    if sum(coefficients) == 1:
+        rule = "sum=1"
+        expected = gamma.psi_element(levels[0] + 1)
+    else:
+        rule = "sum!=1"
+        expected = gamma.psi_element(0)
+    observed = gamma.successor(alpha)
+    return CombinationReport(
+        coefficients, levels, alpha, rule, expected, observed, observed == expected
+    )
 
 
 def test_psi_independence_examples():
