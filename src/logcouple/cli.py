@@ -146,7 +146,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
         extra = load_generators(args.extend)
         if not extra:
             raise CliError(f"{args.extend}: growth needs at least one new generator")
-        reports = [growth_check(space, extra, function) for function in ("psi", "s", "p")]
+        reports = growth_check(space, extra)
         ok = all(r.passed for r in reports)
         if args.json:
             _emit_json(gamma.jsonable({"passed": ok, "growth": reports}))

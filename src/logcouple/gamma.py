@@ -246,15 +246,24 @@ def unit(index: int) -> GammaElement:
     return GammaElement(((index, 1),))
 
 
+# Highest psi-set level built.  Members are stored densely (level n holds
+# n+1 coordinates), so this bounds the work and output of psi, successor,
+# witness and the subspace images on short input such as ``psi(e200000)``.
+MAX_LEVEL = 10000
+
+
 def psi_element(level: int) -> GammaElement:
     """The psi-set member of the given level: the sum of ``e0 .. e<level>``.
 
     Level 0 is ``e0`` (one 1), level n is a vector of n+1 ones.  The map
     is order-preserving: higher level means longer run of ones, hence a
-    strictly larger element.
+    strictly larger element.  Levels above ``MAX_LEVEL`` raise
+    ``DomainError``.
     """
     if level < 0:
         raise ValueError(f"psi level must be >= 0, got {level}")
+    if level > MAX_LEVEL:
+        raise DomainError(f"psi level {level} exceeds MAX_LEVEL = {MAX_LEVEL}")
     return GammaElement(tuple((i, 1) for i in range(level + 1)))
 
 

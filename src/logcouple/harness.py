@@ -772,10 +772,11 @@ def _sample_unit_pivot_base(
 def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
     """Image growth over random generator extensions.
 
-    Every trial extends a base subspace by fresh generators and compares
-    the level-set growth of each image map against a bound that is a
-    theorem for the sampled instances, with m counting the generators
-    genuinely outside the base:
+    Every trial extends a base subspace by fresh generators, takes the
+    psi, s and p reports from one ``growth_check`` call, and compares
+    each image's level-set growth against a bound that is a theorem for
+    the sampled instances, with m counting the generators genuinely
+    outside the base:
 
     * psi growth <= m, unconditional (image levels are pivot levels and
       rank grows by at most m).
@@ -822,19 +823,18 @@ def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
             ("base", "; ".join(gamma.format_element(g) for g in base) or "0"),
             ("extra", "; ".join(gamma.format_element(g) for g in extra)),
         )
-        report = growth_check(space, extra, "psi")
+        psi, s, p = growth_check(space, extra)
+        m = psi.new_generator_count
         rec.check(
-            report.passed,
+            psi.passed,
             trial,
             "growth_psi",
             inputs,
-            f"growth {len(report.added_levels)} exceeds bound {report.bound}",
+            f"growth {len(psi.added_levels)} exceeds bound {psi.bound}",
         )
 
-        report = growth_check(space, extra, "s")
-        m = report.new_generator_count
-        growth = len(report.added_levels)
-        deficit = space.dim + 1 - len(report.old_levels)
+        growth = len(s.added_levels)
+        deficit = space.dim + 1 - len(s.old_levels)
         rec.bump(f"s_deficit_{deficit if deficit <= 1 else '2plus'}")
         rec.check(
             growth <= m + deficit,
@@ -853,25 +853,23 @@ def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
             )
         if deficit <= 1:
             rec.check(
-                report.passed,
+                s.passed,
                 trial,
                 "growth_s",
                 inputs,
-                f"growth {growth} exceeds bound {report.bound}",
+                f"growth {growth} exceeds bound {s.bound}",
             )
-        extended = echelonize(space.basis + tuple(extra))
+        dim_plus_1 = len(psi.new_levels) + 1  # the psi levels are the extended pivots
         rec.check(
-            len(report.new_levels) <= extended.dim + 1,
+            len(s.new_levels) <= dim_plus_1,
             trial,
             "s_image_size",
             inputs,
-            f"s-image size {len(report.new_levels)} exceeds dim + 1 = {extended.dim + 1}",
+            f"s-image size {len(s.new_levels)} exceeds dim + 1 = {dim_plus_1}",
         )
 
-        report = growth_check(space, extra, "p")
-        m = report.new_generator_count
-        growth = len(report.added_levels)
-        members = len(report.old_levels) + (1 if space.contains(gamma.unit(0)) else 0)
+        growth = len(p.added_levels)
+        members = len(p.old_levels) + (1 if space.contains(gamma.unit(0)) else 0)
         deficit = space.dim - members
         rec.bump(f"p_deficit_{deficit if deficit <= 1 else '2plus'}")
         rec.check(
@@ -891,11 +889,11 @@ def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
             )
         if deficit == 0:
             rec.check(
-                report.passed,
+                p.passed,
                 trial,
                 "growth_p",
                 inputs,
-                f"growth {growth} exceeds bound {report.bound}",
+                f"growth {growth} exceeds bound {p.bound}",
             )
     return rec.report()
 
@@ -951,6 +949,10 @@ class WitnessReport:
         return "\n".join(lines)
 
 
+# Largest witness prefix: element k has k coordinates, so output grows as count**2.
+MAX_WITNESS_COUNT = 1000
+
+
 def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
     """Enumerate a discrete increasing subset of (0, epsilon).
 
@@ -967,6 +969,8 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         raise gamma.DomainError("epsilon must be strictly positive")
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
+    if count > MAX_WITNESS_COUNT:
+        raise ValueError(f"count {count} exceeds MAX_WITNESS_COUNT = {MAX_WITNESS_COUNT}")
     level = epsilon.coords[0][0] + 1
     alpha = gamma.psi_element(level)
     bound = gamma.scale(gamma.integrate(alpha), -2)

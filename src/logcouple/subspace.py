@@ -18,10 +18,10 @@ computation:
 * ``predecessor`` maps the psi-set members inside V of level >= 1 down
   one level and everything else to inf.
 
-No closure assumptions are made about the subspace.  Growth bounds that
-hold for suitably closed subgroups can fail here for crafted generators
-(e.g. spans of differences of consecutive psi-set members); see
-``growth_check``.
+No closure assumptions are made about the subspace.  ``growth_check``
+extends it once and reports the psi, s and p growth together; bounds
+that hold for suitably closed subgroups can fail here for crafted
+generators (e.g. spans of differences of consecutive psi-set members).
 """
 
 from __future__ import annotations
@@ -154,14 +154,16 @@ class Subspace:
 
     def p_image(self) -> ImageReport:
         """Levels of predecessor over members, excluding the inf fiber."""
-        levels: List[int] = []
-        witnesses: Dict[int, GammaElement] = {}
-        for n in range(0, self.max_support + 2):
-            candidate = gamma.psi_element(n)
-            if n >= 1 and self.contains(candidate):
-                levels.append(n - 1)
-                witnesses[n - 1] = candidate
-        return ImageReport("p", tuple(levels), witnesses)
+        # Every member is 0 at the first index no row touches, and a psi-set
+        # member of level n is 1 at indices 0..n: none from there on is inside.
+        touched = {i for row in self._rows for i, _ in row.coords}
+        stop = next(i for i in range(len(touched) + 1) if i not in touched)
+        witnesses = {
+            n - 1: member
+            for n in range(1, stop)
+            if self.contains(member := gamma.psi_element(n))
+        }
+        return ImageReport("p", tuple(witnesses), witnesses)
 
     def image(self, function: str) -> ImageReport:
         try:
@@ -250,20 +252,18 @@ def solve_affine(
     return particular, nullspace
 
 
-_GROWTH_BOUND = {"psi": lambda m: m, "s": lambda m: m + 1, "p": lambda m: m}
-
-
 def growth_check(
-    space: Subspace, new_generators: Sequence[GammaElement], function: str
-) -> GrowthReport:
-    """Image growth of psi/s/p when extending a subspace by new generators.
+    space: Subspace, new_generators: Sequence[GammaElement]
+) -> Tuple[GrowthReport, GrowthReport, GrowthReport]:
+    """Image growth of psi, s and p when extending a subspace by new generators.
 
-    Checks the growth of the level set against m, m+1, m respectively,
-    where m counts the new generators not already in the subspace.  The
-    psi bound is unconditional: image levels are pivot levels, and rank
-    grows by at most m.  The s and p bounds mirror statements about
-    subgroups closed under the successor map, and a finite-dimensional
-    span need not behave like one:
+    Counts m (the new generators outside the subspace) and echelonizes
+    the extended span once, then returns the (psi, s, p) reports with
+    bounds m, m+1 and m.  The psi bound is unconditional: image levels
+    are pivot levels, so ``len(psi.new_levels)`` is the extended
+    dimension and rank grows by at most m.  The s and p bounds mirror
+    statements about subgroups closed under the successor map, which a
+    finite-dimensional span need not be:
 
     * the s bound fails when the base's unit-prefix chain stalls early
       (deficit = dim + 1 - |s-image| above 1, e.g. no support at
@@ -273,40 +273,34 @@ def growth_check(
       psi-set members without the members themselves and a new
       generator completes them.
 
-    A failed check reports the violation with a counterexample bundle
-    rather than raising.
+    A failed bound carries a counterexample bundle instead of raising.
+    Deficits stay with the caller (the subspace-growth suite) because
+    ``GrowthReport``'s fields are the ``subspace --op growth --json``
+    output.
     """
-    if function not in _GROWTH_BOUND:
-        raise ValueError(f"unknown image function {function!r}")
     if not new_generators:
         raise ValueError("at least one new generator required")
     m = sum(1 for g in new_generators if not space.contains(g))
     extended = echelonize(space.basis + tuple(new_generators))
-    old_report = space.image(function)
-    new_report = extended.image(function)
-    added = tuple(sorted(set(new_report.levels) - set(old_report.levels)))
-    bound = _GROWTH_BOUND[function](m)
-    passed = len(added) <= bound
-    counterexample = None
-    if not passed:
-        counterexample = gamma.jsonable(
-            {
-                "old_basis": space.basis,
-                "new_generators": new_generators,
-                "extended_basis": extended.basis,
-                "old_levels": old_report.levels,
-                "new_levels": new_report.levels,
-                "added_levels": added,
-                "witnesses": {level: new_report.witnesses[level] for level in added},
-            }
+    reports = []
+    for function, bound in (("psi", m), ("s", m + 1), ("p", m)):
+        old, new = space.image(function), extended.image(function)
+        added = tuple(sorted(set(new.levels) - set(old.levels)))
+        passed = len(added) <= bound
+        counterexample = None
+        if not passed:
+            counterexample = gamma.jsonable(
+                {
+                    "old_basis": space.basis,
+                    "new_generators": new_generators,
+                    "extended_basis": extended.basis,
+                    "old_levels": old.levels,
+                    "new_levels": new.levels,
+                    "added_levels": added,
+                    "witnesses": {level: new.witnesses[level] for level in added},
+                }
+            )
+        reports.append(
+            GrowthReport(function, old.levels, new.levels, added, m, bound, passed, counterexample)
         )
-    return GrowthReport(
-        function,
-        old_report.levels,
-        new_report.levels,
-        added,
-        m,
-        bound,
-        passed,
-        counterexample,
-    )
+    return reports[0], reports[1], reports[2]

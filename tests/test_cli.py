@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from logcouple import cli, lang
+from logcouple import cli, gamma, harness, lang
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
@@ -278,6 +278,52 @@ def test_fmt_json_of_a_very_deep_tree_exits_2(text):
     rc, out, err = run_cli(["fmt", text, "--json"])
     assert (rc, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- work bounded by documented caps ------------------------------------------------
+
+
+def test_psi_up_to_max_level_evaluates():
+    rc, out, err = run_cli(["eval", f"psi(e{gamma.MAX_LEVEL})"])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    assert out.endswith(f" + e{gamma.MAX_LEVEL}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", f"psi(e{gamma.MAX_LEVEL + 1})"],
+        ["eval", "psi(e9999999)"],
+        ["witness", "--epsilon", "e9999999", "--count", "1"],
+        ["witness", "--epsilon", "e0", "--count", str(harness.MAX_WITNESS_COUNT + 1)],
+        ["witness", "--epsilon", "e0", "--count", "100000000"],
+    ],
+    ids=["psi-past-cap", "psi-huge", "witness-huge-epsilon", "count-past-cap", "count-huge"],
+)
+def test_caps_exit_2_with_one_line(argv):
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_LEVEL" in err or "MAX_WITNESS_COUNT" in err
+
+
+@pytest.mark.parametrize("op", ["p", "growth"])
+def test_one_far_generator_is_cheap(tmp_path, op):
+    # the p-image scan stops at index 0, which no basis row touches
+    gens = tmp_path / "far.txt"
+    gens.write_text("e100000\n")
+    more = tmp_path / "more.txt"
+    more.write_text("e500\n")
+    argv = ["subspace", "--op", op, "--gens", str(gens), "--extend", str(more), "--json"]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    payload = json.loads(out)
+    if op == "p":
+        assert payload["levels"] == []
+    else:
+        psi, _, p = payload["growth"]
+        assert psi["new_levels"] == [500, 100000]
+        assert p["new_levels"] == []
 
 
 # --- determinism --------------------------------------------------------------------

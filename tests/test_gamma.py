@@ -157,6 +157,14 @@ def test_psi_element_and_level():
         gamma.psi_element(-1)
 
 
+def test_psi_element_level_cap():
+    assert gamma.psi_level(gamma.psi_element(gamma.MAX_LEVEL)) == gamma.MAX_LEVEL
+    with pytest.raises(gamma.DomainError):
+        gamma.psi_element(gamma.MAX_LEVEL + 1)
+    with pytest.raises(gamma.DomainError):
+        gamma.successor(gamma.psi_element(gamma.MAX_LEVEL))
+
+
 @given(st.integers(0, 20), st.integers(0, 20))
 def test_psi_element_order_matches_levels(m, n):
     cmp = gamma.compare(gamma.psi_element(m), gamma.psi_element(n))

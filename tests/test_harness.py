@@ -265,6 +265,13 @@ def test_witness_domain_errors():
         make_witness(unit(0), 0)
 
 
+def test_witness_count_cap():
+    report = make_witness(unit(0), harness.MAX_WITNESS_COUNT)
+    assert len(report.prefix) == harness.MAX_WITNESS_COUNT
+    with pytest.raises(ValueError, match="MAX_WITNESS_COUNT"):
+        make_witness(unit(0), harness.MAX_WITNESS_COUNT + 1)
+
+
 def test_witness_json_shape():
     payload = gamma.jsonable(make_witness(unit(0), 1))
     assert payload == {

@@ -224,6 +224,24 @@ def test_p_image_matches_membership_enumeration():
             assert gamma.predecessor(witness) == gamma.psi_element(level)
 
 
+def _p_levels_by_membership(space):
+    # every candidate level up to max_support + 1, with no early stop
+    return [n - 1 for n in range(1, space.max_support + 2) if space.contains(gamma.psi_element(n))]
+
+
+@given(generator_lists)
+def test_p_image_scan_stop_matches_full_membership_loop(gens):
+    space = echelonize(gens)
+    assert list(space.p_image().levels) == _p_levels_by_membership(space)
+
+
+@given(st.integers(0, 7), st.integers(0, 4))
+def test_p_image_on_gapped_psi_spans(top, gap):
+    # psi-set members below a gap, plus a generator far beyond it
+    space = echelonize([ones(n + 1) for n in range(top + 1)] + [unit(top + gap + 40)])
+    assert list(space.p_image().levels) == _p_levels_by_membership(space)
+
+
 def test_p_image_with_planted_members():
     space = span("e0", "e0 + e1")  # contains the two smallest psi-set members
     report = space.p_image()
@@ -235,35 +253,52 @@ def test_p_image_with_planted_members():
 
 
 def test_growth_psi_example():
-    report = growth_check(span("e0"), [unit(3)], "psi")
+    report, _, _ = growth_check(span("e0"), [unit(3)])
     assert report.passed and report.added_levels == (3,) and report.bound == 1
 
 
 def test_growth_s_from_zero_base():
-    report = growth_check(span(), [ones(3)], "s")
+    _, report, _ = growth_check(span(), [ones(3)])
     assert report.old_levels == (0,)
     assert report.new_levels == (0, 3)
     assert report.passed and report.bound == 2
 
 
 def test_growth_with_dependent_generator():
-    report = growth_check(span("e1"), [gamma.scale(unit(1), Fraction(1, 2))], "s")
+    _, report, _ = growth_check(span("e1"), [gamma.scale(unit(1), Fraction(1, 2))])
     assert report.new_generator_count == 0
     assert report.added_levels == () and report.passed
 
 
 def test_growth_rejects_bad_input():
     with pytest.raises(ValueError):
-        growth_check(span("e0"), [], "psi")
-    with pytest.raises(ValueError):
-        growth_check(span("e0"), [unit(1)], "many")
+        growth_check(span("e0"), [])
 
 
-@given(generator_lists, st.lists(st.builds(
+extension_lists = st.lists(st.builds(
     GammaElement, st.lists(st.tuples(st.integers(0, 7), coefficients), max_size=4)
-).filter(bool), min_size=1, max_size=3))
+).filter(bool), min_size=1, max_size=3)
+
+
+@given(generator_lists, extension_lists)
 def test_growth_psi_bound_unconditional(gens, extra):
-    assert growth_check(echelonize(gens), extra, "psi").passed
+    assert growth_check(echelonize(gens), extra)[0].passed
+
+
+@given(generator_lists, extension_lists)
+def test_growth_check_reports_all_three_maps_in_one_call(gens, extra):
+    space = echelonize(gens)
+    extended = echelonize(space.basis + tuple(extra))
+    m = sum(1 for g in extra if not space.contains(g))
+    reports = growth_check(space, extra)
+    assert [r.function for r in reports] == ["psi", "s", "p"]
+    assert [r.bound for r in reports] == [m, m + 1, m]
+    for report in reports:
+        assert report.new_generator_count == m
+        assert report.old_levels == space.image(report.function).levels
+        assert report.new_levels == extended.image(report.function).levels
+        assert report.passed == (len(report.added_levels) <= report.bound)
+    assert len(reports[0].new_levels) == extended.dim
 
 
 def test_growth_bounds_fail_on_psi_difference_spans():
@@ -271,7 +306,7 @@ def test_growth_bounds_fail_on_psi_difference_spans():
     # members behind one missing generator; adjoining it unlocks them
     # all at once, exceeding the advertised s and p bounds
     base = echelonize([ones(2) - ones(3), ones(3) - ones(4)])
-    report_p = growth_check(base, [ones(4)], "p")
+    report_psi, report_s, report_p = growth_check(base, [ones(4)])
     assert not report_p.passed
     assert report_p.added_levels == (0, 1, 2)
     assert report_p.bound == 1
@@ -287,24 +322,23 @@ def test_growth_bounds_fail_on_psi_difference_spans():
         "witnesses",
     }
     assert bundle["new_generators"] == ["e0 + e1 + e2 + e3"]
-    report_s = growth_check(base, [ones(4)], "s")
     assert not report_s.passed
     assert len(report_s.added_levels) == 3 > report_s.bound
-    assert growth_check(base, [ones(4)], "psi").passed
+    assert report_psi.passed
 
 
 def test_growth_s_fails_on_stalled_chain_bases():
     # no support at coordinate 0: the base attains only level 0, and a
     # single low generator unlocks a chain worth more than m + 1
     base = span("e1", "e2", "e3")
-    report = growth_check(base, [unit(0)], "s")
+    _, report, _ = growth_check(base, [unit(0)])
     assert report.old_levels == (0,)
     assert not report.passed
     assert len(report.added_levels) == 4 > report.bound == 2
 
 
 def test_growth_report_json_shape():
-    payload = gamma.jsonable(growth_check(span("e0"), [unit(1)], "psi"))
+    payload = gamma.jsonable(growth_check(span("e0"), [unit(1)])[0])
     assert payload["passed"] is True
     assert payload["added_levels"] == [1]
     assert "counterexample" not in payload
