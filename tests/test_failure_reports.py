@@ -1,0 +1,134 @@
+"""Failure reports of the law suites under corrupted maps, byte for byte.
+
+Passing runs never show a failure's inputs or detail text, so the
+golden corpus of CLI outputs cannot catch a change to them.  Each case
+here runs one suite with a deliberately broken map (through ``psi_fn``
+for the axioms, by replacing a ``gamma`` function for the others) and
+compares ``gamma.jsonable`` of the report with
+``tests/data/failure_golden.json``.  After an intended change, rewrite
+the file with
+
+    PYTHONPATH=src python tests/test_failure_reports.py --record
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+from pathlib import Path
+from typing import Dict
+
+import pytest
+
+from logcouple import gamma, harness
+from logcouple.gamma import INF, Infinity
+from logcouple.harness import SamplerConfig
+
+GOLDEN = Path(__file__).parent / "data" / "failure_golden.json"
+TRIALS = 100
+
+_psi, _successor, _psi_level = gamma.psi, gamma.successor, gamma.psi_level
+
+
+def trailing_psi(x):
+    """psi read off the last supported index instead of the first."""
+    if isinstance(x, Infinity) or not x:
+        return INF
+    return gamma.psi_element(x.coords[-1][0])
+
+
+def negated_psi(x):
+    return gamma.negate(_psi(x))
+
+
+def reversed_psi(x):
+    """Higher level for a smaller leading index."""
+    if isinstance(x, Infinity) or not x:
+        return INF
+    return gamma.psi_element(40 - x.coords[0][0])
+
+
+def coefficient_psi(x):
+    """One level up when the leading coefficient exceeds 1 in size."""
+    if isinstance(x, Infinity) or not x:
+        return INF
+    index, q = x.coords[0]
+    return gamma.psi_element(index + (abs(q) > 1))
+
+
+def long_sum_psi(x):
+    """The least psi-set member for elements of more than three terms."""
+    if not isinstance(x, Infinity) and len(x.coords) > 3:
+        return gamma.psi_element(0)
+    return _psi(x)
+
+
+def lopsided_successor(x):
+    """One level too high whenever the last coefficient is negative."""
+    s = _successor(x)
+    if isinstance(s, Infinity) or not x or x.coords[-1][1] > 0:
+        return s
+    return _successor(s)
+
+
+def odd_shifted_psi_level(x):
+    level = _psi_level(x)
+    return level + 1 if level is not None and level % 2 else level
+
+
+# name -> (suite, seed, psi_fn for the axioms, {gamma attribute: replacement})
+CASES: Dict[str, tuple] = {
+    "axioms-trailing-psi": ("axioms", 0, trailing_psi, {}),
+    "axioms-negated-psi": ("axioms", 1, negated_psi, {}),
+    "axioms-reversed-psi": ("axioms", 2, reversed_psi, {}),
+    "axioms-coefficient-psi": ("axioms", 3, coefficient_psi, {}),
+    "axioms-long-sum-psi": ("axioms", 4, long_sum_psi, {}),
+    "successor-lopsided-successor": ("successor", 0, None, {"successor": lopsided_successor}),
+    "successor-trailing-psi": ("successor", 1, None, {"psi": trailing_psi}),
+    "lemma41-trailing-psi": ("lemma41", 0, None, {"psi": trailing_psi}),
+    "lemma41-lopsided-successor": ("lemma41", 1, None, {"successor": lopsided_successor}),
+    "lemma44-odd-shifted-level": ("lemma44", 0, None, {"psi_level": odd_shifted_psi_level}),
+}
+
+
+def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> object:
+    suite, seed, psi_fn, patches = CASES[name]
+    for attr, fn in patches.items():
+        monkeypatch.setattr(gamma, attr, fn)
+    cfg = SamplerConfig(seed=seed, trials=TRIALS)
+    if suite == "axioms":
+        report = harness.run_axiom_suite(cfg, psi_fn=psi_fn)
+    else:
+        report = harness.run_suite(suite, cfg)
+    return gamma.jsonable(report)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_matches_cases():
+    assert list(_golden()) == list(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_failure_report(name, monkeypatch):
+    report = run_case(name, monkeypatch)
+    assert report["passed"] is False and report["failures"]
+    assert report == _golden()[name]
+
+
+def _record() -> None:
+    cases = {}
+    for name in CASES:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cases[name] = run_case(name, monkeypatch)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    _record()
