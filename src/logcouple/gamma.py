@@ -54,31 +54,21 @@ class Infinity:
         return self
 
     def __add__(self, other: object) -> "Infinity":
-        if isinstance(other, (Infinity, GammaElement)):
-            return self
-        return NotImplemented
+        return self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
     __radd__ = __add__
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, (Infinity, GammaElement)):
-            return False
-        return NotImplemented
+        return False if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, (Infinity, GammaElement)):
-            return other is self
-        return NotImplemented
+        return other is self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, (Infinity, GammaElement)):
-            return other is not self
-        return NotImplemented
+        return other is not self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
     def __ge__(self, other: object) -> bool:
-        if isinstance(other, (Infinity, GammaElement)):
-            return True
-        return NotImplemented
+        return True if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
 
 INF = Infinity()
@@ -101,10 +91,17 @@ class GammaElement:
 
     The coordinate list is normalized on construction: duplicate indices
     are summed, zero coefficients dropped, entries sorted by index.
-    Instances are immutable and hashable; ``==`` is exact equality.
+    Instances are immutable and hashable (the hash is cached); ``==`` is
+    exact equality.
+
+    Invariant: ``coords`` is a tuple of ``(index, Fraction)`` pairs with
+    strictly increasing nonnegative int indices and nonzero coefficients.
+    ``__init__`` establishes it from any input; the private ``_make``
+    stores a tuple that already satisfies it without checking, and is
+    used only by the operations here that preserve it.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_coords", "_hash")
 
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
         acc: dict = {}
@@ -116,11 +113,15 @@ class GammaElement:
                 acc[index] += q
             else:
                 acc[index] = q
-        object.__setattr__(
-            self,
-            "_coords",
-            tuple(sorted((i, q) for i, q in acc.items() if q != 0)),
-        )
+        _set_coords(self, tuple(sorted((i, q) for i, q in acc.items() if q != 0)))
+        _set_hash(self, None)
+
+    @classmethod
+    def _make(cls, coords: Tuple[Tuple[int, Fraction], ...]) -> "GammaElement":
+        self = object.__new__(cls)
+        _set_coords(self, coords)
+        _set_hash(self, None)
+        return self
 
     @property
     def coords(self) -> Tuple[Tuple[int, Fraction], ...]:
@@ -150,87 +151,77 @@ class GammaElement:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._coords == other._coords
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
+        return False if isinstance(other, Infinity) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coords)
+        h = self._hash
+        if h is None:
+            h = hash(self._coords)
+            _set_hash(self, h)
+        return h
 
     def __add__(self, other: object) -> "ExtendedElement":
         if isinstance(other, GammaElement):
-            return GammaElement(self._coords + other._coords)
+            if not (self._coords and other._coords):
+                return other if not self._coords else self
+            return _make(_merge(self._coords, other._coords, False))
         if isinstance(other, Infinity):
             return INF
         return NotImplemented
 
     def __sub__(self, other: object) -> "GammaElement":
         if isinstance(other, GammaElement):
-            return GammaElement(self._coords + tuple((i, -q) for i, q in other._coords))
+            return _make(_merge(self._coords, other._coords, True))
         return NotImplemented
 
     def __neg__(self) -> "GammaElement":
-        return GammaElement(tuple((i, -q) for i, q in self._coords))
+        return _make(tuple((i, -q) for i, q in self._coords))
 
     def __mul__(self, q: object) -> "GammaElement":
-        if isinstance(q, (int, Fraction)):
-            return scale(self, q)
-        return NotImplemented
+        return scale(self, q) if isinstance(q, (int, Fraction)) else NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, q: object) -> "GammaElement":
-        if isinstance(q, (int, Fraction)) and q != 0:
-            return scale(self, Fraction(1, 1) / q)
-        return NotImplemented
+        ok = isinstance(q, (int, Fraction)) and q != 0
+        return scale(self, 1 / Fraction(q)) if ok else NotImplemented
 
     def _cmp(self, other: "GammaElement") -> int:
         a, b = self._coords, other._coords
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (ia, qa), (ib, qb) = a[i], b[j]
-            if ia == ib:
-                if qa != qb:
-                    return GT if qa > qb else LT
-                i += 1
-                j += 1
-            elif ia < ib:
-                return GT if qa > 0 else LT
-            else:
-                return LT if qb > 0 else GT
-        if i < len(a):
-            return GT if a[i][1] > 0 else LT
-        if j < len(b):
-            return LT if b[j][1] > 0 else GT
+        for pa, pb in zip(a, b):
+            if pa != pb:
+                (ia, qa), (ib, qb) = pa, pb
+                if ia < ib:
+                    return GT if qa > 0 else LT
+                if ib < ia:
+                    return LT if qb > 0 else GT
+                return GT if qa > qb else LT
+        n = min(len(a), len(b))
+        if len(a) > n:
+            return GT if a[n][1] > 0 else LT
+        if len(b) > n:
+            return LT if b[n][1] > 0 else GT
         return EQ
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) == LT
-        if isinstance(other, Infinity):
-            return True
-        return NotImplemented
+        return True if isinstance(other, Infinity) else NotImplemented
 
     def __le__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) != GT
-        if isinstance(other, Infinity):
-            return True
-        return NotImplemented
+        return True if isinstance(other, Infinity) else NotImplemented
 
     def __gt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) == GT
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
+        return False if isinstance(other, Infinity) else NotImplemented
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) != LT
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
+        return False if isinstance(other, Infinity) else NotImplemented
 
     def __repr__(self) -> str:
         return format_element(self)
@@ -238,7 +229,41 @@ class GammaElement:
 
 ExtendedElement = Union[GammaElement, Infinity]
 
+_set_coords = GammaElement._coords.__set__
+_set_hash = GammaElement._hash.__set__
+_make = GammaElement._make
+_ONE = Fraction(1)
 ZERO = GammaElement()
+
+
+def _merge(a: tuple, b: tuple, subtract: bool) -> tuple:
+    """Normalized coordinates of ``a + b`` (``a - b`` if ``subtract``)."""
+    if subtract:
+        b = tuple((i, -q) for i, q in b)
+    if not a or not b:
+        return a or b
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ia, ib = a[i][0], b[j][0]
+        if ia < ib:
+            out.append(a[i])
+            i += 1
+        elif ib < ia:
+            out.append(b[j])
+            j += 1
+        else:
+            q = a[i][1] + b[j][1]
+            if q:
+                out.append((ia, q))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def unit(index: int) -> GammaElement:
@@ -250,6 +275,11 @@ def unit(index: int) -> GammaElement:
 # n+1 coordinates), so this bounds the work and output of psi, successor,
 # witness and the subspace images on short input such as ``psi(e200000)``.
 MAX_LEVEL = 10000
+# Members below this level are built once and shared (at most ~8k pairs);
+# all members slice one tuple of ``(i, _ONE)`` pairs, grown on demand.
+_INTERNED_LEVELS = 128
+_interned: dict = {}
+_ones: tuple = ()
 
 
 def psi_element(level: int) -> GammaElement:
@@ -258,26 +288,38 @@ def psi_element(level: int) -> GammaElement:
     Level 0 is ``e0`` (one 1), level n is a vector of n+1 ones.  The map
     is order-preserving: higher level means longer run of ones, hence a
     strictly larger element.  Levels above ``MAX_LEVEL`` raise
-    ``DomainError``.
+    ``DomainError``; each level below ``_INTERNED_LEVELS`` returns one
+    shared object.
     """
+    global _ones
+    member = _interned.get(level)
+    if member is not None:
+        return member
     if level < 0:
         raise ValueError(f"psi level must be >= 0, got {level}")
     if level > MAX_LEVEL:
         raise DomainError(f"psi level {level} exceeds MAX_LEVEL = {MAX_LEVEL}")
-    return GammaElement(tuple((i, 1) for i in range(level + 1)))
+    if len(_ones) <= level:
+        size = min(max(level + 1, 2 * len(_ones)), MAX_LEVEL + 1)
+        _ones += tuple((i, _ONE) for i in range(len(_ones), size))
+    member = _make(_ones[: level + 1])
+    if level < _INTERNED_LEVELS:
+        _interned[level] = member
+    return member
 
 
 def psi_level(x: ExtendedElement) -> Optional[int]:
     """Level n if ``x`` is exactly the vector of n+1 ones, else None."""
     if isinstance(x, Infinity):
         return None
-    coords = x.coords
-    if not coords:
+    coords = x._coords
+    n = len(coords) - 1
+    if _interned.get(n) is x:
+        return n
+    # Indices strictly increase from 0, so they are 0..n iff the last is n.
+    if n < 0 or coords[n][0] != n or any(q != 1 for _, q in coords):
         return None
-    for pos, (i, q) in enumerate(coords):
-        if i != pos or q != 1:
-            return None
-    return len(coords) - 1
+    return n
 
 
 def first_non_one_index(a: GammaElement) -> int:
@@ -298,12 +340,8 @@ def first_non_one_index(a: GammaElement) -> int:
 
 def compare(a: ExtendedElement, b: ExtendedElement) -> int:
     """Three-way comparison in the extended order; ``inf`` is the top."""
-    a_inf = isinstance(a, Infinity)
-    b_inf = isinstance(b, Infinity)
-    if a_inf or b_inf:
-        if a_inf and b_inf:
-            return EQ
-        return GT if a_inf else LT
+    if isinstance(a, Infinity) or isinstance(b, Infinity):
+        return (a is INF) - (b is INF)  # GT, LT or EQ
     return a._cmp(b)
 
 
@@ -321,10 +359,13 @@ def scale(a: ExtendedElement, q: Rational) -> ExtendedElement:
     """Scalar multiple ``q * a``; ``scale(inf, q) = inf`` for any q."""
     if isinstance(a, Infinity):
         return INF
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q == 0:
         return ZERO
-    return GammaElement(tuple((i, c * q) for i, c in a.coords))
+    if q == 1:
+        return a
+    return _make(tuple((i, c * q) for i, c in a._coords))
 
 
 def divide_by(a: ExtendedElement, n: int) -> ExtendedElement:
@@ -352,9 +393,11 @@ def integrate(x: ExtendedElement) -> ExtendedElement:
     if isinstance(x, Infinity):
         return INF
     n = first_non_one_index(x)
-    head = ((n, x.coefficient(n) - 1),)
-    tail = tuple((i, q) for i, q in x.coords if i > n)
-    return GammaElement(head + tail)
+    # Below n the coordinates are the ones at indices 0..n-1.
+    tail = x._coords[n:]
+    if tail and tail[0][0] == n:
+        return _make(((n, tail[0][1] - 1),) + tail[1:])
+    return _make(((n, -_ONE),) + tail)
 
 
 def derivative(x: ExtendedElement) -> ExtendedElement:
@@ -485,14 +528,17 @@ def format_element(x: ExtendedElement) -> str:
     if not x.coords:
         return "0"
     chunks = []
-    for pos, (i, q) in enumerate(x.coords):
-        mag = abs(q)
-        body = f"e{i}" if mag == 1 else f"{mag}*e{i}"
-        if pos == 0:
-            chunks.append(body if q > 0 else f"-{body}")
+    for i, q in x._coords:
+        num, den = q.numerator, q.denominator
+        sign = " + " if num > 0 else " - "
+        if den != 1:
+            chunks.append(f"{sign}{abs(num)}/{den}*e{i}")
+        elif num == 1 or num == -1:
+            chunks.append(f"{sign}e{i}")
         else:
-            chunks.append(f" + {body}" if q > 0 else f" - {body}")
-    return "".join(chunks)
+            chunks.append(f"{sign}{abs(num)}*e{i}")
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def jsonable(value: object) -> object:

@@ -169,19 +169,23 @@ class _Recorder:
         self.counters[counter] = self.counters.get(counter, 0) + by
 
     def check(
-        self,
-        ok: bool,
-        trial: int,
-        check: str,
-        inputs: Sequence[Tuple[str, str]],
-        detail: str = "property violated",
+        self, ok: bool, trial: int, check: str,
+        inputs: Sequence[Tuple[str, Union[str, ExtendedElement]]],
+        detail: Union[str, Callable[[], str]] = "property violated",
     ) -> None:
+        """Count a check and record it if it failed.
+
+        Input values are text or elements, and ``detail`` is text or a
+        function returning it; both become text only for a recorded failure.
+        """
         self.bump(check)
         if ok:
             return
         self.failure_count += 1
         if len(self.failures) < _MAX_RECORDED_FAILURES:
-            self.failures.append(Failure(trial, check, dict(inputs), detail))
+            texts = {k: v if isinstance(v, str) else gamma.format_element(v) for k, v in inputs}
+            detail = detail if isinstance(detail, str) else detail()
+            self.failures.append(Failure(trial, check, texts, detail))
 
     def report(self) -> SuiteReport:
         return SuiteReport(
@@ -222,7 +226,7 @@ def run_axiom_suite(
         a = sample_element(rng, cfg, nonzero=True)
         b = sample_element(rng, cfg, nonzero=True)
         fa, fb = fn(a), fn(b)
-        texts = (("a", gamma.format_element(a)), ("b", gamma.format_element(b)))
+        inputs = (("a", a), ("b", b))
 
         s = a + b
         if not s.is_zero():
@@ -232,8 +236,8 @@ def run_axiom_suite(
                 gamma.compare(lhs, floor) >= 0,
                 trial,
                 "psi_subadditive",
-                texts,
-                f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
+                inputs,
+                lambda: f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
             )
 
         k = rng.choice((-3, -2, -1, 2, 3))
@@ -241,7 +245,7 @@ def run_axiom_suite(
             fn(gamma.scale(a, k)) == fa,
             trial,
             "psi_scale_invariant",
-            texts + (("k", str(k)),),
+            inputs + (("k", str(k)),),
             "psi(k*a) != psi(a)",
         )
 
@@ -251,8 +255,8 @@ def run_axiom_suite(
             gamma.compare(gamma.add(pos, fpos), fb) > 0,
             trial,
             "psi_gap",
-            (("a", gamma.format_element(pos)),) + texts[1:],
-            f"a + psi(a) = {gamma.add(pos, fpos)!r} not above psi(b) = {fb!r}",
+            (("a", pos),) + inputs[1:],
+            lambda: f"a + psi(a) = {gamma.add(pos, fpos)!r} not above psi(b) = {fb!r}",
         )
 
         other = b if b > ZERO else -b
@@ -261,7 +265,7 @@ def run_axiom_suite(
             gamma.compare(fn(lo), fn(hi)) >= 0,
             trial,
             "psi_antitone",
-            (("lo", gamma.format_element(lo)), ("hi", gamma.format_element(hi))),
+            (("lo", lo), ("hi", hi)),
             "0 < lo <= hi but psi(lo) < psi(hi)",
         )
 
@@ -272,7 +276,7 @@ def run_axiom_suite(
                 fn(a + deep) == fa,
                 trial,
                 "psi_refinement",
-                texts[:1] + (("c", gamma.format_element(deep)),),
+                inputs[:1] + (("c", deep),),
                 "psi(a) < psi(c) but psi(a+c) != psi(a)",
             )
 
@@ -282,7 +286,7 @@ def run_axiom_suite(
                 gamma.compare(gamma.add(lo, fn(lo)), gamma.add(hi, fn(hi))) < 0,
                 trial,
                 "derivative_strictly_monotone",
-                (("lo", gamma.format_element(lo)), ("hi", gamma.format_element(hi))),
+                (("lo", lo), ("hi", hi)),
                 "lo < hi but derivative order not strict",
             )
 
@@ -291,7 +295,7 @@ def run_axiom_suite(
             gamma.derivative(gamma.integrate(x)) == x,
             trial,
             "derivative_after_integrate",
-            (("x", gamma.format_element(x)),),
+            (("x", x),),
             "derivative(integrate(x)) != x",
         )
         if not x.is_zero():
@@ -299,7 +303,7 @@ def run_axiom_suite(
                 gamma.integrate(gamma.derivative(x)) == x,
                 trial,
                 "integrate_after_derivative",
-                (("x", gamma.format_element(x)),),
+                (("x", x),),
                 "integrate(derivative(x)) != x",
             )
     return rec.report()
@@ -326,13 +330,13 @@ def run_successor_suite(cfg: SamplerConfig) -> SuiteReport:
         a = sample_prefixed(rng, cfg, k1)
         b = sample_prefixed(rng, cfg, k2)
         sa, sb = gamma.successor(a), gamma.successor(b)
-        texts = (("a", gamma.format_element(a)), ("b", gamma.format_element(b)))
+        inputs = (("a", a), ("b", b))
         rec.check(
             sa < sb and gamma.psi(a - b) == sa,
             trial,
             "successor_identity",
-            texts,
-            f"psi(a-b) = {gamma.psi(a - b)!r}, s(a) = {sa!r}",
+            inputs,
+            lambda: f"psi(a-b) = {gamma.psi(a - b)!r}, s(a) = {sa!r}",
         )
 
         neg = -sample_positive(rng, cfg)
@@ -346,7 +350,7 @@ def run_successor_suite(cfg: SamplerConfig) -> SuiteReport:
             and gamma.in_positive_derivatives(lifted),
             trial,
             "jump_crosses_sides",
-            (("d", gamma.format_element(d)), ("n", str(n))),
+            (("d", d), ("n", str(n))),
             "d + (n+1)(s(d)-d) not a derivative of a positive element",
         )
 
@@ -361,7 +365,7 @@ def run_successor_suite(cfg: SamplerConfig) -> SuiteReport:
             and gamma.in_positive_derivatives(mid) == (side > 0),
             trial,
             "fiber_midpoint",
-            (("x", gamma.format_element(x)), ("z", gamma.format_element(z))),
+            (("x", x), ("z", z)),
             "midpoint left the successor fiber or switched sides",
         )
 
@@ -413,11 +417,7 @@ def run_fiber_suite(cfg: SamplerConfig) -> SuiteReport:
             and gamma.psi(z - b) == fiber,
             trial,
             "psi_fiber_convex",
-            (
-                ("b", gamma.format_element(b)),
-                ("x-b", gamma.format_element(d1)),
-                ("y-b", gamma.format_element(d2)),
-            ),
+            (("b", b), ("x-b", d1), ("y-b", d2)),
             "midpoint left the psi-fiber",
         )
 
@@ -432,11 +432,7 @@ def run_fiber_suite(cfg: SamplerConfig) -> SuiteReport:
             and gamma.in_positive_derivatives(mid - b) == (side > 0),
             trial,
             "s_fiber_convex",
-            (
-                ("b", gamma.format_element(b)),
-                ("u-b", gamma.format_element(e1)),
-                ("v-b", gamma.format_element(e2)),
-            ),
+            (("b", b), ("u-b", e1), ("v-b", e2)),
             "midpoint left the successor fiber or switched sides",
         )
 
@@ -449,11 +445,7 @@ def run_fiber_suite(cfg: SamplerConfig) -> SuiteReport:
             and gamma.psi(p - q) == gamma.successor(p - b),
             trial,
             "translated_successor_identity",
-            (
-                ("b", gamma.format_element(b)),
-                ("p-b", gamma.format_element(f1)),
-                ("q-b", gamma.format_element(f2)),
-            ),
+            (("b", b), ("p-b", f1), ("q-b", f2)),
             "psi(p-q) != s(p-b)",
         )
     return rec.report()
@@ -474,9 +466,7 @@ class AffineMap:
     constant: ExtendedElement
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
 
     @property
     def arity(self) -> int:
@@ -676,41 +666,19 @@ def run_affine_image_suite(cfg: SamplerConfig) -> SuiteReport:
             kind = "random"
 
         label = (("m", str(m)), ("size", str(size)), ("kind", kind))
+        points = family
         if kind == "projection":
             target = rng.choice(retained_cols)
-            mapping = AffineMap(
-                tuple(Fraction(1 if j == target else 0) for j in range(m)), ZERO
-            )
-            result = classify_affine_image(mapping, family)
-            rec.check(
-                isinstance(result, Projection),
-                trial,
-                "planted_projection",
-                label,
-                f"got {result!r}",
-            )
+            mapping = AffineMap(tuple(Fraction(1 if j == target else 0) for j in range(m)), ZERO)
+            check, accept = "planted_projection", lambda r: isinstance(r, Projection)
         elif kind == "const_psi":
             level = rng.randint(0, 80)
             mapping = AffineMap((Fraction(0),) * m, gamma.psi_element(level))
-            result = classify_affine_image(mapping, family)
-            rec.check(
-                result == ConstPsi(level),
-                trial,
-                "planted_const_psi",
-                label,
-                f"got {result!r}",
-            )
+            check, accept = "planted_const_psi", lambda r: r == ConstPsi(level)
         elif kind == "const_inf":
             coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
             mapping = AffineMap(coeffs, INF)
-            result = classify_affine_image(mapping, family)
-            rec.check(
-                isinstance(result, ConstInf),
-                trial,
-                "planted_const_inf",
-                label,
-                f"got {result!r}",
-            )
+            check, accept = "planted_const_inf", lambda r: isinstance(r, ConstInf)
         elif kind == "broken":
             j = rng.choice(retained_cols)
             rows = [list(row) for row in family]
@@ -722,21 +690,11 @@ def run_affine_image_suite(cfg: SamplerConfig) -> SuiteReport:
                 dst = (src + 1 + rng.randrange(size - 1)) % size
                 rows[dst][j] = rows[src][j]
                 reason = "duplicate"
-            mapping = AffineMap(
-                tuple(Fraction(1 if t == j else 0) for t in range(m)), ZERO
-            )
-            result = classify_affine_image(mapping, [tuple(r) for r in rows])
-            rec.check(
-                isinstance(result, NotApplicable),
-                trial,
-                f"broken_{reason}",
-                label,
-                f"got {result!r}",
-            )
+            mapping = AffineMap(tuple(Fraction(1 if t == j else 0) for t in range(m)), ZERO)
+            points = [tuple(r) for r in rows]
+            check, accept = f"broken_{reason}", lambda r: isinstance(r, NotApplicable)
         else:
-            coeffs = tuple(
-                Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)
-            )
+            coeffs = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
             roll = rng.random()
             constant: ExtendedElement
             if roll < 0.25:
@@ -746,14 +704,10 @@ def run_affine_image_suite(cfg: SamplerConfig) -> SuiteReport:
             else:
                 constant = sample_element(rng, cfg)
             mapping = AffineMap(coeffs, constant)
-            result = classify_affine_image(mapping, family)
-            rec.check(
-                isinstance(result, (ConstInf, ConstPsi, Projection, NotApplicable)),
-                trial,
-                "random_map",
-                label,
-                f"got {result!r}",
-            )
+            check, accept = "random_map", lambda r: isinstance(r, Classification)
+        result = classify_affine_image(mapping, points)
+        rec.check(accept(result), trial, check, label, lambda: f"got {result!r}")
+        if kind == "random":
             rec.bump(f"random_{type(result).__name__}")
     return rec.report()
 

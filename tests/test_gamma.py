@@ -70,6 +70,49 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.coords = ()
     assert hash(a) == hash(elt((2, 3), (0, 1)))
+    for slot in ("_coords", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(a, slot, None)
+    assert hash(a) == hash(a.coords)
+
+
+# --- fast paths: results built without the normalizing constructor -----------------
+
+# Few indices and unit-sized coefficients, so that sums often cancel.
+clashing_elements = st.builds(
+    GammaElement,
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-2, -1, 1, 2])), max_size=5),
+)
+operands = st.one_of(elements, clashing_elements, st.integers(0, 12).map(gamma.psi_element))
+
+
+def assert_normalized(x):
+    indices = [i for i, _ in x.coords]
+    assert indices == sorted(set(indices)) and all(i >= 0 for i in indices)
+    assert all(type(q) is Fraction and q != 0 for _, q in x.coords)
+
+
+def old_integrate(x):
+    # the rule as the constructor-based code spelled it
+    n = gamma.first_non_one_index(x)
+    return GammaElement(((n, x.coefficient(n) - 1),) + tuple(p for p in x.coords if p[0] > n))
+
+
+@given(operands, operands, st.one_of(coefficients, st.integers(-3, 3)))
+def test_fast_paths_equal_the_normalizing_constructor(a, b, q):
+    negated = tuple((i, -c) for i, c in b.coords)
+    cases = [
+        (a + b, GammaElement(a.coords + b.coords)),
+        (a - b, GammaElement(a.coords + negated)),
+        (a - a, ZERO),
+        (-b, GammaElement(negated)),
+        (gamma.scale(a, q), GammaElement((i, c * q) for i, c in a.coords)),
+        (gamma.integrate(a), old_integrate(a)),
+    ]
+    for got, want in cases:
+        assert got.coords == want.coords
+        assert_normalized(got)
+        assert hash(got) == hash(GammaElement(got.coords)) == hash(want)
 
 
 # --- group operations -------------------------------------------------------------
@@ -155,6 +198,25 @@ def test_psi_element_and_level():
     assert gamma.psi_level(INF) is None
     with pytest.raises(ValueError):
         gamma.psi_element(-1)
+
+
+def test_psi_members_are_interned_below_the_bound():
+    for n in (0, 1, 80, gamma._INTERNED_LEVELS - 1):
+        member = gamma.psi_element(n)
+        assert member is gamma.psi_element(n)
+        assert gamma.psi_level(member) == n
+        # an equal element built elsewhere takes the scanning path
+        assert gamma.psi_level(ones(n + 1)) == n
+    assert gamma.psi_level(ones(3) + unit(7)) is None
+    assert gamma.psi_level(elt((1, 1), (2, 1))) is None
+
+
+def test_psi_member_cache_stays_bounded():
+    for n in range(0, gamma.MAX_LEVEL + 1, 7):
+        assert gamma.psi_level(gamma.psi_element(n)) == n
+    assert len(gamma._interned) <= gamma._INTERNED_LEVELS
+    assert len(gamma._ones) <= gamma.MAX_LEVEL + 1
+    assert gamma.psi_element(gamma.MAX_LEVEL).coords == ones(gamma.MAX_LEVEL + 1).coords
 
 
 def test_psi_element_level_cap():
