@@ -469,32 +469,6 @@ def in_conv_psi(a: GammaElement) -> bool:
     return k >= 1 and a.coefficient(k) < 1
 
 
-def much_less(a: GammaElement, b: GammaElement) -> bool:
-    """Successor-iteration dominance on the convex hull of the psi-set.
-
-    ``a`` is much less than ``b`` iff every finite successor iterate
-    s^n(a) (n >= 1) stays below ``b``.  Iterates are psi-set members of
-    strictly increasing level, and every hull member sits below the
-    psi-set member one level past its own run of ones, so the question
-    is settled by the single iterate of level ``k_a + n0 - 1`` with
-    ``n0 = max(1, k_b + 1 - k_a)``: if that iterate is below ``b`` all
-    earlier ones are too, and all later ones are above psi-set members
-    that already exceed ``b``.
-
-    Both arguments must lie in the convex hull (DomainError otherwise).
-    In this group the psi-set is cofinal in the hull, so the result is
-    False for every valid input; the comparison is still performed.
-    """
-    if not in_conv_psi(a):
-        raise DomainError(f"much_less: first argument not in conv(psi-set): {a!r}")
-    if not in_conv_psi(b):
-        raise DomainError(f"much_less: second argument not in conv(psi-set): {b!r}")
-    ka = first_non_one_index(a)
-    kb = first_non_one_index(b)
-    n0 = max(1, kb + 1 - ka)
-    return psi_element(ka + n0 - 1) < b
-
-
 def in_positive_derivatives(a: GammaElement) -> bool:
     """Is ``a`` the derivative of some positive element?
 

@@ -15,8 +15,13 @@ computation:
   functional is not identically 1 on it.  Slices are decreasing in k and
   each attained level either cuts the slice dimension or empties it, so
   at most dim(V)+1 levels occur; candidates live in 0..max_support+1.
+  In RREF the slice needs no solving: a member that is 1 below k agrees
+  there with the sum of the rows whose pivot is below k, and that sum is
+  kept as one running sum.
 * ``predecessor`` maps the psi-set members inside V of level >= 1 down
-  one level and everything else to inf.
+  one level and everything else to inf.  Membership of psi_n is read
+  off one running residue: residue(psi_n) = residue(psi_{n-1}) +
+  residue(e_n), and residue(e_n) is e_n less the row with pivot n.
 
 No closure assumptions are made about the subspace.  ``growth_check``
 extends it once and reports the psi, s and p growth together; bounds
@@ -123,46 +128,49 @@ class Subspace:
         return ImageReport("psi", self.pivots, witnesses)
 
     def s_image(self) -> ImageReport:
-        """Levels of successor over all members, witnesses included."""
+        """Levels of successor over all members, witnesses included.
+
+        A member that is 1 at every coordinate below k has coefficient 1 on
+        each row with pivot below k, and the other rows vanish there.  So
+        the slice is read off one running sum, ``below``, of the rows with
+        pivot below k.  It is nonempty iff ``below`` is 1 below k.  On it,
+        coordinate k is free when k is a pivot, where ``below`` is 0, and
+        the constant ``below[k]`` otherwise.  ``below`` is the witness.
+        """
         levels: List[int] = []
         witnesses: Dict[int, GammaElement] = {}
-        rows = self._rows
-        r = len(rows)
-        for k in range(0, self.max_support + 2):
-            system = [[row.coefficient(j) for row in rows] for j in range(k)]
-            solved = solve_affine(system, [Fraction(1)] * k, n_cols=r)
-            if solved is None:
-                break  # slices only shrink; all larger k are empty too
-            particular, nullspace = solved
-            at_k = [row.coefficient(k) for row in rows]
-            c0 = sum((t * c for t, c in zip(particular, at_k)), Fraction(0))
-            coeffs = particular
-            if c0 == 1:
-                for direction in nullspace:
-                    d = sum((t * c for t, c in zip(direction, at_k)), Fraction(0))
-                    if d != 0:
-                        coeffs = [a + b for a, b in zip(particular, direction)]
-                        break
-                else:
-                    continue  # coordinate k identically 1 on the slice
-            witness = self.member(coeffs)
-            if gamma.successor(witness) != gamma.psi_element(k):
-                raise RuntimeError(f"successor image witness failed at level {k}: {witness!r}")
-            levels.append(k)
-            witnesses[k] = witness
+        row_at = {row.coords[0][0]: row for row in self._rows}
+        below = ZERO
+        for k in range(self.max_support + 2):
+            if below.coefficient(k) != 1:
+                if gamma.successor(below) != gamma.psi_element(k):
+                    raise RuntimeError(f"successor image witness failed at level {k}: {below!r}")
+                levels.append(k)
+                witnesses[k] = below
+                if k not in row_at:
+                    break  # no member is 1 at k, so every later slice is empty
+                below = below + row_at[k]
         return ImageReport("s", tuple(levels), witnesses)
 
     def p_image(self) -> ImageReport:
-        """Levels of predecessor over members, excluding the inf fiber."""
+        """Levels of predecessor over members, excluding the inf fiber.
+
+        psi_n is inside iff its residue is zero.  On RREF rows the residue
+        of e_n is e_n minus the row with pivot n (e_n if n is no pivot), so
+        one running residue, with one term added per level, covers them all.
+        """
         # Every member is 0 at the first index no row touches, and a psi-set
         # member of level n is 1 at indices 0..n: none from there on is inside.
         touched = {i for row in self._rows for i, _ in row.coords}
         stop = next(i for i in range(len(touched) + 1) if i not in touched)
-        witnesses = {
-            n - 1: member
-            for n in range(1, stop)
-            if self.contains(member := gamma.psi_element(n))
-        }
+        row_at = {row.coords[0][0]: row for row in self._rows}
+        witnesses: Dict[int, GammaElement] = {}
+        residue = ZERO
+        for n in range(stop):
+            e_n = gamma.unit(n)
+            residue = residue + (e_n - row_at[n] if n in row_at else e_n)
+            if n and residue.is_zero():
+                witnesses[n - 1] = gamma.psi_element(n)
         return ImageReport("p", tuple(witnesses), witnesses)
 
     def image(self, function: str) -> ImageReport:
@@ -190,66 +198,13 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
             continue
         lead_index, lead_coeff = gen.coords[0]
         gen = gamma.scale(gen, Fraction(1) / lead_coeff)
-        rows = [row - row.coefficient(lead_index) * gen for row in rows]
+        for i, row in enumerate(rows):
+            c = row.coefficient(lead_index)
+            if c != 0:
+                rows[i] = row - c * gen
         rows.append(gen)
         rows.sort(key=lambda row: row.coords[0][0])
     return Subspace(tuple(rows))
-
-
-def solve_affine(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    n_cols: Optional[int] = None,
-) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
-    """Solve M t = rhs exactly over Q.
-
-    Returns (particular solution, nullspace basis), or None when the
-    system is inconsistent.  All arithmetic is Fraction.  ``n_cols``
-    must be given when the system has zero equations (every unknown is
-    then free).
-    """
-    n_rows = len(matrix)
-    if n_cols is None:
-        if not n_rows:
-            raise ValueError("n_cols required for an empty system")
-        n_cols = len(matrix[0])
-    if any(len(row) != n_cols for row in matrix):
-        raise ValueError("ragged matrix")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_of_col: Dict[int, int] = {}
-    row_idx = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(row_idx, n_rows):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row_idx], aug[sel] = aug[sel], aug[row_idx]
-        inv = Fraction(1) / aug[row_idx][col]
-        aug[row_idx] = [v * inv for v in aug[row_idx]]
-        for r in range(n_rows):
-            if r != row_idx and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row_idx])]
-        pivot_of_col[col] = row_idx
-        row_idx += 1
-    for r in range(row_idx, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    particular = [Fraction(0)] * n_cols
-    for col, r in pivot_of_col.items():
-        particular[col] = aug[r][n_cols]
-    free_cols = [c for c in range(n_cols) if c not in pivot_of_col]
-    nullspace = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for col, r in pivot_of_col.items():
-            vec[col] = -aug[r][free]
-        nullspace.append(vec)
-    return particular, nullspace
 
 
 def growth_check(

@@ -326,6 +326,21 @@ def test_one_far_generator_is_cheap(tmp_path, op):
         assert p["new_levels"] == []
 
 
+@pytest.mark.parametrize("op, count, levels", [("s", 200, 201), ("p", 400, 399)])
+def test_large_unit_spans(tmp_path, op, count, levels):
+    # every index is a pivot, so each level folds in one slice equation
+    # (s) or adds one residue term (p) instead of re-solving from scratch
+    gens = tmp_path / f"e{count}.txt"
+    gens.write_text("".join(f"e{i}\n" for i in range(count)))
+    rc, out, err = run_cli(["subspace", "--op", op, "--gens", str(gens), "--json"])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    payload = json.loads(out)
+    assert payload["levels"] == list(range(levels))
+    apply = gamma.successor if op == "s" else gamma.predecessor
+    for level, text in payload["witnesses"].items():
+        assert apply(gamma.parse_element(text)) == gamma.psi_element(int(level))
+
+
 # --- determinism --------------------------------------------------------------------
 
 

@@ -20,7 +20,6 @@ from logcouple.gamma import (
     INF,
     LT,
     ZERO,
-    DomainError,
     ElementError,
     GammaElement,
     unit,
@@ -351,7 +350,7 @@ def test_arch_class_matches_multiplier_oracle(a, b):
     assert (gamma.arch_class_compare(a, b) == LT) == expected
 
 
-# --- hull membership and successor-iteration dominance ----------------------------
+# --- hull membership --------------------------------------------------------------
 
 
 def test_in_conv_psi_examples():
@@ -367,47 +366,6 @@ def test_in_conv_psi_matches_bracketing_oracle(a):
     top = max(a.support, default=0) + 2
     expected = unit(0) <= a and a <= gamma.psi_element(top)
     assert gamma.in_conv_psi(a) == expected
-
-
-def test_much_less_examples():
-    b = elt((0, 1), (1, 1), (2, Fraction(1, 2)))
-    assert gamma.much_less(unit(0), b) is False
-    assert gamma.much_less(b, b) is False
-    with pytest.raises(DomainError):
-        gamma.much_less(ZERO, b)
-    with pytest.raises(DomainError):
-        gamma.much_less(b, gamma.scale(unit(0), 2))
-
-
-def _hull_member(run, pivot, tail):
-    head = tuple((i, 1) for i in range(run)) + ((run, pivot),)
-    return GammaElement(head + tuple((run + off, q) for off, q in tail))
-
-
-hull_members = st.one_of(
-    st.builds(
-        _hull_member,
-        st.integers(1, 6),
-        coefficients.filter(lambda q: q < 1),
-        st.lists(st.tuples(st.integers(1, 5), coefficients), max_size=3),
-    ),
-    st.integers(0, 8).map(gamma.psi_element),
-)
-
-
-@given(hull_members, hull_members)
-def test_much_less_matches_iteration_oracle(a, b):
-    assert gamma.in_conv_psi(a) and gamma.in_conv_psi(b)
-    cap = max(b.support, default=0) + 3
-    iterate = gamma.successor(a)
-    dominated = True
-    for _ in range(cap):
-        if not iterate < b:
-            dominated = False
-            break
-        iterate = gamma.successor(iterate)
-    assert gamma.much_less(a, b) == dominated
-    assert gamma.much_less(a, b) is False  # psi-set members are cofinal here
 
 
 # --- derivative membership predicates ---------------------------------------------

@@ -1,8 +1,9 @@
 """Exact linear algebra over Q: echelon forms, image levels, growth checks.
 
 The image computations are cross-checked against brute-force member
-enumeration over small coefficient grids, so the affine-slice solver
-never certifies itself.
+enumeration over small coefficient grids, so the running-sum s-image
+never certifies itself, and the s-image witnesses against a copy of the
+dense slice solver it replaced.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from logcouple import gamma
 from logcouple.gamma import ZERO, GammaElement, unit
-from logcouple.subspace import Subspace, echelonize, growth_check, solve_affine
+from logcouple.subspace import Subspace, echelonize, growth_check
 
 
 def elt(*pairs):
@@ -101,45 +102,6 @@ def test_member_builds_combinations():
         space.member([Fraction(1)])
 
 
-# --- affine solver -----------------------------------------------------------------
-
-
-def test_solve_affine_unique():
-    particular, nullspace = solve_affine(
-        [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]],
-        [Fraction(3), Fraction(1)],
-    )
-    assert particular == [Fraction(2), Fraction(1)]
-    assert nullspace == []
-
-
-def test_solve_affine_underdetermined():
-    particular, nullspace = solve_affine([[Fraction(1), Fraction(1)]], [Fraction(1)])
-    assert sum(particular) == 1
-    assert len(nullspace) == 1
-    direction = nullspace[0]
-    assert direction[0] + direction[1] == 0 and direction != [0, 0]
-
-
-def test_solve_affine_inconsistent():
-    assert (
-        solve_affine(
-            [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
-            [Fraction(1), Fraction(3)],
-        )
-        is None
-    )
-    assert solve_affine([[Fraction(0)]], [Fraction(1)]) is None
-
-
-def test_solve_affine_empty_system():
-    particular, nullspace = solve_affine([], [], n_cols=2)
-    assert particular == [Fraction(0), Fraction(0)]
-    assert len(nullspace) == 2
-    with pytest.raises(ValueError):
-        solve_affine([], [])
-
-
 # --- image computations ------------------------------------------------------------
 
 
@@ -209,6 +171,7 @@ def test_s_image_sound_and_complete_against_enumeration():
             assert gamma.successor(witness) == gamma.psi_element(level)
         assert seen <= computed
         assert len(computed) <= space.dim + 1
+        _assert_s_image_matches_reference(space)
 
 
 def test_p_image_matches_membership_enumeration():
@@ -247,6 +210,100 @@ def test_p_image_with_planted_members():
     report = space.p_image()
     assert report.levels == (0,)
     assert report.witnesses[0] == ones(2)
+
+
+# The s-image as it was first computed, kept as a reference: a dense solve of
+# the level-k slice system at every k, witness = particular solution (free
+# unknowns 0) plus, if that is 1 at k, the first nullspace direction that is
+# not 0 at k.  The running sum must give the same levels and witnesses.
+
+
+def _reference_solve_affine(matrix, rhs, n_cols):
+    """(particular solution, nullspace basis) of M t = rhs, or None."""
+    n_rows = len(matrix)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    pivot_of_col = {}
+    row_idx = 0
+    for col in range(n_cols):
+        sel = next((r for r in range(row_idx, n_rows) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row_idx], aug[sel] = aug[sel], aug[row_idx]
+        inv = Fraction(1) / aug[row_idx][col]
+        aug[row_idx] = [v * inv for v in aug[row_idx]]
+        for r in range(n_rows):
+            if r != row_idx and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row_idx])]
+        pivot_of_col[col] = row_idx
+        row_idx += 1
+    if any(aug[r][n_cols] != 0 for r in range(row_idx, n_rows)):
+        return None
+    particular = [Fraction(0)] * n_cols
+    for col, r in pivot_of_col.items():
+        particular[col] = aug[r][n_cols]
+    nullspace = []
+    for free in (c for c in range(n_cols) if c not in pivot_of_col):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for col, r in pivot_of_col.items():
+            vec[col] = -aug[r][free]
+        nullspace.append(vec)
+    return particular, nullspace
+
+
+def _reference_s_image(space):
+    """(levels, witnesses) by re-solving the level-k slice system at every k."""
+    levels, witnesses = [], {}
+    rows = space.basis
+    r = len(rows)
+    for k in range(0, space.max_support + 2):
+        system = [[row.coefficient(j) for row in rows] for j in range(k)]
+        solved = _reference_solve_affine(system, [Fraction(1)] * k, n_cols=r)
+        if solved is None:
+            break
+        particular, nullspace = solved
+        at_k = [row.coefficient(k) for row in rows]
+        c0 = sum((t * c for t, c in zip(particular, at_k)), Fraction(0))
+        coeffs = particular
+        if c0 == 1:
+            for direction in nullspace:
+                d = sum((t * c for t, c in zip(direction, at_k)), Fraction(0))
+                if d != 0:
+                    coeffs = [a + b for a, b in zip(particular, direction)]
+                    break
+            else:
+                continue
+        levels.append(k)
+        witnesses[k] = space.member(coeffs)
+    return tuple(levels), witnesses
+
+
+def _assert_s_image_matches_reference(space):
+    report = space.s_image()
+    levels, witnesses = _reference_s_image(space)
+    assert report.levels == levels
+    assert list(report.witnesses) == list(witnesses)
+    for level, witness in witnesses.items():
+        assert gamma.format_element(report.witnesses[level]) == gamma.format_element(witness)
+
+
+@given(generator_lists)
+def test_s_image_witnesses_match_reference_solver(gens):
+    _assert_s_image_matches_reference(echelonize(gens))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+def test_s_image_witnesses_match_reference_on_unit_and_psi_spans(n):
+    for gens in (
+        [unit(i) for i in range(n)],
+        [unit(i) for i in range(1, n + 1)],  # the chain stalls at once
+        [ones(i + 1) for i in range(n)],
+        # rows e(2i-1) + e(2i): coordinate 2i is 1 on the slice, no level
+        [ones(2 * i + 1) for i in range(n)],
+        [ones(i + 1) + gamma.scale(unit(i + 2), Fraction(1, 2)) for i in range(n)],
+    ):
+        _assert_s_image_matches_reference(echelonize(gens))
 
 
 # --- growth checks -----------------------------------------------------------------
