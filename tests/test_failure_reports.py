@@ -31,6 +31,7 @@ GOLDEN = Path(__file__).parent / "data" / "failure_golden.json"
 TRIALS = 100
 
 _psi, _successor, _psi_level = gamma.psi, gamma.successor, gamma.psi_level
+_unit = gamma.unit
 
 
 def trailing_psi(x):
@@ -79,6 +80,11 @@ def odd_shifted_psi_level(x):
     return level + 1 if level is not None and level % 2 else level
 
 
+def skipping_unit(index):
+    """``e3`` in place of ``e2``."""
+    return _unit(3 if index == 2 else index)
+
+
 # name -> (suite, seed, psi_fn for the axioms, {gamma attribute: replacement})
 CASES: Dict[str, tuple] = {
     "axioms-trailing-psi": ("axioms", 0, trailing_psi, {}),
@@ -91,6 +97,7 @@ CASES: Dict[str, tuple] = {
     "lemma41-trailing-psi": ("lemma41", 0, None, {"psi": trailing_psi}),
     "lemma41-lopsided-successor": ("lemma41", 1, None, {"successor": lopsided_successor}),
     "lemma44-odd-shifted-level": ("lemma44", 0, None, {"psi_level": odd_shifted_psi_level}),
+    "growth-skipping-unit": ("subspace-growth", 0, None, {"unit": skipping_unit}),
 }
 
 
