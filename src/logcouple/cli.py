@@ -62,10 +62,69 @@ def _emit_json(payload: object) -> None:
     print(json.dumps(payload, indent=2))
 
 
+# --- report text ------------------------------------------------------------------
+
+
 def _result_text(value: Union[ExtendedElement, bool]) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return gamma.format_element(value)
+
+
+def _levels_text(levels: Sequence[int]) -> str:
+    return ", ".join(str(k) for k in levels) or "(none)"
+
+
+def _suite_text(report: harness.SuiteReport) -> str:
+    lines = [f"suite: {report.suite}", f"seed: {report.seed}", f"trials: {report.trials}"]
+    lines.extend(f"  {key}: {value}" for key, value in report.counters.items())
+    if report.passed:
+        lines.append("result: PASS")
+    else:
+        lines.append(f"result: FAIL ({report.failure_count} failures)")
+        for f in report.failures:
+            lines.append(f"  trial {f.trial} [{f.check}] {f.detail}")
+            lines.extend(f"    {key} = {value}" for key, value in f.inputs.items())
+    return "\n".join(lines)
+
+
+def _image_text(space: Subspace, report: ImageReport) -> str:
+    lines = [
+        f"function: {report.function}",
+        f"dim: {space.dim}",
+        f"levels: {_levels_text(report.levels)}",
+    ]
+    for level in report.levels:
+        lines.append(f"witness {level}: {gamma.format_element(report.witnesses[level])}")
+    return "\n".join(lines)
+
+
+def _growth_text(report: GrowthReport) -> str:
+    lines = [
+        f"function: {report.function}",
+        f"old levels: {_levels_text(report.old_levels)}",
+        f"new levels: {_levels_text(report.new_levels)}",
+        f"added levels: {_levels_text(report.added_levels)}",
+        f"new generators outside the base: {report.new_generator_count}",
+        f"bound: {report.bound}",
+        f"passed: {'yes' if report.passed else 'NO'}",
+    ]
+    if report.counterexample is not None:
+        lines.append("counterexample:")
+        for key, value in report.counterexample.items():
+            lines.append(f"  {key}: {value}")
+    return "\n".join(lines)
+
+
+def _witness_text(report: harness.WitnessReport) -> str:
+    lines = [
+        f"epsilon: {gamma.format_element(report.epsilon)}",
+        f"alpha: {gamma.format_element(report.alpha)} (level {report.alpha_level})",
+        f"bound: {gamma.format_element(report.bound)}",
+        "prefix:",
+    ]
+    lines.extend(f"  {gamma.format_element(x)}" for x in report.prefix)
+    return "\n".join(lines)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -105,36 +164,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(gamma.jsonable(report))
     else:
-        print(report.to_text())
+        print(_suite_text(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def _image_text(space: Subspace, report: ImageReport) -> str:
-    lines = [
-        f"function: {report.function}",
-        f"dim: {space.dim}",
-        "levels: " + (", ".join(str(k) for k in report.levels) or "(none)"),
-    ]
-    for level in report.levels:
-        lines.append(f"witness {level}: {gamma.format_element(report.witnesses[level])}")
-    return "\n".join(lines)
-
-
-def _growth_text(report: GrowthReport) -> str:
-    lines = [
-        f"function: {report.function}",
-        "old levels: " + (", ".join(str(k) for k in report.old_levels) or "(none)"),
-        "new levels: " + (", ".join(str(k) for k in report.new_levels) or "(none)"),
-        "added levels: " + (", ".join(str(k) for k in report.added_levels) or "(none)"),
-        f"new generators outside the base: {report.new_generator_count}",
-        f"bound: {report.bound}",
-        f"passed: {'yes' if report.passed else 'NO'}",
-    ]
-    if report.counterexample is not None:
-        lines.append("counterexample:")
-        for key, value in report.counterexample.items():
-            lines.append(f"  {key}: {value}")
-    return "\n".join(lines)
 
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
@@ -171,7 +202,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(gamma.jsonable(report))
     else:
-        print(report.to_text())
+        print(_witness_text(report))
     return EXIT_PASS
 
 

@@ -26,6 +26,7 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
+# Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
 
 LT, EQ, GT = -1, 0, 1
@@ -108,7 +109,10 @@ class GammaElement:
         for index, q in coords:
             if not isinstance(index, int) or index < 0:
                 raise ValueError(f"basis index must be a nonnegative int, got {index!r}")
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                if not isinstance(q, (int, Fraction)):
+                    raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
+                q = Fraction(q)
             if index in acc:
                 acc[index] += q
             else:
@@ -183,8 +187,7 @@ class GammaElement:
     __rmul__ = __mul__
 
     def __truediv__(self, q: object) -> "GammaElement":
-        ok = isinstance(q, (int, Fraction)) and q != 0
-        return scale(self, 1 / Fraction(q)) if ok else NotImplemented
+        return scale(self, 1 / Fraction(q)) if isinstance(q, (int, Fraction)) else NotImplemented
 
     def _cmp(self, other: "GammaElement") -> int:
         a, b = self._coords, other._coords
@@ -360,7 +363,7 @@ def scale(a: ExtendedElement, q: Rational) -> ExtendedElement:
     if isinstance(a, Infinity):
         return INF
     if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+        raise TypeError(f"scalar must be an int or Fraction, got {q!r}")
     if q == 0:
         return ZERO
     if q == 1:

@@ -1,11 +1,13 @@
 """Seeded randomized checking of the asymptotic-couple laws.
 
-Every suite draws its per-trial randomness from a ``random.Random``
-seeded by an integer mix of (config seed, trial index), so identical
-configs produce identical sample streams and byte-identical reports on
-every platform (no dependence on hash randomization or global RNG
-state).  Reports carry counters for the nontrivial strata a suite
-exercised, so vacuous passes are visible.
+Each suite is a per-trial function registered in ``_SUITES``, and one
+driver (``run_suite``) runs it once per trial.  Every trial draws its
+randomness from a ``random.Random`` seeded by an integer mix of
+(config seed, trial index), so identical configs produce identical
+sample streams and byte-identical reports on every platform (no
+dependence on hash randomization or global RNG state).  Reports carry
+counters for the nontrivial strata a suite exercised, so vacuous passes
+are visible.  The module computes reports; ``cli`` renders them as text.
 
 The module also houses the affine-image trichotomy checker (an affine
 map hitting the psi-set often enough on a generic family must be
@@ -38,52 +40,56 @@ def _mix64(seed: int, index: int) -> int:
     return x
 
 
+# Sampler bounds: the index window of a sampled element's support spans
+# MAX_SUPPORT + 1 indices, and a coefficient is +-(1..MAX_NUMERATOR) over
+# 1..MAX_DENOMINATOR.
+MAX_SUPPORT = 8
+MAX_NUMERATOR = 9
+MAX_DENOMINATOR = 4
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling profile shared by all suites."""
+    """Seed and trial count shared by all suites."""
 
     seed: int = 0
     trials: int = 10000
-    max_support: int = 8
-    max_numerator: int = 9
-    max_denominator: int = 4
 
     def trial_rng(self, trial: int) -> random.Random:
         return random.Random(_mix64(self.seed, trial))
 
 
-def sample_coefficient(rng: random.Random, cfg: SamplerConfig) -> Fraction:
-    num = rng.randint(1, cfg.max_numerator) * rng.choice((1, -1))
-    return Fraction(num, rng.randint(1, cfg.max_denominator))
+def sample_coefficient(rng: random.Random) -> Fraction:
+    num = rng.randint(1, MAX_NUMERATOR) * rng.choice((1, -1))
+    return Fraction(num, rng.randint(1, MAX_DENOMINATOR))
 
 
-def sample_element(
-    rng: random.Random,
-    cfg: SamplerConfig,
-    nonzero: bool = False,
-    min_index: int = 0,
-) -> GammaElement:
+def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0) -> GammaElement:
     """Sparse random element: up to 4 terms at indices in a window."""
-    window = range(min_index, min_index + cfg.max_support + 1)
+    window = range(min_index, min_index + MAX_SUPPORT + 1)
     while True:
         size = rng.randint(0, min(4, len(window)))
-        pairs = [(i, sample_coefficient(rng, cfg)) for i in rng.sample(window, size)]
+        pairs = [(i, sample_coefficient(rng)) for i in rng.sample(window, size)]
         x = GammaElement(pairs)
         if x or not nonzero:
             return x
 
 
-def sample_positive(rng: random.Random, cfg: SamplerConfig) -> GammaElement:
-    x = sample_element(rng, cfg, nonzero=True)
+def sample_positive(rng: random.Random) -> GammaElement:
+    x = sample_element(rng, nonzero=True)
     return x if x > ZERO else -x
 
 
+def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, Fraction]]:
+    """At most two random terms at indices above ``k``."""
+    return [
+        (i, sample_coefficient(rng))
+        for i in rng.sample(range(k + 1, k + 2 + MAX_SUPPORT), rng.randint(0, 2))
+    ]
+
+
 def sample_prefixed(
-    rng: random.Random,
-    cfg: SamplerConfig,
-    level: int,
-    hull: bool = False,
-    side: int = 0,
+    rng: random.Random, level: int, hull: bool = False, side: int = 0
 ) -> GammaElement:
     """Element whose successor has exactly the given level: ones at
     indices below ``level``, a non-one coordinate at ``level``, then an
@@ -99,7 +105,7 @@ def sample_prefixed(
         raise ValueError("hull membership needs level >= 1")
     pairs = [(i, Fraction(1)) for i in range(level)]
     while True:
-        c = Fraction(1) + sample_coefficient(rng, cfg)
+        c = Fraction(1) + sample_coefficient(rng)
         if c == 1:
             continue
         if hull and c >= 1:
@@ -110,9 +116,7 @@ def sample_prefixed(
             continue
         break
     pairs.append((level, c))
-    for i in rng.sample(range(level + 1, level + 2 + cfg.max_support), rng.randint(0, 2)):
-        pairs.append((i, sample_coefficient(rng, cfg)))
-    return GammaElement(pairs)
+    return GammaElement(pairs + _sparse_tail(rng, level))
 
 
 # --- reports ------------------------------------------------------------------
@@ -138,29 +142,16 @@ class SuiteReport:
     failures: Tuple[Failure, ...]
     counters: Dict[str, int]  # sorted by name
 
-    def to_text(self) -> str:
-        lines = [
-            f"suite: {self.suite}",
-            f"seed: {self.seed}",
-            f"trials: {self.trials}",
-        ]
-        for key, value in self.counters.items():
-            lines.append(f"  {key}: {value}")
-        if self.passed:
-            lines.append("result: PASS")
-        else:
-            lines.append(f"result: FAIL ({self.failure_count} failures)")
-            for f in self.failures:
-                lines.append(f"  trial {f.trial} [{f.check}] {f.detail}")
-                for key, value in f.inputs.items():
-                    lines.append(f"    {key} = {value}")
-        return "\n".join(lines)
-
 
 class _Recorder:
-    def __init__(self, suite: str, cfg: SamplerConfig):
-        self.suite = suite
-        self.cfg = cfg
+    """Counts the checks of one suite run and keeps its first failures.
+
+    The driver sets ``trial`` before each trial, so recorded failures
+    carry the trial number without the suites passing it around.
+    """
+
+    def __init__(self) -> None:
+        self.trial = 0
         self.failure_count = 0
         self.failures: List[Failure] = []
         self.counters: Dict[str, int] = {}
@@ -169,7 +160,7 @@ class _Recorder:
         self.counters[counter] = self.counters.get(counter, 0) + by
 
     def check(
-        self, ok: bool, trial: int, check: str,
+        self, ok: bool, check: str,
         inputs: Sequence[Tuple[str, Union[str, ExtendedElement]]],
         detail: Union[str, Callable[[], str]] = "property violated",
     ) -> None:
@@ -185,27 +176,17 @@ class _Recorder:
         if len(self.failures) < _MAX_RECORDED_FAILURES:
             texts = {k: v if isinstance(v, str) else gamma.format_element(v) for k, v in inputs}
             detail = detail if isinstance(detail, str) else detail()
-            self.failures.append(Failure(trial, check, texts, detail))
-
-    def report(self) -> SuiteReport:
-        return SuiteReport(
-            self.suite,
-            self.cfg.seed,
-            self.cfg.trials,
-            self.failure_count == 0,
-            self.failure_count,
-            tuple(self.failures),
-            dict(sorted(self.counters.items())),
-        )
+            self.failures.append(Failure(self.trial, check, texts, detail))
 
 
 # --- axiom suite ----------------------------------------------------------------
 
 
-def run_axiom_suite(
-    cfg: SamplerConfig,
+def _axiom_trial(
+    rec: _Recorder,
+    rng: random.Random,
     psi_fn: Optional[Callable[[ExtendedElement], ExtendedElement]] = None,
-) -> SuiteReport:
+) -> None:
     """Randomized check of the asymptotic-couple laws.
 
     Covered: subadditivity of psi on sums, invariance under nonzero
@@ -220,99 +201,87 @@ def run_axiom_suite(
     always use the real maps.
     """
     fn = psi_fn if psi_fn is not None else gamma.psi
-    rec = _Recorder("axioms", cfg)
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        a = sample_element(rng, cfg, nonzero=True)
-        b = sample_element(rng, cfg, nonzero=True)
-        fa, fb = fn(a), fn(b)
-        inputs = (("a", a), ("b", b))
+    a = sample_element(rng, nonzero=True)
+    b = sample_element(rng, nonzero=True)
+    fa, fb = fn(a), fn(b)
+    inputs = (("a", a), ("b", b))
 
-        s = a + b
-        if not s.is_zero():
-            lhs = fn(s)
-            floor = fa if gamma.compare(fa, fb) <= 0 else fb
-            rec.check(
-                gamma.compare(lhs, floor) >= 0,
-                trial,
-                "psi_subadditive",
-                inputs,
-                lambda: f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
-            )
-
-        k = rng.choice((-3, -2, -1, 2, 3))
+    s = a + b
+    if not s.is_zero():
+        lhs = fn(s)
+        floor = fa if gamma.compare(fa, fb) <= 0 else fb
         rec.check(
-            fn(gamma.scale(a, k)) == fa,
-            trial,
-            "psi_scale_invariant",
-            inputs + (("k", str(k)),),
-            "psi(k*a) != psi(a)",
+            gamma.compare(lhs, floor) >= 0,
+            "psi_subadditive",
+            inputs,
+            lambda: f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
         )
 
-        pos = a if a > ZERO else -a
-        fpos = fn(pos)
+    k = rng.choice((-3, -2, -1, 2, 3))
+    rec.check(
+        fn(gamma.scale(a, k)) == fa,
+        "psi_scale_invariant",
+        inputs + (("k", str(k)),),
+        "psi(k*a) != psi(a)",
+    )
+
+    pos = a if a > ZERO else -a
+    fpos = fn(pos)
+    rec.check(
+        gamma.compare(gamma.add(pos, fpos), fb) > 0,
+        "psi_gap",
+        (("a", pos),) + inputs[1:],
+        lambda: f"a + psi(a) = {gamma.add(pos, fpos)!r} not above psi(b) = {fb!r}",
+    )
+
+    other = b if b > ZERO else -b
+    lo, hi = (pos, other) if pos <= other else (other, pos)
+    rec.check(
+        gamma.compare(fn(lo), fn(hi)) >= 0,
+        "psi_antitone",
+        (("lo", lo), ("hi", hi)),
+        "0 < lo <= hi but psi(lo) < psi(hi)",
+    )
+
+    deep = sample_element(rng, nonzero=True, min_index=a.coords[0][0] + 1)
+    fdeep = fn(deep)
+    if gamma.compare(fa, fdeep) < 0:
         rec.check(
-            gamma.compare(gamma.add(pos, fpos), fb) > 0,
-            trial,
-            "psi_gap",
-            (("a", pos),) + inputs[1:],
-            lambda: f"a + psi(a) = {gamma.add(pos, fpos)!r} not above psi(b) = {fb!r}",
+            fn(a + deep) == fa,
+            "psi_refinement",
+            inputs[:1] + (("c", deep),),
+            "psi(a) < psi(c) but psi(a+c) != psi(a)",
         )
 
-        other = b if b > ZERO else -b
-        lo, hi = (pos, other) if pos <= other else (other, pos)
+    if a != b:
+        lo, hi = (a, b) if a < b else (b, a)
         rec.check(
-            gamma.compare(fn(lo), fn(hi)) >= 0,
-            trial,
-            "psi_antitone",
+            gamma.compare(gamma.add(lo, fn(lo)), gamma.add(hi, fn(hi))) < 0,
+            "derivative_strictly_monotone",
             (("lo", lo), ("hi", hi)),
-            "0 < lo <= hi but psi(lo) < psi(hi)",
+            "lo < hi but derivative order not strict",
         )
 
-        deep = sample_element(rng, cfg, nonzero=True, min_index=a.coords[0][0] + 1)
-        fdeep = fn(deep)
-        if gamma.compare(fa, fdeep) < 0:
-            rec.check(
-                fn(a + deep) == fa,
-                trial,
-                "psi_refinement",
-                inputs[:1] + (("c", deep),),
-                "psi(a) < psi(c) but psi(a+c) != psi(a)",
-            )
-
-        if a != b:
-            lo, hi = (a, b) if a < b else (b, a)
-            rec.check(
-                gamma.compare(gamma.add(lo, fn(lo)), gamma.add(hi, fn(hi))) < 0,
-                trial,
-                "derivative_strictly_monotone",
-                (("lo", lo), ("hi", hi)),
-                "lo < hi but derivative order not strict",
-            )
-
-        x = sample_element(rng, cfg)
+    x = sample_element(rng)
+    rec.check(
+        gamma.derivative(gamma.integrate(x)) == x,
+        "derivative_after_integrate",
+        (("x", x),),
+        "derivative(integrate(x)) != x",
+    )
+    if not x.is_zero():
         rec.check(
-            gamma.derivative(gamma.integrate(x)) == x,
-            trial,
-            "derivative_after_integrate",
+            gamma.integrate(gamma.derivative(x)) == x,
+            "integrate_after_derivative",
             (("x", x),),
-            "derivative(integrate(x)) != x",
+            "integrate(derivative(x)) != x",
         )
-        if not x.is_zero():
-            rec.check(
-                gamma.integrate(gamma.derivative(x)) == x,
-                trial,
-                "integrate_after_derivative",
-                (("x", x),),
-                "integrate(derivative(x)) != x",
-            )
-    return rec.report()
 
 
 # --- successor suite ----------------------------------------------------------
 
 
-def run_successor_suite(cfg: SamplerConfig) -> SuiteReport:
+def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     """Randomized checks of the successor map on the psi-set.
 
     Covered: the successor identity (if s(a) < s(b) then psi(a-b) =
@@ -322,70 +291,61 @@ def run_successor_suite(cfg: SamplerConfig) -> SuiteReport:
     side (midpoints stay in the fiber and on the side); successor and
     predecessor as level shift and its inverse on the psi-set.
     """
-    rec = _Recorder("successor", cfg)
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
+    k1, k2 = sorted(rng.sample(range(MAX_SUPPORT + 1), 2))
+    a = sample_prefixed(rng, k1)
+    b = sample_prefixed(rng, k2)
+    sa, sb = gamma.successor(a), gamma.successor(b)
+    inputs = (("a", a), ("b", b))
+    rec.check(
+        sa < sb and gamma.psi(a - b) == sa,
+        "successor_identity",
+        inputs,
+        lambda: f"psi(a-b) = {gamma.psi(a - b)!r}, s(a) = {sa!r}",
+    )
 
-        k1, k2 = sorted(rng.sample(range(cfg.max_support + 1), 2))
-        a = sample_prefixed(rng, cfg, k1)
-        b = sample_prefixed(rng, cfg, k2)
-        sa, sb = gamma.successor(a), gamma.successor(b)
-        inputs = (("a", a), ("b", b))
-        rec.check(
-            sa < sb and gamma.psi(a - b) == sa,
-            trial,
-            "successor_identity",
-            inputs,
-            lambda: f"psi(a-b) = {gamma.psi(a - b)!r}, s(a) = {sa!r}",
-        )
+    neg = -sample_positive(rng)
+    d = gamma.derivative(neg)
+    assert isinstance(d, GammaElement)
+    gap = gamma.successor(d) - d
+    n = rng.randint(1, 10)
+    lifted = d + gamma.scale(gap, n + 1)
+    rec.check(
+        gamma.in_negative_derivatives(d)
+        and gamma.in_positive_derivatives(lifted),
+        "jump_crosses_sides",
+        (("d", d), ("n", str(n))),
+        "d + (n+1)(s(d)-d) not a derivative of a positive element",
+    )
 
-        neg = -sample_positive(rng, cfg)
-        d = gamma.derivative(neg)
-        assert isinstance(d, GammaElement)
-        gap = gamma.successor(d) - d
-        n = rng.randint(1, 10)
-        lifted = d + gamma.scale(gap, n + 1)
-        rec.check(
-            gamma.in_negative_derivatives(d)
-            and gamma.in_positive_derivatives(lifted),
-            trial,
-            "jump_crosses_sides",
-            (("d", d), ("n", str(n))),
-            "d + (n+1)(s(d)-d) not a derivative of a positive element",
-        )
+    level = rng.randint(0, MAX_SUPPORT)
+    side = rng.choice((1, -1))
+    x = sample_prefixed(rng, level, side=side)
+    z = sample_prefixed(rng, level, side=side)
+    mid = gamma.scale(x + z, Fraction(1, 2))
+    fiber = gamma.psi_element(level)
+    rec.check(
+        gamma.successor(mid) == fiber
+        and gamma.in_positive_derivatives(mid) == (side > 0),
+        "fiber_midpoint",
+        (("x", x), ("z", z)),
+        "midpoint left the successor fiber or switched sides",
+    )
 
-        level = rng.randint(0, cfg.max_support)
-        side = rng.choice((1, -1))
-        x = sample_prefixed(rng, cfg, level, side=side)
-        z = sample_prefixed(rng, cfg, level, side=side)
-        mid = gamma.scale(x + z, Fraction(1, 2))
-        fiber = gamma.psi_element(level)
-        rec.check(
-            gamma.successor(mid) == fiber
-            and gamma.in_positive_derivatives(mid) == (side > 0),
-            trial,
-            "fiber_midpoint",
-            (("x", x), ("z", z)),
-            "midpoint left the successor fiber or switched sides",
-        )
-
-        j = rng.randint(0, cfg.max_support)
-        pj = gamma.psi_element(j)
-        rec.check(
-            gamma.successor(pj) == gamma.psi_element(j + 1)
-            and gamma.predecessor(gamma.successor(pj)) == pj,
-            trial,
-            "successor_levels",
-            (("level", str(j)),),
-            "successor/predecessor level arithmetic failed on the psi-set",
-        )
-    return rec.report()
+    j = rng.randint(0, MAX_SUPPORT)
+    pj = gamma.psi_element(j)
+    rec.check(
+        gamma.successor(pj) == gamma.psi_element(j + 1)
+        and gamma.predecessor(gamma.successor(pj)) == pj,
+        "successor_levels",
+        (("level", str(j)),),
+        "successor/predecessor level arithmetic failed on the psi-set",
+    )
 
 
 # --- translated fiber suite (CLI: check lemma41) --------------------------------
 
 
-def run_fiber_suite(cfg: SamplerConfig) -> SuiteReport:
+def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     """Fiber geometry around a translation point b.
 
     Covered: psi-fibers around b are convex on each side of b
@@ -393,62 +353,52 @@ def run_fiber_suite(cfg: SamplerConfig) -> SuiteReport:
     successor fibers around b intersected with a derivative side are
     convex; and the successor identity transported by translation.
     """
-    rec = _Recorder("lemma41", cfg)
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        b = sample_element(rng, cfg)
+    b = sample_element(rng)
 
-        k = rng.randint(0, cfg.max_support)
-        sign = rng.choice((1, -1))
+    k = rng.randint(0, MAX_SUPPORT)
+    sign = rng.choice((1, -1))
 
-        def offset() -> GammaElement:
-            pairs = [(k, sign * abs(sample_coefficient(rng, cfg)))]
-            for i in rng.sample(range(k + 1, k + 2 + cfg.max_support), rng.randint(0, 2)):
-                pairs.append((i, sample_coefficient(rng, cfg)))
-            return GammaElement(pairs)
+    def offset() -> GammaElement:
+        return GammaElement([(k, sign * abs(sample_coefficient(rng)))] + _sparse_tail(rng, k))
 
-        d1, d2 = offset(), offset()
-        x, y = b + d1, b + d2
-        z = gamma.scale(x + y, Fraction(1, 2))
-        fiber = gamma.psi_element(k)
-        rec.check(
-            gamma.psi(x - b) == fiber
-            and gamma.psi(y - b) == fiber
-            and gamma.psi(z - b) == fiber,
-            trial,
-            "psi_fiber_convex",
-            (("b", b), ("x-b", d1), ("y-b", d2)),
-            "midpoint left the psi-fiber",
-        )
+    d1, d2 = offset(), offset()
+    x, y = b + d1, b + d2
+    z = gamma.scale(x + y, Fraction(1, 2))
+    fiber = gamma.psi_element(k)
+    rec.check(
+        gamma.psi(x - b) == fiber
+        and gamma.psi(y - b) == fiber
+        and gamma.psi(z - b) == fiber,
+        "psi_fiber_convex",
+        (("b", b), ("x-b", d1), ("y-b", d2)),
+        "midpoint left the psi-fiber",
+    )
 
-        level = rng.randint(0, cfg.max_support)
-        side = rng.choice((1, -1))
-        e1 = sample_prefixed(rng, cfg, level, side=side)
-        e2 = sample_prefixed(rng, cfg, level, side=side)
-        u, v = b + e1, b + e2
-        mid = gamma.scale(u + v, Fraction(1, 2))
-        rec.check(
-            gamma.successor(mid - b) == gamma.psi_element(level)
-            and gamma.in_positive_derivatives(mid - b) == (side > 0),
-            trial,
-            "s_fiber_convex",
-            (("b", b), ("u-b", e1), ("v-b", e2)),
-            "midpoint left the successor fiber or switched sides",
-        )
+    level = rng.randint(0, MAX_SUPPORT)
+    side = rng.choice((1, -1))
+    e1 = sample_prefixed(rng, level, side=side)
+    e2 = sample_prefixed(rng, level, side=side)
+    u, v = b + e1, b + e2
+    mid = gamma.scale(u + v, Fraction(1, 2))
+    rec.check(
+        gamma.successor(mid - b) == gamma.psi_element(level)
+        and gamma.in_positive_derivatives(mid - b) == (side > 0),
+        "s_fiber_convex",
+        (("b", b), ("u-b", e1), ("v-b", e2)),
+        "midpoint left the successor fiber or switched sides",
+    )
 
-        k1, k2 = sorted(rng.sample(range(cfg.max_support + 1), 2))
-        f1 = sample_prefixed(rng, cfg, k1)
-        f2 = sample_prefixed(rng, cfg, k2)
-        p, q = b + f1, b + f2
-        rec.check(
-            gamma.successor(p - b) < gamma.successor(q - b)
-            and gamma.psi(p - q) == gamma.successor(p - b),
-            trial,
-            "translated_successor_identity",
-            (("b", b), ("p-b", f1), ("q-b", f2)),
-            "psi(p-q) != s(p-b)",
-        )
-    return rec.report()
+    k1, k2 = sorted(rng.sample(range(MAX_SUPPORT + 1), 2))
+    f1 = sample_prefixed(rng, k1)
+    f2 = sample_prefixed(rng, k2)
+    p, q = b + f1, b + f2
+    rec.check(
+        gamma.successor(p - b) < gamma.successor(q - b)
+        and gamma.psi(p - q) == gamma.successor(p - b),
+        "translated_successor_identity",
+        (("b", b), ("p-b", f1), ("q-b", f2)),
+        "psi(p-q) != s(p-b)",
+    )
 
 
 # --- affine image trichotomy (CLI: check lemma44) -------------------------------
@@ -466,6 +416,8 @@ class AffineMap:
     constant: ExtendedElement
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, (int, Fraction)) for c in self.coefficients):
+            raise TypeError(f"coefficients must be ints or Fractions, got {self.coefficients!r}")
         object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
 
     @property
@@ -623,7 +575,7 @@ def classify_affine_image(
     raise TrichotomyFailure(bundle())
 
 
-def run_affine_image_suite(cfg: SamplerConfig) -> SuiteReport:
+def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
     """Randomized trichotomy checking over planted and random maps.
 
     Each trial builds a generic family over the psi-set plus inf, then
@@ -633,97 +585,85 @@ def run_affine_image_suite(cfg: SamplerConfig) -> SuiteReport:
     planted case, and random maps must classify whenever they hit the
     psi-set often enough.
     """
-    rec = _Recorder("lemma44", cfg)
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        m = rng.randint(1, 4)
-        size = m + 2 + rng.randint(0, 2)
-        constant_cols = [j for j in range(m) if rng.random() < 0.25]
-        retained_cols = [j for j in range(m) if j not in constant_cols]
-        copy_of: Dict[int, int] = {}
-        fresh = []
-        for pos, j in enumerate(retained_cols):
-            if pos > 0 and rng.random() < 0.2:
-                copy_of[j] = rng.choice(retained_cols[:pos])
-            else:
-                fresh.append(j)
-        pool = iter(rng.sample(range(0, 80), size * max(1, len(fresh))))
-        columns: Dict[int, List[ExtendedElement]] = {}
-        for j in constant_cols:
-            value: ExtendedElement
-            value = INF if rng.random() < 0.2 else gamma.psi_element(rng.randint(0, 80))
-            columns[j] = [value] * size
-        for j in fresh:
-            columns[j] = [gamma.psi_element(next(pool)) for _ in range(size)]
-        for j, src in copy_of.items():
-            columns[j] = list(columns[src])
-        family = [tuple(columns[j][i] for j in range(m)) for i in range(size)]
-
-        kind = rng.choice(("projection", "const_psi", "const_inf", "random", "broken"))
-        if kind == "projection" and not retained_cols:
-            kind = "const_psi"
-        if kind == "broken" and not retained_cols:
-            kind = "random"
-
-        label = (("m", str(m)), ("size", str(size)), ("kind", kind))
-        points = family
-        if kind == "projection":
-            target = rng.choice(retained_cols)
-            mapping = AffineMap(tuple(Fraction(1 if j == target else 0) for j in range(m)), ZERO)
-            check, accept = "planted_projection", lambda r: isinstance(r, Projection)
-        elif kind == "const_psi":
-            level = rng.randint(0, 80)
-            mapping = AffineMap((Fraction(0),) * m, gamma.psi_element(level))
-            check, accept = "planted_const_psi", lambda r: r == ConstPsi(level)
-        elif kind == "const_inf":
-            coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-            mapping = AffineMap(coeffs, INF)
-            check, accept = "planted_const_inf", lambda r: isinstance(r, ConstInf)
-        elif kind == "broken":
-            j = rng.choice(retained_cols)
-            rows = [list(row) for row in family]
-            if rng.random() < 0.5:
-                rows[rng.randrange(size)][j] = INF
-                reason = "inf"
-            else:
-                src = rng.randrange(size)
-                dst = (src + 1 + rng.randrange(size - 1)) % size
-                rows[dst][j] = rows[src][j]
-                reason = "duplicate"
-            mapping = AffineMap(tuple(Fraction(1 if t == j else 0) for t in range(m)), ZERO)
-            points = [tuple(r) for r in rows]
-            check, accept = f"broken_{reason}", lambda r: isinstance(r, NotApplicable)
+    m = rng.randint(1, 4)
+    size = m + 2 + rng.randint(0, 2)
+    constant_cols = [j for j in range(m) if rng.random() < 0.25]
+    retained_cols = [j for j in range(m) if j not in constant_cols]
+    copy_of: Dict[int, int] = {}
+    fresh = []
+    for pos, j in enumerate(retained_cols):
+        if pos > 0 and rng.random() < 0.2:
+            copy_of[j] = rng.choice(retained_cols[:pos])
         else:
-            coeffs = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
-            roll = rng.random()
-            constant: ExtendedElement
-            if roll < 0.25:
-                constant = INF
-            elif roll < 0.6:
-                constant = gamma.psi_element(rng.randint(0, 80))
-            else:
-                constant = sample_element(rng, cfg)
-            mapping = AffineMap(coeffs, constant)
-            check, accept = "random_map", lambda r: isinstance(r, Classification)
-        result = classify_affine_image(mapping, points)
-        rec.check(accept(result), trial, check, label, lambda: f"got {result!r}")
-        if kind == "random":
-            rec.bump(f"random_{type(result).__name__}")
-    return rec.report()
+            fresh.append(j)
+    pool = iter(rng.sample(range(0, 80), size * max(1, len(fresh))))
+    columns: Dict[int, List[ExtendedElement]] = {}
+    for j in constant_cols:
+        value: ExtendedElement
+        value = INF if rng.random() < 0.2 else gamma.psi_element(rng.randint(0, 80))
+        columns[j] = [value] * size
+    for j in fresh:
+        columns[j] = [gamma.psi_element(next(pool)) for _ in range(size)]
+    for j, src in copy_of.items():
+        columns[j] = list(columns[src])
+    family = [tuple(columns[j][i] for j in range(m)) for i in range(size)]
+
+    kind = rng.choice(("projection", "const_psi", "const_inf", "random", "broken"))
+    if kind == "projection" and not retained_cols:
+        kind = "const_psi"
+    if kind == "broken" and not retained_cols:
+        kind = "random"
+
+    label = (("m", str(m)), ("size", str(size)), ("kind", kind))
+    points = family
+    if kind == "projection":
+        target = rng.choice(retained_cols)
+        mapping = AffineMap(tuple(Fraction(1 if j == target else 0) for j in range(m)), ZERO)
+        check, accept = "planted_projection", lambda r: isinstance(r, Projection)
+    elif kind == "const_psi":
+        level = rng.randint(0, 80)
+        mapping = AffineMap((Fraction(0),) * m, gamma.psi_element(level))
+        check, accept = "planted_const_psi", lambda r: r == ConstPsi(level)
+    elif kind == "const_inf":
+        coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+        mapping = AffineMap(coeffs, INF)
+        check, accept = "planted_const_inf", lambda r: isinstance(r, ConstInf)
+    elif kind == "broken":
+        j = rng.choice(retained_cols)
+        rows = [list(row) for row in family]
+        if rng.random() < 0.5:
+            rows[rng.randrange(size)][j] = INF
+            reason = "inf"
+        else:
+            src = rng.randrange(size)
+            dst = (src + 1 + rng.randrange(size - 1)) % size
+            rows[dst][j] = rows[src][j]
+            reason = "duplicate"
+        mapping = AffineMap(tuple(Fraction(1 if t == j else 0) for t in range(m)), ZERO)
+        points = [tuple(r) for r in rows]
+        check, accept = f"broken_{reason}", lambda r: isinstance(r, NotApplicable)
+    else:
+        coeffs = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
+        roll = rng.random()
+        constant: ExtendedElement
+        if roll < 0.25:
+            constant = INF
+        elif roll < 0.6:
+            constant = gamma.psi_element(rng.randint(0, 80))
+        else:
+            constant = sample_element(rng)
+        mapping = AffineMap(coeffs, constant)
+        check, accept = "random_map", lambda r: isinstance(r, Classification)
+    result = classify_affine_image(mapping, points)
+    rec.check(accept(result), check, label, lambda: f"got {result!r}")
+    if kind == "random":
+        rec.bump(f"random_{type(result).__name__}")
 
 
 # --- growth suite (CLI: check subspace-growth) -----------------------------------
 
 
-def _sample_unit_pivot_base(
-    rng: random.Random, cfg: SamplerConfig, dim: int
-) -> List[GammaElement]:
-    # Generators e_i + tail with tails supported at indices >= dim; the
-    # resulting span attains a full successor chain (deficit 0).
-    return [gamma.unit(i) + sample_element(rng, cfg, min_index=dim) for i in range(dim)]
-
-
-def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
+def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
     """Image growth over random generator extensions.
 
     Every trial extends a base subspace by fresh generators, takes the
@@ -751,113 +691,104 @@ def run_growth_suite(cfg: SamplerConfig) -> SuiteReport:
 
     The extended s-image size is capped at dim + 1 on every trial.
     """
-    rec = _Recorder("subspace-growth", cfg)
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        dim = rng.randint(0, 3)
-        stratum = rng.choice(("unit", "sparse", "psi"))
-        if stratum == "unit":
-            base = _sample_unit_pivot_base(rng, cfg, dim)
-        elif stratum == "psi":
-            base = [gamma.psi_element(k) for k in rng.sample(range(cfg.max_support + 1), dim)]
-        else:
-            base = [sample_element(rng, cfg, nonzero=True) for _ in range(dim)]
-        rec.bump(f"base_{stratum}")
-        space = echelonize(base)
-        extra = [sample_element(rng, cfg, nonzero=True) for _ in range(rng.randint(1, 3))]
-        if stratum == "psi" and rng.choice((True, False)):
-            # feed the p map a fresh psi-set member
-            extra.append(gamma.psi_element(rng.randrange(cfg.max_support + 1)))
-            rec.bump("extension_psi")
-        if space.dim and rng.choice((True, False)):
-            # one generator already inside the base, exercising the m count
-            extra.append(space.member([sample_coefficient(rng, cfg) for _ in range(space.dim)]))
-            rec.bump("extension_inherited")
-        inputs = (
-            ("base", "; ".join(gamma.format_element(g) for g in base) or "0"),
-            ("extra", "; ".join(gamma.format_element(g) for g in extra)),
-        )
-        psi, s, p = growth_check(space, extra)
-        m = psi.new_generator_count
+    dim = rng.randint(0, 3)
+    stratum = rng.choice(("unit", "sparse", "psi"))
+    if stratum == "unit":
+        # e_i + a tail at indices >= dim: the span attains a full successor chain (deficit 0)
+        base = [gamma.unit(i) + sample_element(rng, min_index=dim) for i in range(dim)]
+    elif stratum == "psi":
+        base = [gamma.psi_element(k) for k in rng.sample(range(MAX_SUPPORT + 1), dim)]
+    else:
+        base = [sample_element(rng, nonzero=True) for _ in range(dim)]
+    rec.bump(f"base_{stratum}")
+    space = echelonize(base)
+    extra = [sample_element(rng, nonzero=True) for _ in range(rng.randint(1, 3))]
+    if stratum == "psi" and rng.choice((True, False)):
+        # feed the p map a fresh psi-set member
+        extra.append(gamma.psi_element(rng.randrange(MAX_SUPPORT + 1)))
+        rec.bump("extension_psi")
+    if space.dim and rng.choice((True, False)):
+        # one generator already inside the base, exercising the m count
+        extra.append(space.member([sample_coefficient(rng) for _ in range(space.dim)]))
+        rec.bump("extension_inherited")
+    inputs = (
+        ("base", "; ".join(gamma.format_element(g) for g in base) or "0"),
+        ("extra", "; ".join(gamma.format_element(g) for g in extra)),
+    )
+    psi, s, p = growth_check(space, extra)
+    m = psi.new_generator_count
+    rec.check(
+        psi.passed,
+        "growth_psi",
+        inputs,
+        f"growth {len(psi.added_levels)} exceeds bound {psi.bound}",
+    )
+
+    growth = len(s.added_levels)
+    deficit = space.dim + 1 - len(s.old_levels)
+    rec.bump(f"s_deficit_{deficit if deficit <= 1 else '2plus'}")
+    rec.check(
+        growth <= m + deficit,
+        "growth_s_slack",
+        inputs,
+        f"growth {growth} exceeds m + deficit = {m} + {deficit}",
+    )
+    if stratum == "unit":
         rec.check(
-            psi.passed,
-            trial,
-            "growth_psi",
+            deficit == 0,
+            "unit_base_full_chain",
             inputs,
-            f"growth {len(psi.added_levels)} exceeds bound {psi.bound}",
+            f"unit-pivot base has s-image deficit {deficit}",
+        )
+    if deficit <= 1:
+        rec.check(
+            s.passed,
+            "growth_s",
+            inputs,
+            f"growth {growth} exceeds bound {s.bound}",
+        )
+    dim_plus_1 = len(psi.new_levels) + 1  # the psi levels are the extended pivots
+    rec.check(
+        len(s.new_levels) <= dim_plus_1,
+        "s_image_size",
+        inputs,
+        f"s-image size {len(s.new_levels)} exceeds dim + 1 = {dim_plus_1}",
+    )
+
+    growth = len(p.added_levels)
+    members = len(p.old_levels) + (1 if space.contains(gamma.unit(0)) else 0)
+    deficit = space.dim - members
+    rec.bump(f"p_deficit_{deficit if deficit <= 1 else '2plus'}")
+    rec.check(
+        growth <= m + deficit,
+        "growth_p_slack",
+        inputs,
+        f"growth {growth} exceeds m + deficit = {m} + {deficit}",
+    )
+    if stratum == "psi":
+        rec.check(
+            deficit == 0,
+            "psi_base_saturated",
+            inputs,
+            f"psi-spanned base has member deficit {deficit}",
+        )
+    if deficit == 0:
+        rec.check(
+            p.passed,
+            "growth_p",
+            inputs,
+            f"growth {growth} exceeds bound {p.bound}",
         )
 
-        growth = len(s.added_levels)
-        deficit = space.dim + 1 - len(s.old_levels)
-        rec.bump(f"s_deficit_{deficit if deficit <= 1 else '2plus'}")
-        rec.check(
-            growth <= m + deficit,
-            trial,
-            "growth_s_slack",
-            inputs,
-            f"growth {growth} exceeds m + deficit = {m} + {deficit}",
-        )
-        if stratum == "unit":
-            rec.check(
-                deficit == 0,
-                trial,
-                "unit_base_full_chain",
-                inputs,
-                f"unit-pivot base has s-image deficit {deficit}",
-            )
-        if deficit <= 1:
-            rec.check(
-                s.passed,
-                trial,
-                "growth_s",
-                inputs,
-                f"growth {growth} exceeds bound {s.bound}",
-            )
-        dim_plus_1 = len(psi.new_levels) + 1  # the psi levels are the extended pivots
-        rec.check(
-            len(s.new_levels) <= dim_plus_1,
-            trial,
-            "s_image_size",
-            inputs,
-            f"s-image size {len(s.new_levels)} exceeds dim + 1 = {dim_plus_1}",
-        )
 
-        growth = len(p.added_levels)
-        members = len(p.old_levels) + (1 if space.contains(gamma.unit(0)) else 0)
-        deficit = space.dim - members
-        rec.bump(f"p_deficit_{deficit if deficit <= 1 else '2plus'}")
-        rec.check(
-            growth <= m + deficit,
-            trial,
-            "growth_p_slack",
-            inputs,
-            f"growth {growth} exceeds m + deficit = {m} + {deficit}",
-        )
-        if stratum == "psi":
-            rec.check(
-                deficit == 0,
-                trial,
-                "psi_base_saturated",
-                inputs,
-                f"psi-spanned base has member deficit {deficit}",
-            )
-        if deficit == 0:
-            rec.check(
-                p.passed,
-                trial,
-                "growth_p",
-                inputs,
-                f"growth {growth} exceeds bound {p.bound}",
-            )
-    return rec.report()
+_Trial = Callable[[_Recorder, random.Random], None]
 
-
-_SUITES: Dict[str, Callable[[SamplerConfig], SuiteReport]] = {
-    "axioms": run_axiom_suite,
-    "successor": run_successor_suite,
-    "lemma41": run_fiber_suite,
-    "lemma44": run_affine_image_suite,
-    "subspace-growth": run_growth_suite,
+_SUITES: Dict[str, _Trial] = {
+    "axioms": _axiom_trial,
+    "successor": _successor_trial,
+    "lemma41": _fiber_trial,
+    "lemma44": _affine_image_trial,
+    "subspace-growth": _growth_trial,
 }
 
 
@@ -865,12 +796,32 @@ def suite_names() -> Tuple[str, ...]:
     return tuple(_SUITES)
 
 
+def _drive(suite: str, cfg: SamplerConfig, run_trial: _Trial) -> SuiteReport:
+    """The one trial loop: each trial gets its own seeded RNG."""
+    rec = _Recorder()
+    for trial in range(cfg.trials):
+        rec.trial = trial
+        run_trial(rec, cfg.trial_rng(trial))
+    return SuiteReport(
+        suite, cfg.seed, cfg.trials, rec.failure_count == 0, rec.failure_count,
+        tuple(rec.failures), dict(sorted(rec.counters.items())),
+    )
+
+
 def run_suite(name: str, cfg: SamplerConfig) -> SuiteReport:
     try:
-        runner = _SUITES[name]
+        run_trial = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}") from None
-    return runner(cfg)
+    return _drive(name, cfg, run_trial)
+
+
+def run_axiom_suite(
+    cfg: SamplerConfig,
+    psi_fn: Optional[Callable[[ExtendedElement], ExtendedElement]] = None,
+) -> SuiteReport:
+    """The axioms suite, with ``psi_fn`` (default ``gamma.psi``) in the psi-dependent checks."""
+    return _drive("axioms", cfg, lambda rec, rng: _axiom_trial(rec, rng, psi_fn))
 
 
 # --- witness construction ---------------------------------------------------------
@@ -891,16 +842,6 @@ class WitnessReport:
     alpha: GammaElement
     bound: GammaElement
     prefix: Tuple[GammaElement, ...]
-
-    def to_text(self) -> str:
-        lines = [
-            f"epsilon: {gamma.format_element(self.epsilon)}",
-            f"alpha: {gamma.format_element(self.alpha)} (level {self.alpha_level})",
-            f"bound: {gamma.format_element(self.bound)}",
-            "prefix:",
-        ]
-        lines.extend(f"  {gamma.format_element(x)}" for x in self.prefix)
-        return "\n".join(lines)
 
 
 # Largest witness prefix: element k has k coordinates, so output grows as count**2.

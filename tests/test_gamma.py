@@ -64,6 +64,29 @@ def test_constructor_rejects_bad_indices():
         GammaElement([("0", 1)])
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, float("inf"), "1", complex(1)])
+def test_inexact_coefficients_are_rejected(bad):
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        GammaElement([(0, bad)])
+    with pytest.raises(TypeError):
+        gamma.scale(unit(0), bad)
+    with pytest.raises(TypeError):
+        unit(0) * bad
+    with pytest.raises(TypeError):
+        unit(0) / bad
+    assert GammaElement([(0, True), (1, 3), (2, Fraction(1, 3))]).coords == (
+        (0, Fraction(1)), (1, Fraction(3)), (2, Fraction(1, 3))
+    )
+
+
+def test_division_by_zero_raises_zero_division():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            unit(0) / zero
+    assert unit(0) / 2 == elt((0, Fraction(1, 2)))
+
+
 def test_immutability_and_hash():
     a = elt((0, 1), (2, 3))
     with pytest.raises(AttributeError):

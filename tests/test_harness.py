@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple import gamma, harness
+from logcouple import cli, gamma, harness
 from logcouple.gamma import INF, ZERO, GammaElement, unit
 from logcouple.harness import (
     AffineMap,
@@ -38,7 +38,7 @@ SMALL = SamplerConfig(seed=0, trials=300)
 @pytest.mark.parametrize("name", suite_names())
 def test_suites_pass_at_small_trials(name):
     report = run_suite(name, SMALL)
-    assert report.passed, report.to_text()
+    assert report.passed, cli._suite_text(report)
     assert report.trials == 300
     assert report.counters  # nontrivial strata recorded
 
@@ -58,7 +58,7 @@ def test_reports_are_byte_reproducible():
     first = run_suite("successor", SamplerConfig(seed=11, trials=150))
     second = run_suite("successor", SamplerConfig(seed=11, trials=150))
     assert first == second
-    assert first.to_text() == second.to_text()
+    assert cli._suite_text(first) == cli._suite_text(second)
     assert gamma.jsonable(first) == gamma.jsonable(second)
 
 
@@ -133,6 +133,12 @@ def test_classify_const_psi():
     )
     mapping = AffineMap((Fraction(0), Fraction(1)), ZERO)
     assert classify_affine_image(mapping, table, min_hits=3) == ConstPsi(5)
+
+
+def test_affine_map_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        AffineMap((0.1,), unit(0))
+    assert AffineMap((1, Fraction(1, 2)), ZERO).coefficients == (Fraction(1), Fraction(1, 2))
 
 
 def test_min_hits_floor_counts_varying_coordinates():

@@ -8,7 +8,7 @@ import pytest
 
 from logcouple import gamma, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
-from logcouple.harness import SamplerConfig, sample_coefficient
+from logcouple.harness import MAX_SUPPORT, SamplerConfig, sample_coefficient
 from logcouple.lang import (
     Add,
     And,
@@ -274,65 +274,55 @@ def test_nesting_cap():
 _AST_VARS = ("x", "y", "z")
 
 
-def sample_literal_ast(rng: random.Random, cfg: SamplerConfig) -> Literal:
+def sample_literal_ast(rng: random.Random) -> Literal:
     roll = rng.random()
     if roll < 0.15:
         return Literal(ZERO)
     if roll < 0.3:
         return Literal(INF)
-    coeff = abs(sample_coefficient(rng, cfg))
-    return Literal(gamma.scale(gamma.unit(rng.randint(0, cfg.max_support)), coeff))
+    coeff = abs(sample_coefficient(rng))
+    return Literal(gamma.scale(gamma.unit(rng.randint(0, MAX_SUPPORT)), coeff))
 
 
-def sample_term_ast(
-    rng: random.Random, cfg: SamplerConfig, depth: int = 4
-) -> lang.TermNode:
+def sample_term_ast(rng: random.Random, depth: int = 4) -> lang.TermNode:
     """Random parser-canonical term AST (literals are single pieces)."""
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Var(rng.choice(_AST_VARS))
-        return sample_literal_ast(rng, cfg)
+        return sample_literal_ast(rng)
     roll = rng.randrange(4)
     if roll == 0:
-        return Add(
-            sample_term_ast(rng, cfg, depth - 1), sample_term_ast(rng, cfg, depth - 1)
-        )
+        return Add(sample_term_ast(rng, depth - 1), sample_term_ast(rng, depth - 1))
     if roll == 1:
-        return Neg(sample_term_ast(rng, cfg, depth - 1))
+        return Neg(sample_term_ast(rng, depth - 1))
     if roll == 2:
-        return Div(sample_term_ast(rng, cfg, depth - 1), rng.randint(1, 9))
-    return Apply(rng.choice(lang.FUNCTIONS), sample_term_ast(rng, cfg, depth - 1))
+        return Div(sample_term_ast(rng, depth - 1), rng.randint(1, 9))
+    return Apply(rng.choice(lang.FUNCTIONS), sample_term_ast(rng, depth - 1))
 
 
-def sample_formula_ast(
-    rng: random.Random, cfg: SamplerConfig, depth: int = 3
-) -> lang.FormulaNode:
+def sample_formula_ast(rng: random.Random, depth: int = 3) -> lang.FormulaNode:
     if depth <= 0 or rng.random() < 0.35:
         ctor = Eq if rng.random() < 0.5 else Lt
-        return ctor(sample_term_ast(rng, cfg, 2), sample_term_ast(rng, cfg, 2))
+        return ctor(sample_term_ast(rng, 2), sample_term_ast(rng, 2))
     roll = rng.randrange(3)
     if roll == 0:
-        return Not(sample_formula_ast(rng, cfg, depth - 1))
+        return Not(sample_formula_ast(rng, depth - 1))
     if roll == 1:
-        return And(
-            sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
-        )
-    return Or(
-        sample_formula_ast(rng, cfg, depth - 1), sample_formula_ast(rng, cfg, depth - 1)
-    )
+        return And(sample_formula_ast(rng, depth - 1), sample_formula_ast(rng, depth - 1))
+    return Or(sample_formula_ast(rng, depth - 1), sample_formula_ast(rng, depth - 1))
 
 
 def test_term_round_trip_sampled():
     cfg = SamplerConfig(seed=2024)
     for trial in range(2000):
-        node = sample_term_ast(cfg.trial_rng(trial), cfg)
+        node = sample_term_ast(cfg.trial_rng(trial))
         assert term(lang.format_any(node)) == node
 
 
 def test_formula_round_trip_sampled():
     cfg = SamplerConfig(seed=4096)
     for trial in range(1500):
-        node = sample_formula_ast(cfg.trial_rng(trial), cfg)
+        node = sample_formula_ast(cfg.trial_rng(trial))
         assert formula(lang.format_any(node)) == node
 
 
