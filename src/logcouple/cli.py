@@ -14,6 +14,7 @@ are reported on stderr as one-line diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Union
@@ -138,7 +139,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not sep:
             raise CliError(f"malformed --let {binding!r}; expected NAME=ELEMENT")
         try:
-            parsed_name = lang.parse_term(name)
+            parsed_name = lang.parse_any(name)
         except lang.ParseError:
             parsed_name = None
         if not isinstance(parsed_name, lang.Var):
@@ -295,22 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of ``main``."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (
-        CliError,
-        gamma.ElementError,
-        gamma.DomainError,
-        lang.ParseError,
-        lang.EvalError,
-        ValueError,
-    ) as exc:
+    except (CliError, ValueError) as exc:  # parse, element and domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

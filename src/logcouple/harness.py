@@ -88,27 +88,19 @@ def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, Fraction]]:
     ]
 
 
-def sample_prefixed(
-    rng: random.Random, level: int, hull: bool = False, side: int = 0
-) -> GammaElement:
+def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaElement:
     """Element whose successor has exactly the given level: ones at
     indices below ``level``, a non-one coordinate at ``level``, then an
     arbitrary sparse tail.
 
-    ``hull=True`` keeps the pivotal coordinate below 1 so the element
-    lies in the convex hull of the psi-set (requires level >= 1).
     ``side=+1``/``-1`` forces the pivotal coordinate above/below 1,
     which puts the element among derivatives of positive/negative
     elements.
     """
-    if hull and level < 1:
-        raise ValueError("hull membership needs level >= 1")
     pairs = [(i, Fraction(1)) for i in range(level)]
     while True:
         c = Fraction(1) + sample_coefficient(rng)
         if c == 1:
-            continue
-        if hull and c >= 1:
             continue
         if side > 0 and c <= 1:
             continue

@@ -6,6 +6,8 @@ Terms:    variables, element literals (``0``, ``inf``, ``q*e<k>``), ``+``,
           ``psi(t)``, ``s(t)``, ``p(t)``, ``int(t)``.
 Formulas: ``t1 = t2``, ``t1 < t2``, ``!``, ``&``, ``|`` with precedence
           ``!`` > ``&`` > ``|``; parentheses group both levels.
+``parse_any`` reads the formula grammar in one pass and accepts a bare
+term only when it is the whole input.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
@@ -331,28 +333,28 @@ class _Parser:
 
     # formulas
 
-    def formula(self) -> FormulaNode:
+    def formula(self) -> Node:
         node = self.conjunction()
         while self.peek().kind == "|":
             self.take()
             node = Or(node, self.conjunction())
         return node
 
-    def conjunction(self) -> FormulaNode:
+    def conjunction(self) -> Node:
         node = self.negation()
         while self.peek().kind == "&":
             self.take()
             node = And(node, self.negation())
         return node
 
-    def negation(self) -> FormulaNode:
+    def negation(self) -> Node:
         nots = self.count_prefix("!")
         node = self.formula_atom()
         for _ in range(nots):
             node = Not(node)
         return node
 
-    def formula_atom(self) -> FormulaNode:
+    def formula_atom(self) -> Node:
         if self.peek().kind == "(":
             # Either a grouped formula or a parenthesized term starting a
             # comparison: try the formula reading first, then backtrack.
@@ -366,7 +368,8 @@ class _Parser:
                 self.i = save
         return self.comparison()
 
-    def comparison(self) -> FormulaNode:
+    def comparison(self) -> Node:
+        start = self.i
         left = self.term()
         tok = self.peek()
         if tok.kind == "=":
@@ -375,6 +378,8 @@ class _Parser:
         if tok.kind == "<":
             self.take()
             return Lt(left, self.term())
+        if start == 0 and tok.kind == "eof":
+            return left  # the whole input is one term
         self.fail(tok, frozenset({"'='", "'<'"}))
         raise AssertionError("unreachable")
 
@@ -384,39 +389,12 @@ class _Parser:
             self.fail(tok, frozenset({"end of input"}))
 
 
-def parse_term(text: str, strict_llog: bool = False) -> TermNode:
-    parser = _Parser(_lex(text), strict_llog)
-    node = parser.term()
-    parser.done()
-    return node
-
-
-def parse_formula(text: str, strict_llog: bool = False) -> FormulaNode:
+def parse_any(text: str, strict_llog: bool = False) -> Node:
+    """Parse a formula, or a term when the whole text is one term."""
     parser = _Parser(_lex(text), strict_llog)
     node = parser.formula()
     parser.done()
     return node
-
-
-def parse_any(text: str, strict_llog: bool = False) -> Node:
-    """Parse a formula if the text contains one, otherwise a term.
-
-    On failure, report whichever error got further into the input.
-    """
-    tokens = _lex(text)
-    try:
-        parser = _Parser(tokens, strict_llog)
-        node: Node = parser.formula()
-        parser.done()
-        return node
-    except ParseError as formula_err:
-        try:
-            parser = _Parser(tokens, strict_llog)
-            node = parser.term()
-            parser.done()
-            return node
-        except ParseError as term_err:
-            raise term_err if term_err.position > formula_err.position else formula_err
 
 
 # --- one walk for every job ---------------------------------------------------

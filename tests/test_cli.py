@@ -239,6 +239,11 @@ def test_or_short_circuits_past_unbound_variable():
     assert "unbound variable 'y'" in err
 
 
+def test_let_bindings_do_not_leak_into_the_next_call():
+    assert run_cli(["eval", "x", "--let", "x=e0"]) == (cli.EXIT_PASS, "e0\n", "")
+    assert run_cli(["eval", "x"]) == (cli.EXIT_USAGE, "", "error: unbound variable 'x'\n")
+
+
 # --- inputs that must not crash -----------------------------------------------------
 
 

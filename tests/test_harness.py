@@ -91,6 +91,17 @@ def test_failure_recording_caps_but_counts():
     assert report.failure_count > len(report.failures)
 
 
+def test_failures_carry_their_trial_number_past_trial_49():
+    cfg = SamplerConfig(seed=0, trials=1000)
+    report = harness._drive(
+        "stub", cfg, lambda rec, rng: rec.check(rng.random() >= 0.02, "rare", [])
+    )
+    failing = [t for t in range(cfg.trials) if cfg.trial_rng(t).random() < 0.02]
+    assert [f.trial for f in report.failures] == failing[:10]
+    assert failing[9] > 49
+    assert report.failure_count == len(failing)
+
+
 def test_growth_suite_counters_cover_strata_and_regimes():
     report = run_suite("subspace-growth", SamplerConfig(seed=4, trials=400))
     counters = dict(report.counters)

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +28,15 @@ from logcouple.lang import (
 
 
 def term(text, **kw):
-    return lang.parse_term(text, **kw)
+    node = lang.parse_any(text, **kw)
+    assert isinstance(node, lang.TermNode)
+    return node
 
 
 def formula(text, **kw):
-    return lang.parse_formula(text, **kw)
+    node = lang.parse_any(text, **kw)
+    assert isinstance(node, lang.FormulaNode)
+    return node
 
 
 # --- grammar: one golden case per production ---------------------------------------
@@ -118,6 +123,74 @@ def test_parse_any_picks_formula_when_present():
     assert isinstance(lang.parse_any("psi(e1) = e0 + e1"), Eq)
     assert isinstance(lang.parse_any("psi(e1)"), Apply)
     assert isinstance(lang.parse_any("x + y"), Add)
+
+
+class _TwoPassParser(lang._Parser):
+    """The parser before ``parse_any`` took one pass: a comparison needs a relation."""
+
+    def comparison(self):
+        left = self.term()
+        tok = self.peek()
+        if tok.kind == "=":
+            self.take()
+            return Eq(left, self.term())
+        if tok.kind == "<":
+            self.take()
+            return Lt(left, self.term())
+        self.fail(tok, frozenset({"'='", "'<'"}))
+
+
+def two_pass_parse_any(text, strict_llog=False):
+    """Reference: parse a formula, else a term, and report the error that got further."""
+    tokens = lang._lex(text)
+    try:
+        parser = _TwoPassParser(tokens, strict_llog)
+        node = parser.formula()
+        parser.done()
+        return node
+    except ParseError as formula_err:
+        try:
+            parser = _TwoPassParser(tokens, strict_llog)
+            node = parser.term()
+            parser.done()
+            return node
+        except ParseError as term_err:
+            raise term_err if term_err.position > formula_err.position else formula_err
+
+
+# Brackets and '=' appear twice, so more of the random strings nest and compare.
+_REFERENCE_TOKENS = (
+    "x", "y", "e0", "e3", "0", "2", "1/2*e1", "inf", "psi", "s", "p", "int", "forall",
+    "(", "(", ")", ")", "+", "-", "*", "/", "!", "&", "|", "=", "=", "<", "?",
+)
+
+
+def _parse_outcome(parse, text, strict_llog):
+    try:
+        return parse(text, strict_llog=strict_llog)
+    except ParseError as err:
+        return str(err), err.position, err.expected
+
+
+def test_one_pass_parse_any_matches_two_pass_reference():
+    rng = random.Random(1802)
+    texts = [
+        case["argv"][1]
+        for case in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+        if case["argv"][:1] in (["eval"], ["fmt"]) and len(case["argv"]) > 1
+    ]
+    for _ in range(3000):
+        pieces = rng.choices(_REFERENCE_TOKENS, k=rng.randint(0, 9))
+        texts.append(rng.choice(("", " ")).join(pieces))
+    for _ in range(300):
+        for node in (sample_term_ast(rng, 3), sample_formula_ast(rng, 2)):
+            text = lang.format_any(node)
+            cut = rng.randrange(len(text))
+            texts += [text, text[:cut] + text[cut + 1 :]]
+    for text in texts:
+        for strict_llog in (False, True):
+            expected = _parse_outcome(two_pass_parse_any, text, strict_llog)
+            assert _parse_outcome(lang.parse_any, text, strict_llog) == expected, text
 
 
 def test_zero_literal_vs_division():
