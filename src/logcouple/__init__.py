@@ -11,18 +11,15 @@ from .gamma import (
     ExtendedElement,
     GammaElement,
     Infinity,
-    add,
     arch_class_compare,
     compare,
     derivative,
-    divide_by,
     first_non_one_index,
     format_element,
     in_conv_psi,
     in_negative_derivatives,
     in_positive_derivatives,
     integrate,
-    negate,
     parse_element,
     predecessor,
     psi,

@@ -44,6 +44,8 @@ def load_generators(path: str) -> List[GammaElement]:
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
     generators: List[GammaElement] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -51,7 +53,7 @@ def load_generators(path: str) -> List[GammaElement]:
             continue
         try:
             element = gamma.parse_element(line)
-        except gamma.ElementError as exc:
+        except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
         if isinstance(element, Infinity):
             raise CliError(f"{path}:{lineno}: inf is not a group element") from None

@@ -57,8 +57,6 @@ class Infinity:
     def __add__(self, other: object) -> "Infinity":
         return self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
-    __radd__ = __add__
-
     def __lt__(self, other: object) -> bool:
         return False if isinstance(other, (Infinity, GammaElement)) else NotImplemented
 
@@ -107,7 +105,7 @@ class GammaElement:
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
         acc: dict = {}
         for index, q in coords:
-            if not isinstance(index, int) or index < 0:
+            if type(index) is not int or index < 0:
                 raise ValueError(f"basis index must be a nonnegative int, got {index!r}")
             if type(q) is not Fraction:
                 if not isinstance(q, (int, Fraction)):
@@ -131,10 +129,6 @@ class GammaElement:
     def coords(self) -> Tuple[Tuple[int, Fraction], ...]:
         return self._coords
 
-    @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(i for i, _ in self._coords)
-
     def coefficient(self, index: int) -> Fraction:
         for i, q in self._coords:
             if i == index:
@@ -142,9 +136,6 @@ class GammaElement:
             if i > index:
                 break
         return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self._coords
 
     def __bool__(self) -> bool:
         return bool(self._coords)
@@ -348,16 +339,6 @@ def compare(a: ExtendedElement, b: ExtendedElement) -> int:
     return a._cmp(b)
 
 
-def add(a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:
-    if isinstance(a, Infinity) or isinstance(b, Infinity):
-        return INF
-    return a + b
-
-
-def negate(a: ExtendedElement) -> ExtendedElement:
-    return INF if isinstance(a, Infinity) else -a
-
-
 def scale(a: ExtendedElement, q: Rational) -> ExtendedElement:
     """Scalar multiple ``q * a``; ``scale(inf, q) = inf`` for any q."""
     if isinstance(a, Infinity):
@@ -371,16 +352,9 @@ def scale(a: ExtendedElement, q: Rational) -> ExtendedElement:
     return _make(tuple((i, c * q) for i, c in a._coords))
 
 
-def divide_by(a: ExtendedElement, n: int) -> ExtendedElement:
-    """Division by a positive integer (the language's delta_n family)."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"divisor must be a positive integer, got {n!r}")
-    return scale(a, Fraction(1, n))
-
-
 def psi(x: ExtendedElement) -> ExtendedElement:
     """Leading-index valuation: n+1 ones for leading index n; inf on 0, inf."""
-    if isinstance(x, Infinity) or x.is_zero():
+    if isinstance(x, Infinity) or not x:
         return INF
     return psi_element(x.coords[0][0])
 
@@ -405,7 +379,7 @@ def integrate(x: ExtendedElement) -> ExtendedElement:
 
 def derivative(x: ExtendedElement) -> ExtendedElement:
     """Asymptotic derivative ``x + psi(x)``; sends 0 and inf to inf."""
-    if isinstance(x, Infinity) or x.is_zero():
+    if isinstance(x, Infinity) or not x:
         return INF
     return x + psi(x)
 
@@ -446,11 +420,11 @@ def arch_class_compare(a: GammaElement, b: GammaElement) -> int:
     index dominates every element with a larger one.  The class of 0 is
     the minimum.
     """
-    if a.is_zero() and b.is_zero():
+    if not a and not b:
         return EQ
-    if a.is_zero():
+    if not a:
         return LT
-    if b.is_zero():
+    if not b:
         return GT
     la, lb = a.coords[0][0], b.coords[0][0]
     if la == lb:
@@ -466,7 +440,7 @@ def in_conv_psi(a: GammaElement) -> bool:
     ``a`` is in the hull iff k >= 1 and coefficient(k) < 1 (below the
     next longer run of ones, at or above ``e0``).
     """
-    if a.is_zero():
+    if not a:
         return False
     k = first_non_one_index(a)
     return k >= 1 and a.coefficient(k) < 1
@@ -554,7 +528,7 @@ def parse_element(text: str) -> ExtendedElement:
     def read_digits(what: str) -> int:
         nonlocal pos
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and s[pos].isdecimal():
             pos += 1
         if pos == start:
             raise ElementError(f"expected {what}", start)
@@ -595,7 +569,7 @@ def parse_element(text: str) -> ExtendedElement:
             raise ElementError("expected '+' or '-' between terms", pos)
 
         coeff = Fraction(1)
-        if pos < n and s[pos].isdigit():
+        if pos < n and s[pos].isdecimal():
             num = read_digits("numerator digits")
             den = 1
             if pos < n and s[pos] == "/":

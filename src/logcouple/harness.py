@@ -153,20 +153,26 @@ class _Recorder:
 
     def check(
         self, ok: bool, check: str,
-        inputs: Sequence[Tuple[str, Union[str, ExtendedElement]]],
+        inputs: Sequence[Tuple[str, Union[str, ExtendedElement, Tuple[GammaElement, ...]]]],
         detail: Union[str, Callable[[], str]] = "property violated",
     ) -> None:
         """Count a check and record it if it failed.
 
-        Input values are text or elements, and ``detail`` is text or a
-        function returning it; both become text only for a recorded failure.
+        Input values are text, elements or tuples of elements, and
+        ``detail`` is text or a function returning it; both become text
+        only for a recorded failure.  A tuple's text joins its elements
+        with ``"; "``, and is ``"0"`` when the tuple is empty.
         """
         self.bump(check)
         if ok:
             return
         self.failure_count += 1
         if len(self.failures) < _MAX_RECORDED_FAILURES:
-            texts = {k: v if isinstance(v, str) else gamma.format_element(v) for k, v in inputs}
+            texts = {}
+            for k, v in inputs:
+                if isinstance(v, tuple):
+                    v = "; ".join(map(gamma.format_element, v)) or "0"
+                texts[k] = v if isinstance(v, str) else gamma.format_element(v)
             detail = detail if isinstance(detail, str) else detail()
             self.failures.append(Failure(self.trial, check, texts, detail))
 
@@ -199,7 +205,7 @@ def _axiom_trial(
     inputs = (("a", a), ("b", b))
 
     s = a + b
-    if not s.is_zero():
+    if s:
         lhs = fn(s)
         floor = fa if gamma.compare(fa, fb) <= 0 else fb
         rec.check(
@@ -220,10 +226,10 @@ def _axiom_trial(
     pos = a if a > ZERO else -a
     fpos = fn(pos)
     rec.check(
-        gamma.compare(gamma.add(pos, fpos), fb) > 0,
+        gamma.compare(pos + fpos, fb) > 0,
         "psi_gap",
         (("a", pos),) + inputs[1:],
-        lambda: f"a + psi(a) = {gamma.add(pos, fpos)!r} not above psi(b) = {fb!r}",
+        lambda: f"a + psi(a) = {pos + fpos!r} not above psi(b) = {fb!r}",
     )
 
     other = b if b > ZERO else -b
@@ -248,7 +254,7 @@ def _axiom_trial(
     if a != b:
         lo, hi = (a, b) if a < b else (b, a)
         rec.check(
-            gamma.compare(gamma.add(lo, fn(lo)), gamma.add(hi, fn(hi))) < 0,
+            gamma.compare(lo + fn(lo), hi + fn(hi)) < 0,
             "derivative_strictly_monotone",
             (("lo", lo), ("hi", hi)),
             "lo < hi but derivative order not strict",
@@ -261,7 +267,7 @@ def _axiom_trial(
         (("x", x),),
         "derivative(integrate(x)) != x",
     )
-    if not x.is_zero():
+    if x:
         rec.check(
             gamma.integrate(gamma.derivative(x)) == x,
             "integrate_after_derivative",
@@ -427,7 +433,7 @@ class AffineMap:
                 continue
             if isinstance(a, Infinity):
                 return INF
-            acc = gamma.add(acc, gamma.scale(a, q))
+            acc = acc + gamma.scale(a, q)
         return acc
 
 
@@ -703,10 +709,7 @@ def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
         # one generator already inside the base, exercising the m count
         extra.append(space.member([sample_coefficient(rng) for _ in range(space.dim)]))
         rec.bump("extension_inherited")
-    inputs = (
-        ("base", "; ".join(gamma.format_element(g) for g in base) or "0"),
-        ("extra", "; ".join(gamma.format_element(g) for g in extra)),
-    )
+    inputs = (("base", tuple(base)), ("extra", tuple(extra)))
     psi, s, p = growth_check(space, extra)
     m = psi.new_generator_count
     rec.check(
@@ -869,11 +872,11 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         acc = acc + gamma.unit(index)
         prefix.append(acc)
     previous = ZERO
-    ceiling = gamma.add(alpha, gamma.scale(gamma.successor(alpha) - alpha, 2))
+    ceiling = alpha + gamma.scale(gamma.successor(alpha) - alpha, 2)
     for x in prefix:
         if not (previous < x < bound):
             raise RuntimeError(f"witness element {x!r} escaped (previous, bound)")
-        if not gamma.compare(ceiling, gamma.add(alpha, x)) > 0:
+        if not gamma.compare(ceiling, alpha + x) > 0:
             raise RuntimeError("alpha + 2(s(alpha)-alpha) failed to cap the enumeration")
         previous = x
     return WitnessReport(epsilon, level, alpha, bound, tuple(prefix))

@@ -478,9 +478,10 @@ def _or(node: Or, env: Env) -> Generator:
 _EVAL = {
     Literal: lambda node, env: node.value,
     Var: _lookup,
-    Add: _binary(gamma.add),
-    Neg: _unary(lambda node, a: gamma.negate(a)),
-    Div: _unary(lambda node, a: gamma.divide_by(a, node.divisor)),
+    Add: _binary(lambda a, b: a + b),
+    Neg: _unary(lambda node, a: -a),
+    # Div.__post_init__ has already rejected a divisor below 1.
+    Div: _unary(lambda node, a: gamma.scale(a, Fraction(1, node.divisor))),
     Apply: _unary(lambda node, a: _FUNC_EVAL[node.func](a)),
     Eq: _binary(lambda a, b: gamma.compare(a, b) == gamma.EQ),
     Lt: _binary(lambda a, b: gamma.compare(a, b) == gamma.LT),

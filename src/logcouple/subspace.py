@@ -109,7 +109,7 @@ class Subspace:
         return x
 
     def contains(self, x: GammaElement) -> bool:
-        return self.reduce(x).is_zero()
+        return not self.reduce(x)
 
     def member(self, coefficients: Sequence[Fraction]) -> GammaElement:
         """The combination sum(coefficients[i] * basis[i])."""
@@ -169,7 +169,7 @@ class Subspace:
         for n in range(stop):
             e_n = gamma.unit(n)
             residue = residue + (e_n - row_at[n] if n in row_at else e_n)
-            if n and residue.is_zero():
+            if n and not residue:
                 witnesses[n - 1] = gamma.psi_element(n)
         return ImageReport("p", tuple(witnesses), witnesses)
 
@@ -194,7 +194,7 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
             c = gen.coefficient(row.coords[0][0])
             if c != 0:
                 gen = gen - c * row
-        if gen.is_zero():
+        if not gen:
             continue
         lead_index, lead_coeff = gen.coords[0]
         gen = gamma.scale(gen, Fraction(1) / lead_coeff)

@@ -312,6 +312,25 @@ def test_caps_exit_2_with_one_line(argv):
     assert "MAX_LEVEL" in err or "MAX_WITNESS_COUNT" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("e0\ne²\n".encode(), "{}:2: expected basis index digits (at position 1)"),
+        # a coefficient past Python's limit on int text (4300 digits by default)
+        (b"e0\n" + b"7" * 5000 + b"*e1\n", "{}:2: Exceeds the limit"),
+        (b"e0\n\xff\n", "cannot read {}: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["superscript-index", "huge-coefficient", "not-utf8"],
+)
+def test_generator_file_errors_name_the_file(tmp_path, content, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    argv = ["subspace", "--op", "growth", "--gens", str(DATA / "gens.txt"), "--extend", str(bad)]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: " + message.format(bad)) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("op", ["p", "growth"])
 def test_one_far_generator_is_cheap(tmp_path, op):
     # the p-image scan stops at index 0, which no basis row touches

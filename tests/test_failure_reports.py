@@ -42,7 +42,7 @@ def trailing_psi(x):
 
 
 def negated_psi(x):
-    return gamma.negate(_psi(x))
+    return -_psi(x)
 
 
 def reversed_psi(x):

@@ -62,6 +62,8 @@ def test_constructor_rejects_bad_indices():
         GammaElement([(-1, 1)])
     with pytest.raises(ValueError):
         GammaElement([("0", 1)])
+    with pytest.raises(ValueError):
+        GammaElement([(True, 1)])
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, float("inf"), "1", complex(1)])
@@ -141,22 +143,51 @@ def test_fast_paths_equal_the_normalizing_constructor(a, b, q):
 
 
 def test_add_examples():
-    assert gamma.add(unit(0), -unit(0)) == ZERO
-    assert gamma.add(unit(1), unit(3)) == elt((1, 1), (3, 1))
-    assert gamma.add(ones(2), elt((1, -1), (2, 2))) == elt((0, 1), (2, 2))
-    assert gamma.add(unit(0), INF) == INF
-    assert gamma.add(INF, INF) == INF
+    assert unit(0) + -unit(0) == ZERO
+    assert unit(1) + unit(3) == elt((1, 1), (3, 1))
+    assert ones(2) + elt((1, -1), (2, 2)) == elt((0, 1), (2, 2))
+    assert unit(0) + INF == INF
+    assert INF + unit(0) == INF
+    assert INF + INF == INF
 
 
 def test_negate_scale_examples():
-    assert gamma.negate(ZERO) == ZERO
+    assert -ZERO == ZERO
     assert gamma.scale(unit(2), Fraction(1, 3)) == elt((2, Fraction(1, 3)))
     assert gamma.scale(elt((0, 2), (1, -4)), Fraction(1, 2)) == elt((0, 1), (1, -2))
     assert gamma.scale(unit(5), 0) == ZERO
-    assert gamma.negate(INF) == INF
-    assert gamma.divide_by(elt((0, 3)), 3) == unit(0)
-    with pytest.raises(ValueError):
-        gamma.divide_by(unit(0), 0)
+    assert gamma.scale(elt((0, 3)), Fraction(1, 3)) == unit(0)
+    assert -INF == INF
+    assert gamma.scale(INF, 3) == INF
+
+
+# Reference copies of the former function forms of addition, negation and
+# division: the operators and ``scale`` must agree with them on all of the
+# extended group.
+def reference_add(a, b):
+    if isinstance(a, gamma.Infinity) or isinstance(b, gamma.Infinity):
+        return INF
+    return a + b
+
+
+def reference_negate(a):
+    return INF if isinstance(a, gamma.Infinity) else -a
+
+
+def reference_divide_by(a, n):
+    if not isinstance(n, int) or n < 1:
+        raise gamma.DomainError(f"divisor must be a positive integer, got {n!r}")
+    return gamma.scale(a, Fraction(1, n))
+
+
+extended_elements = elements | st.just(INF)
+
+
+@given(extended_elements, extended_elements, st.integers(1, 9))
+def test_operators_match_reference_functions(a, b, n):
+    assert a + b == reference_add(a, b)
+    assert -a == reference_negate(a)
+    assert gamma.scale(a, Fraction(1, n)) == reference_divide_by(a, n)
 
 
 @given(elements, elements, elements)
@@ -386,7 +417,7 @@ def test_in_conv_psi_examples():
 
 @given(elements)
 def test_in_conv_psi_matches_bracketing_oracle(a):
-    top = max(a.support, default=0) + 2
+    top = max((i for i, _ in a.coords), default=0) + 2
     expected = unit(0) <= a and a <= gamma.psi_element(top)
     assert gamma.in_conv_psi(a) == expected
 
@@ -436,7 +467,7 @@ def test_parse_examples():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "+e0", "e-1", "1/0*e2", "e", "2*", "e1 e2", "0 + e1", "infx", "3*f1"],
+    ["", "+e0", "e-1", "1/0*e2", "e", "2*", "e1 e2", "0 + e1", "infx", "3*f1", "e²", "²*e0"],
 )
 def test_parse_rejections(text):
     with pytest.raises(ElementError):

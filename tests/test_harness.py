@@ -71,7 +71,7 @@ def test_seed_changes_the_stream():
 def test_corrupted_psi_fails_with_counterexamples():
     # negating psi breaks the gap law; the report must carry replayable text
     report = run_axiom_suite(
-        SamplerConfig(seed=5, trials=120), psi_fn=lambda x: gamma.negate(gamma.psi(x))
+        SamplerConfig(seed=5, trials=120), psi_fn=lambda x: -gamma.psi(x)
     )
     assert not report.passed
     assert {f.check for f in report.failures} & {"psi_gap", "psi_antitone"}
@@ -100,6 +100,15 @@ def test_failures_carry_their_trial_number_past_trial_49():
     assert [f.trial for f in report.failures] == failing[:10]
     assert failing[9] > 49
     assert report.failure_count == len(failing)
+
+
+def test_recorded_input_texts():
+    rec = harness._Recorder()
+    inputs = (("k", "3"), ("a", -unit(2)), ("base", ()), ("extra", (unit(0), INF)))
+    rec.check(True, "passing", inputs)
+    rec.check(False, "failing", inputs)
+    assert [f.check for f in rec.failures] == ["failing"]
+    assert rec.failures[0].inputs == {"k": "3", "a": "-e2", "base": "0", "extra": "e0; inf"}
 
 
 def test_growth_suite_counters_cover_strata_and_regimes():
