@@ -12,7 +12,6 @@ from .gamma import (
     GammaElement,
     Infinity,
     arch_class_compare,
-    compare,
     derivative,
     first_non_one_index,
     format_element,
@@ -25,7 +24,6 @@ from .gamma import (
     psi,
     psi_element,
     psi_level,
-    scale,
     successor,
     unit,
 )

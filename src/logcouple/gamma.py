@@ -16,8 +16,10 @@ On top of the group live the maps that make it an asymptotic couple:
 * ``derivative`` is ``a + psi(a)``, with ``derivative(0) = inf``.
 * ``successor`` / ``predecessor`` walk the psi-set ``{1, 11, 111, ...}``.
 
-``inf`` is a first-class absorbing default: every map sends it to itself
-and addition with it yields it, so partial operations never raise.
+The operators are the one arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
+int or Fraction; the comparisons are the order, with ``inf`` on top.  ``inf``
+absorbs every map, sum, negation and scaling, so partial operations never
+raise; ``/ 0`` raises ``ZeroDivisionError``, on ``inf`` as on elements.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ class Infinity:
 
     def __add__(self, other: object) -> "Infinity":
         return self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
+
+    def __mul__(self, q: object) -> "Infinity":
+        return self if isinstance(q, (int, Fraction)) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, q: object) -> "Infinity":
+        return self * Fraction(1, q) if isinstance(q, (int, Fraction)) else NotImplemented
 
     def __lt__(self, other: object) -> bool:
         return False if isinstance(other, (Infinity, GammaElement)) else NotImplemented
@@ -173,12 +183,20 @@ class GammaElement:
         return _make(tuple((i, -q) for i, q in self._coords))
 
     def __mul__(self, q: object) -> "GammaElement":
-        return scale(self, q) if isinstance(q, (int, Fraction)) else NotImplemented
+        if not isinstance(q, (int, Fraction)):
+            return NotImplemented
+        if q == 0:
+            return ZERO
+        if q == 1:
+            return self
+        return _make(tuple((i, c * q) for i, c in self._coords))
 
     __rmul__ = __mul__
 
     def __truediv__(self, q: object) -> "GammaElement":
-        return scale(self, 1 / Fraction(q)) if isinstance(q, (int, Fraction)) else NotImplemented
+        if not isinstance(q, (int, Fraction)):
+            return NotImplemented
+        return self * Fraction(q.denominator, q.numerator)  # ZeroDivisionError if q == 0
 
     def _cmp(self, other: "GammaElement") -> int:
         a, b = self._coords, other._coords
@@ -330,26 +348,6 @@ def first_non_one_index(a: GammaElement) -> int:
             return i
         expected = i + 1
     return expected
-
-
-def compare(a: ExtendedElement, b: ExtendedElement) -> int:
-    """Three-way comparison in the extended order; ``inf`` is the top."""
-    if isinstance(a, Infinity) or isinstance(b, Infinity):
-        return (a is INF) - (b is INF)  # GT, LT or EQ
-    return a._cmp(b)
-
-
-def scale(a: ExtendedElement, q: Rational) -> ExtendedElement:
-    """Scalar multiple ``q * a``; ``scale(inf, q) = inf`` for any q."""
-    if isinstance(a, Infinity):
-        return INF
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"scalar must be an int or Fraction, got {q!r}")
-    if q == 0:
-        return ZERO
-    if q == 1:
-        return a
-    return _make(tuple((i, c * q) for i, c in a._coords))
 
 
 def psi(x: ExtendedElement) -> ExtendedElement:

@@ -207,9 +207,9 @@ def _axiom_trial(
     s = a + b
     if s:
         lhs = fn(s)
-        floor = fa if gamma.compare(fa, fb) <= 0 else fb
+        floor = fa if fa <= fb else fb
         rec.check(
-            gamma.compare(lhs, floor) >= 0,
+            lhs >= floor,
             "psi_subadditive",
             inputs,
             lambda: f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
@@ -217,7 +217,7 @@ def _axiom_trial(
 
     k = rng.choice((-3, -2, -1, 2, 3))
     rec.check(
-        fn(gamma.scale(a, k)) == fa,
+        fn(a * k) == fa,
         "psi_scale_invariant",
         inputs + (("k", str(k)),),
         "psi(k*a) != psi(a)",
@@ -226,7 +226,7 @@ def _axiom_trial(
     pos = a if a > ZERO else -a
     fpos = fn(pos)
     rec.check(
-        gamma.compare(pos + fpos, fb) > 0,
+        pos + fpos > fb,
         "psi_gap",
         (("a", pos),) + inputs[1:],
         lambda: f"a + psi(a) = {pos + fpos!r} not above psi(b) = {fb!r}",
@@ -235,7 +235,7 @@ def _axiom_trial(
     other = b if b > ZERO else -b
     lo, hi = (pos, other) if pos <= other else (other, pos)
     rec.check(
-        gamma.compare(fn(lo), fn(hi)) >= 0,
+        fn(lo) >= fn(hi),
         "psi_antitone",
         (("lo", lo), ("hi", hi)),
         "0 < lo <= hi but psi(lo) < psi(hi)",
@@ -243,7 +243,7 @@ def _axiom_trial(
 
     deep = sample_element(rng, nonzero=True, min_index=a.coords[0][0] + 1)
     fdeep = fn(deep)
-    if gamma.compare(fa, fdeep) < 0:
+    if fa < fdeep:
         rec.check(
             fn(a + deep) == fa,
             "psi_refinement",
@@ -254,7 +254,7 @@ def _axiom_trial(
     if a != b:
         lo, hi = (a, b) if a < b else (b, a)
         rec.check(
-            gamma.compare(lo + fn(lo), hi + fn(hi)) < 0,
+            lo + fn(lo) < hi + fn(hi),
             "derivative_strictly_monotone",
             (("lo", lo), ("hi", hi)),
             "lo < hi but derivative order not strict",
@@ -306,7 +306,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     assert isinstance(d, GammaElement)
     gap = gamma.successor(d) - d
     n = rng.randint(1, 10)
-    lifted = d + gamma.scale(gap, n + 1)
+    lifted = d + gap * (n + 1)
     rec.check(
         gamma.in_negative_derivatives(d)
         and gamma.in_positive_derivatives(lifted),
@@ -319,7 +319,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     side = rng.choice((1, -1))
     x = sample_prefixed(rng, level, side=side)
     z = sample_prefixed(rng, level, side=side)
-    mid = gamma.scale(x + z, Fraction(1, 2))
+    mid = (x + z) / 2
     fiber = gamma.psi_element(level)
     rec.check(
         gamma.successor(mid) == fiber
@@ -361,7 +361,7 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
 
     d1, d2 = offset(), offset()
     x, y = b + d1, b + d2
-    z = gamma.scale(x + y, Fraction(1, 2))
+    z = (x + y) / 2
     fiber = gamma.psi_element(k)
     rec.check(
         gamma.psi(x - b) == fiber
@@ -377,7 +377,7 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     e1 = sample_prefixed(rng, level, side=side)
     e2 = sample_prefixed(rng, level, side=side)
     u, v = b + e1, b + e2
-    mid = gamma.scale(u + v, Fraction(1, 2))
+    mid = (u + v) / 2
     rec.check(
         gamma.successor(mid - b) == gamma.psi_element(level)
         and gamma.in_positive_derivatives(mid - b) == (side > 0),
@@ -433,7 +433,7 @@ class AffineMap:
                 continue
             if isinstance(a, Infinity):
                 return INF
-            acc = acc + gamma.scale(a, q)
+            acc = acc + a * q
         return acc
 
 
@@ -863,7 +863,7 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         raise ValueError(f"count {count} exceeds MAX_WITNESS_COUNT = {MAX_WITNESS_COUNT}")
     level = epsilon.coords[0][0] + 1
     alpha = gamma.psi_element(level)
-    bound = gamma.scale(gamma.integrate(alpha), -2)
+    bound = gamma.integrate(alpha) * -2
     if not (ZERO < bound < epsilon):
         raise RuntimeError("witness bound failed its defining inequality")
     prefix: List[GammaElement] = []
@@ -872,11 +872,11 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         acc = acc + gamma.unit(index)
         prefix.append(acc)
     previous = ZERO
-    ceiling = alpha + gamma.scale(gamma.successor(alpha) - alpha, 2)
+    ceiling = alpha + (gamma.successor(alpha) - alpha) * 2
     for x in prefix:
         if not (previous < x < bound):
             raise RuntimeError(f"witness element {x!r} escaped (previous, bound)")
-        if not gamma.compare(ceiling, alpha + x) > 0:
+        if not ceiling > alpha + x:
             raise RuntimeError("alpha + 2(s(alpha)-alpha) failed to cap the enumeration")
         previous = x
     return WitnessReport(epsilon, level, alpha, bound, tuple(prefix))

@@ -325,7 +325,7 @@ class _Parser:
         if self.peek().kind == "*":
             self.take()
             basis = self.expect("basis", frozenset({"'e<k>'"}))
-            return Literal(gamma.scale(gamma.unit(basis.value), Fraction(num, den)))
+            return Literal(gamma.unit(basis.value) * Fraction(num, den))
         if num == 0:
             return Literal(ZERO)
         self.fail(self.peek(), frozenset({"'*'"}))
@@ -481,10 +481,10 @@ _EVAL = {
     Add: _binary(lambda a, b: a + b),
     Neg: _unary(lambda node, a: -a),
     # Div.__post_init__ has already rejected a divisor below 1.
-    Div: _unary(lambda node, a: gamma.scale(a, Fraction(1, node.divisor))),
+    Div: _unary(lambda node, a: a / node.divisor),
     Apply: _unary(lambda node, a: _FUNC_EVAL[node.func](a)),
-    Eq: _binary(lambda a, b: gamma.compare(a, b) == gamma.EQ),
-    Lt: _binary(lambda a, b: gamma.compare(a, b) == gamma.LT),
+    Eq: _binary(lambda a, b: a == b),
+    Lt: _binary(lambda a, b: a < b),
     Not: _unary(lambda node, a: not a),
     And: _and,
     Or: _or,

@@ -101,12 +101,7 @@ class Subspace:
 
     def reduce(self, x: GammaElement) -> GammaElement:
         """Residue of x after subtracting its projection onto the rows."""
-        for row in self._rows:
-            pivot = row.coords[0][0]
-            c = x.coefficient(pivot)
-            if c != 0:
-                x = x - c * row
-        return x
+        return _reduce(self._rows, x)
 
     def contains(self, x: GammaElement) -> bool:
         return not self.reduce(x)
@@ -117,7 +112,7 @@ class Subspace:
             raise ValueError("one coefficient per basis row required")
         acc = ZERO
         for c, row in zip(coefficients, self._rows):
-            acc = acc + gamma.scale(row, c)
+            acc = acc + row * c
         return acc
 
     # --- images ---------------------------------------------------------
@@ -180,6 +175,15 @@ class Subspace:
             raise ValueError(f"unknown image function {function!r}") from None
 
 
+def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
+    """``x`` minus, row by row, its coefficient at each row's pivot times the row."""
+    for row in rows:
+        c = x.coefficient(row.coords[0][0])
+        if c != 0:
+            x = x - c * row
+    return x
+
+
 def echelonize(generators: Iterable[GammaElement]) -> Subspace:
     """Reduced row echelon form of the span of the generators.
 
@@ -190,14 +194,11 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
     for gen in generators:
         if not isinstance(gen, GammaElement):
             raise TypeError(f"generators must be group elements, got {gen!r}")
-        for row in rows:
-            c = gen.coefficient(row.coords[0][0])
-            if c != 0:
-                gen = gen - c * row
+        gen = _reduce(rows, gen)
         if not gen:
             continue
         lead_index, lead_coeff = gen.coords[0]
-        gen = gamma.scale(gen, Fraction(1) / lead_coeff)
+        gen = gen / lead_coeff
         for i, row in enumerate(rows):
             c = row.coefficient(lead_index)
             if c != 0:

@@ -244,6 +244,11 @@ def test_let_bindings_do_not_leak_into_the_next_call():
     assert run_cli(["eval", "x"]) == (cli.EXIT_USAGE, "", "error: unbound variable 'x'\n")
 
 
+def test_a_negated_term_follows_double_dash():
+    # argparse reads a lone "-e0" as an option; "--" ends the options.
+    assert run_cli(["eval", "--", "-e0"]) == (cli.EXIT_PASS, "-e0\n", "")
+
+
 # --- inputs that must not crash -----------------------------------------------------
 
 
@@ -295,21 +300,26 @@ def test_psi_up_to_max_level_evaluates():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, cap",
     [
-        ["eval", f"psi(e{gamma.MAX_LEVEL + 1})"],
-        ["eval", "psi(e9999999)"],
-        ["witness", "--epsilon", "e9999999", "--count", "1"],
-        ["witness", "--epsilon", "e0", "--count", str(harness.MAX_WITNESS_COUNT + 1)],
-        ["witness", "--epsilon", "e0", "--count", "100000000"],
+        (["eval", f"psi(e{gamma.MAX_LEVEL + 1})"], "MAX_LEVEL"),
+        (["eval", "psi(e9999999)"], "MAX_LEVEL"),
+        (["witness", "--epsilon", "e9999999", "--count", "1"], "MAX_LEVEL"),
+        (["witness", "--epsilon", "e0", "--count", str(harness.MAX_WITNESS_COUNT + 1)], "MAX_WITNESS_COUNT"),
+        (["witness", "--epsilon", "e0", "--count", "100000000"], "MAX_WITNESS_COUNT"),
+        # Python's limit on int text (4300 digits by default) caps a coefficient's size
+        (["eval", "e0" + " / 99999999999999999999" * 230], "Exceeds the limit (4300 digits)"),
     ],
-    ids=["psi-past-cap", "psi-huge", "witness-huge-epsilon", "count-past-cap", "count-huge"],
+    ids=[
+        "psi-past-cap", "psi-huge", "witness-huge-epsilon", "count-past-cap", "count-huge",
+        "coefficient-past-int-text-limit",
+    ],
 )
-def test_caps_exit_2_with_one_line(argv):
+def test_caps_exit_2_with_one_line(argv, cap):
     rc, out, err = run_cli(argv)
     assert (rc, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "MAX_LEVEL" in err or "MAX_WITNESS_COUNT" in err
+    assert cap in err
 
 
 @pytest.mark.parametrize(

@@ -251,22 +251,22 @@ def test_witness_small_epsilon():
     report = make_witness(unit(0), 3)
     assert report.alpha_level == 1
     assert report.alpha == ones(2)
-    assert report.bound == gamma.scale(unit(2), 2)
+    assert report.bound == unit(2) * 2
     assert report.prefix == (unit(2), unit(2) + unit(3), unit(2) + unit(3) + unit(4))
 
 
 def test_witness_deeper_epsilon():
-    report = make_witness(gamma.scale(unit(5), 2), 2)
+    report = make_witness(unit(5) * 2, 2)
     assert report.alpha_level == 6
-    assert report.bound == gamma.scale(unit(7), 2)
+    assert report.bound == unit(7) * 2
     for x in report.prefix:
-        assert ZERO < x < report.bound < gamma.scale(unit(5), 2)
+        assert ZERO < x < report.bound < unit(5) * 2
 
 
 def test_witness_chain_properties():
     rng_levels = [0, 1, 2, 5, 9]
     for level in rng_levels:
-        epsilon = gamma.scale(unit(level), Fraction(3, 7))
+        epsilon = unit(level) * Fraction(3, 7)
         report = make_witness(epsilon, 8)
         assert len(report.prefix) == 8
         previous = ZERO

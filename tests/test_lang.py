@@ -45,7 +45,7 @@ GOLDEN_TERMS = [
     ("0", Literal(ZERO), "0"),
     ("inf", Literal(INF), "inf"),
     ("e3", Literal(unit(3)), "e3"),
-    ("3/2*e0", Literal(gamma.scale(unit(0), Fraction(3, 2))), "3/2*e0"),
+    ("3/2*e0", Literal(unit(0) * Fraction(3, 2)), "3/2*e0"),
     ("x", Var("x"), "x"),
     ("x + y", Add(Var("x"), Var("y")), "x + y"),
     ("x - y", Add(Var("x"), Neg(Var("y"))), "x - y"),
@@ -270,7 +270,7 @@ def test_default_values():
 
 
 def test_eval_with_bindings():
-    env = {"x": gamma.scale(unit(3), 2)}
+    env = {"x": unit(3) * 2}
     assert lang.evaluate(term("psi(x)"), env) == gamma.psi_element(3)
     assert lang.evaluate(term("x / 2 + e0"), env) == GammaElement([(0, 1), (3, 1)])
     assert lang.evaluate(formula("psi(e1) = e0 + e1")) is True
@@ -316,7 +316,7 @@ def test_walks_do_not_recurse_per_level():
     for _ in range(depth):
         sum_tree = Add(sum_tree, Literal(unit(0)))
         nots = Not(nots)
-    assert lang.evaluate(sum_tree) == gamma.scale(unit(0), depth + 1)
+    assert lang.evaluate(sum_tree) == unit(0) * (depth + 1)
     assert lang.evaluate(nots, {"x": ZERO}) is True
     assert lang.format_any(sum_tree) == " + ".join(["e0"] * (depth + 1))
     assert lang.format_any(nots) == "!" * depth + "x = x"
@@ -354,7 +354,7 @@ def sample_literal_ast(rng: random.Random) -> Literal:
     if roll < 0.3:
         return Literal(INF)
     coeff = abs(sample_coefficient(rng))
-    return Literal(gamma.scale(gamma.unit(rng.randint(0, MAX_SUPPORT)), coeff))
+    return Literal(gamma.unit(rng.randint(0, MAX_SUPPORT)) * coeff)
 
 
 def sample_term_ast(rng: random.Random, depth: int = 4) -> lang.TermNode:

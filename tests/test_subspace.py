@@ -301,7 +301,7 @@ def test_s_image_witnesses_match_reference_on_unit_and_psi_spans(n):
         [ones(i + 1) for i in range(n)],
         # rows e(2i-1) + e(2i): coordinate 2i is 1 on the slice, no level
         [ones(2 * i + 1) for i in range(n)],
-        [ones(i + 1) + gamma.scale(unit(i + 2), Fraction(1, 2)) for i in range(n)],
+        [ones(i + 1) + unit(i + 2) / 2 for i in range(n)],
     ):
         _assert_s_image_matches_reference(echelonize(gens))
 
@@ -322,7 +322,7 @@ def test_growth_s_from_zero_base():
 
 
 def test_growth_with_dependent_generator():
-    _, report, _ = growth_check(span("e1"), [gamma.scale(unit(1), Fraction(1, 2))])
+    _, report, _ = growth_check(span("e1"), [unit(1) / 2])
     assert report.new_generator_count == 0
     assert report.added_levels == () and report.passed
 
@@ -451,7 +451,7 @@ def combination_successor_check(
         raise ValueError("levels must be strictly increasing")
     alpha = ZERO
     for c, level in zip(coefficients, levels):
-        alpha = alpha + gamma.scale(gamma.psi_element(level), c)
+        alpha = alpha + gamma.psi_element(level) * c
     if sum(coefficients) == 1:
         rule = "sum=1"
         expected = gamma.psi_element(levels[0] + 1)
