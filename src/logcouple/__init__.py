@@ -1,17 +1,12 @@
 """Exact-arithmetic workbench for the asymptotic couple of logarithmic transseries."""
 
 from .gamma import (
-    EQ,
-    GT,
     INF,
-    LT,
     ZERO,
     DomainError,
-    ElementError,
     ExtendedElement,
     GammaElement,
     Infinity,
-    arch_class_compare,
     derivative,
     first_non_one_index,
     format_element,
@@ -19,7 +14,6 @@ from .gamma import (
     in_negative_derivatives,
     in_positive_derivatives,
     integrate,
-    parse_element,
     predecessor,
     psi,
     psi_element,
@@ -27,5 +21,6 @@ from .gamma import (
     successor,
     unit,
 )
+from .lang import ElementError, parse_element
 
 __version__ = "0.1.0"

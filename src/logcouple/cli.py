@@ -52,7 +52,7 @@ def load_generators(path: str) -> List[GammaElement]:
         if not line or line.startswith("#"):
             continue
         try:
-            element = gamma.parse_element(line)
+            element = lang.parse_element(line)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
         if isinstance(element, Infinity):
@@ -146,7 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             parsed_name = None
         if not isinstance(parsed_name, lang.Var):
             raise CliError(f"--let name {name!r} is not a variable")
-        env[name] = gamma.parse_element(text.strip())
+        env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     value = lang.evaluate(node, env)
     if args.json:
@@ -162,6 +162,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise CliError("--trials must be nonnegative")
+    if args.trials > harness.MAX_TRIALS:
+        raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {harness.MAX_TRIALS}")
     cfg = SamplerConfig(seed=args.seed, trials=args.trials)
     report = harness.run_suite(args.suite, cfg)
     if args.json:
@@ -173,14 +175,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
     generators = load_generators(args.gens)
-    space = echelonize(generators)
     if args.op == "growth":
         if args.extend is None:
             raise CliError("--op growth requires --extend FILE")
         extra = load_generators(args.extend)
         if not extra:
             raise CliError(f"{args.extend}: growth needs at least one new generator")
-        reports = growth_check(space, extra)
+        reports = growth_check(echelonize(generators), extra)
         ok = all(r.passed for r in reports)
         if args.json:
             _emit_json(gamma.jsonable({"passed": ok, "growth": reports}))
@@ -188,7 +189,8 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
             print("\n\n".join(_growth_text(r) for r in reports))
         return EXIT_PASS if ok else EXIT_FAIL
     if args.extend is not None:
-        space = echelonize(generators + load_generators(args.extend))
+        generators += load_generators(args.extend)
+    space = echelonize(generators)
     report = space.image(args.op)
     if args.json:
         _emit_json(gamma.jsonable(report))
@@ -198,7 +200,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    epsilon = gamma.parse_element(args.epsilon)
+    epsilon = lang.parse_element(args.epsilon)
     if isinstance(epsilon, Infinity):
         raise CliError("epsilon must be a group element, not inf")
     report = harness.make_witness(epsilon, args.count)

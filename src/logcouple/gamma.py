@@ -83,14 +83,6 @@ class Infinity:
 INF = Infinity()
 
 
-class ElementError(ValueError):
-    """Malformed element text."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class DomainError(ValueError):
     """Argument outside an operation's stated domain."""
 
@@ -411,25 +403,6 @@ def predecessor(x: ExtendedElement) -> ExtendedElement:
     return psi_element(level - 1)
 
 
-def arch_class_compare(a: GammaElement, b: GammaElement) -> int:
-    """Compare archimedean classes: [a] < [b] iff n|a| < |b| for all n.
-
-    Classes are indexed by leading index, reversed: a smaller leading
-    index dominates every element with a larger one.  The class of 0 is
-    the minimum.
-    """
-    if not a and not b:
-        return EQ
-    if not a:
-        return LT
-    if not b:
-        return GT
-    la, lb = a.coords[0][0], b.coords[0][0]
-    if la == lb:
-        return EQ
-    return GT if la < lb else LT
-
-
 def in_conv_psi(a: GammaElement) -> bool:
     """Membership in the convex hull of the psi-set.
 
@@ -461,14 +434,17 @@ def in_negative_derivatives(a: GammaElement) -> bool:
 
 # --- text format ------------------------------------------------------------
 #
-# element  := '0' | 'inf' | [sign] term (sign term)*
-# term     := (rational '*')? 'e' digits
+# element  := '0' | 'inf' | ['-'] term (sign term)*
+# term     := (rational '*')? 'e<digits>'
 # rational := digits ('/' digits)?
 # sign     := '+' | '-'
 #
 # The formatter is canonical: increasing index order, no zero terms,
 # coefficient 1 elided, exactly one space around interior signs.  The
-# parser accepts terms in any order and sums duplicates.
+# reader is ``lang.parse_element``: it takes its tokens from the term
+# language's lexer, so whitespace may separate any two tokens above (but
+# not 'e' from its digits), and it accepts terms in any order and sums
+# duplicates.
 
 
 def format_element(x: ExtendedElement) -> str:
@@ -510,87 +486,3 @@ def jsonable(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return value
-
-
-def parse_element(text: str) -> ExtendedElement:
-    """Parse the element text format; raises ElementError with a position."""
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def read_digits(what: str) -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdecimal():
-            pos += 1
-        if pos == start:
-            raise ElementError(f"expected {what}", start)
-        return int(s[start:pos])
-
-    skip_ws()
-    if pos >= n:
-        raise ElementError("empty element text", pos)
-
-    if s.startswith("inf", pos):
-        pos += 3
-        skip_ws()
-        if pos != n:
-            raise ElementError("trailing input after 'inf'", pos)
-        return INF
-
-    # Standalone zero: a '0' not followed by a rational/term continuation.
-    if s[pos] == "0":
-        save = pos
-        pos += 1
-        skip_ws()
-        if pos == n:
-            return ZERO
-        pos = save
-
-    pairs = []
-    first = True
-    while True:
-        skip_ws()
-        sign = 1
-        if pos < n and s[pos] in "+-":
-            if first and s[pos] == "+":
-                raise ElementError("unexpected leading '+'", pos)
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ElementError("expected '+' or '-' between terms", pos)
-
-        coeff = Fraction(1)
-        if pos < n and s[pos].isdecimal():
-            num = read_digits("numerator digits")
-            den = 1
-            if pos < n and s[pos] == "/":
-                pos += 1
-                den = read_digits("denominator digits")
-                if den == 0:
-                    raise ElementError("zero denominator", pos - 1)
-            coeff = Fraction(num, den)
-            skip_ws()
-            if pos >= n or s[pos] != "*":
-                raise ElementError("expected '*' after coefficient", pos)
-            pos += 1
-            skip_ws()
-        if pos >= n or s[pos] != "e":
-            raise ElementError("expected basis vector 'e<index>'", pos)
-        pos += 1
-        index = read_digits("basis index digits")
-        pairs.append((index, sign * coeff))
-        first = False
-
-        skip_ws()
-        if pos >= n:
-            break
-        if s[pos] not in "+-":
-            raise ElementError("expected '+' or '-' between terms", pos)
-    return GammaElement(pairs)

@@ -477,7 +477,6 @@ class TrichotomyFailure(RuntimeError):
 def classify_affine_image(
     mapping: AffineMap,
     family: Sequence[Sequence[ExtendedElement]],
-    min_hits: Optional[int] = None,
 ) -> Classification:
     """Classify an affine map that often lands in the psi-set.
 
@@ -487,16 +486,10 @@ def classify_affine_image(
     identical or everywhere distinct, and that after merging identical
     coordinates the retained entries be globally pairwise distinct.
     Under genericity, if the map's value lies in the psi-set-or-inf on
-    at least ``min_hits`` family members, the map is identically inf,
+    at least arity + 2 family members, the map is identically inf,
     identically one psi-set member, or a coordinate projection on the
     whole family; the returned classification is verified extensionally
     before being returned.
-
-    The floor on ``min_hits`` is r + 2, where r counts the coordinates
-    that vary over the family: a constant coordinate only shifts the
-    map's constant, so on the family the map agrees with an affine map
-    of the r varying arguments, and the arity + 2 hypothesis is applied
-    to that map.  The default is arity + 2, never below the floor.
 
     An empty family and type-level violations raise ValueError;
     genericity or hit-count shortfalls return NotApplicable; a
@@ -518,13 +511,6 @@ def classify_affine_image(
 
     columns = [tuple(row[j] for row in rows) for j in range(m)]
     retained = [j for j in range(m) if len(set(columns[j])) > 1]
-    if min_hits is None:
-        min_hits = m + 2
-    if min_hits < len(retained) + 2:
-        raise ValueError(
-            f"min_hits must be at least varying coordinates + 2 = {len(retained) + 2}, "
-            f"got {min_hits}"
-        )
     for j in retained:
         if any(isinstance(v, Infinity) for v in columns[j]):
             return NotApplicable(f"nonconstant coordinate {j} contains inf")
@@ -554,8 +540,8 @@ def classify_affine_image(
     hits = sum(
         1 for v in values if isinstance(v, Infinity) or gamma.psi_level(v) is not None
     )
-    if hits < min_hits:
-        return NotApplicable(f"{hits} psi-set hits, need at least {min_hits}")
+    if hits < m + 2:
+        return NotApplicable(f"{hits} psi-set hits, need at least {m + 2}")
 
     def bundle() -> Dict[str, object]:
         return gamma.jsonable({"map": mapping, "family": rows, "values": values})
@@ -841,6 +827,8 @@ class WitnessReport:
 
 # Largest witness prefix: element k has k coordinates, so output grows as count**2.
 MAX_WITNESS_COUNT = 1000
+# Most trials one ``check`` runs: minutes of work per suite, not days.
+MAX_TRIALS = 10**6
 
 
 def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:

@@ -7,7 +7,9 @@ Terms:    variables, element literals (``0``, ``inf``, ``q*e<k>``), ``+``,
 Formulas: ``t1 = t2``, ``t1 < t2``, ``!``, ``&``, ``|`` with precedence
           ``!`` > ``&`` > ``|``; parentheses group both levels.
 ``parse_any`` reads the formula grammar in one pass and accepts a bare
-term only when it is the whole input.
+term only when it is the whole input.  ``parse_element`` reads element
+text, the literal sums ``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``,
+from the same tokens.  Both report the leftmost error.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
@@ -148,6 +150,14 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+class ElementError(ValueError):
+    """Malformed element text."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
 class EvalError(ValueError):
     """Evaluation failure, e.g. an unbound variable."""
 
@@ -158,56 +168,52 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<number>\d+)
+  | (?P<basis>e[0-9]+(?![A-Za-z0-9_]))
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[()+\-*/!&|=<])
+  | (?P<char>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_BASIS_RE = re.compile(r"^e\d+$")
+_NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
+_DEPTH_STEP = {"(": 1, ")": -1}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
-    kind: str  # number basis var func inf quant ( ) + - * / ! & | = < eof
+    kind: str  # number basis var func inf quant char deep ( ) + - * / ! & | = < eof
     text: str
     pos: int
     value: int = 0
 
 
 def _lex(text: str) -> List[_Token]:
+    """Tokens of ``text``; never raises a ParseError.
+
+    A character outside the grammar becomes a ``char`` token and a '(' past
+    ``MAX_NESTING`` a ``deep`` token.  No rule consumes either, so the
+    parser reports the leftmost error when it reaches one.
+    """
     tokens: List[_Token] = []
-    pos = 0
-    n = len(text)
     depth = 0
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "ws":
-            pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        lexeme = m.group()
-        if m.lastgroup == "number":
-            tokens.append(_Token("number", lexeme, pos, int(lexeme)))
-        elif m.lastgroup == "name":
-            if _BASIS_RE.match(lexeme):
-                tokens.append(_Token("basis", lexeme, pos, int(lexeme[1:])))
-            elif lexeme == "inf":
-                tokens.append(_Token("inf", lexeme, pos))
-            elif lexeme in FUNCTIONS:
-                tokens.append(_Token("func", lexeme, pos))
-            elif lexeme in _QUANTIFIERS:
-                tokens.append(_Token("quant", lexeme, pos))
-            else:
-                tokens.append(_Token("var", lexeme, pos))
+        lexeme, pos = m[0], m.start()
+        if kind == "number":
+            tokens.append(_Token(kind, lexeme, pos, int(lexeme)))
+        elif kind == "basis":
+            tokens.append(_Token(kind, lexeme, pos, int(lexeme[1:])))
+        elif kind == "name":
+            tokens.append(_Token(_NAME_KINDS.get(lexeme, "var"), lexeme, pos))
+        elif kind == "sym":
+            depth += _DEPTH_STEP.get(lexeme, 0)
+            tokens.append(_Token("deep" if depth > MAX_NESTING else lexeme, lexeme, pos))
         else:
-            depth += {"(": 1, ")": -1}.get(lexeme, 0)
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            tokens.append(_Token(lexeme, lexeme, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", n))
+            tokens.append(_Token(kind, lexeme, pos))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -244,6 +250,10 @@ class _Parser:
                 "fragment (=, <, !, &, |) is implemented",
                 tok.pos,
             )
+        if tok.kind == "char":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
+        if tok.kind == "deep":
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
         what = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
         raise ParseError(f"unexpected {what}", tok.pos, expected)
 
@@ -331,6 +341,55 @@ class _Parser:
         self.fail(self.peek(), frozenset({"'*'"}))
         raise AssertionError("unreachable")
 
+    # element text: 'inf', '0', or a sum of signed [q*]e<k> literals
+
+    def element(self) -> ExtendedElement:
+        tok = self.take()
+        if tok.kind == "eof":
+            raise ElementError("empty element text", tok.pos)
+        if tok.kind == "inf":
+            if self.peek().kind != "eof":
+                raise ElementError("trailing input after 'inf'", self.peek().pos)
+            return INF
+        if tok.text == "0" and self.peek().kind == "eof":
+            return ZERO
+        if tok.kind == "+":
+            raise ElementError("unexpected leading '+'", tok.pos)
+        pairs = []
+        while True:
+            sign = -1 if tok.kind == "-" else 1
+            if tok.kind in ("+", "-"):
+                tok = self.take()
+            coeff = sign
+            if tok.kind == "number":
+                den = 1
+                if self.peek().kind == "/":
+                    self.take()
+                    den_tok = self.take()
+                    if den_tok.kind != "number":
+                        raise ElementError("expected denominator digits", den_tok.pos)
+                    den = den_tok.value
+                    if den == 0:
+                        raise ElementError("zero denominator", den_tok.pos + len(den_tok.text) - 1)
+                coeff = Fraction(sign * tok.value, den)
+                tok = self.take()
+                if tok.kind != "*":
+                    raise ElementError("expected '*' after coefficient", tok.pos)
+                tok = self.take()
+            if tok.kind != "basis":
+                if tok.text.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
+                    digits = len(tok.text) - 1 - len(tok.text[1:].lstrip("0123456789"))
+                    if digits:
+                        raise ElementError("expected '+' or '-' between terms", tok.pos + 1 + digits)
+                    raise ElementError("expected basis index digits", tok.pos + 1)
+                raise ElementError("expected basis vector 'e<index>'", tok.pos)
+            pairs.append((tok.value, coeff))
+            tok = self.take()
+            if tok.kind == "eof":
+                return gamma.GammaElement(pairs)
+            if tok.kind not in ("+", "-"):
+                raise ElementError("expected '+' or '-' between terms", tok.pos)
+
     # formulas
 
     def formula(self) -> Node:
@@ -395,6 +454,11 @@ def parse_any(text: str, strict_llog: bool = False) -> Node:
     node = parser.formula()
     parser.done()
     return node
+
+
+def parse_element(text: str) -> ExtendedElement:
+    """Read element text with the term language's lexer; raises ElementError."""
+    return _Parser(_lex(text), False).element()
 
 
 # --- one walk for every job ---------------------------------------------------

@@ -88,17 +88,6 @@ class Subspace:
         """Largest basis index touched; -1 for the zero subspace."""
         return max((row.coords[-1][0] for row in self._rows), default=-1)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Subspace):
-            return self._rows == other._rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"Subspace{list(self._rows)!r}"
-
     def reduce(self, x: GammaElement) -> GammaElement:
         """Residue of x after subtracting its projection onto the rows."""
         return _reduce(self._rows, x)

@@ -307,11 +307,13 @@ def test_psi_up_to_max_level_evaluates():
         (["witness", "--epsilon", "e9999999", "--count", "1"], "MAX_LEVEL"),
         (["witness", "--epsilon", "e0", "--count", str(harness.MAX_WITNESS_COUNT + 1)], "MAX_WITNESS_COUNT"),
         (["witness", "--epsilon", "e0", "--count", "100000000"], "MAX_WITNESS_COUNT"),
+        (["check", "axioms", "--trials", str(harness.MAX_TRIALS + 1)], "MAX_TRIALS"),
         # Python's limit on int text (4300 digits by default) caps a coefficient's size
         (["eval", "e0" + " / 99999999999999999999" * 230], "Exceeds the limit (4300 digits)"),
     ],
     ids=[
         "psi-past-cap", "psi-huge", "witness-huge-epsilon", "count-past-cap", "count-huge",
+        "trials-past-cap",
         "coefficient-past-int-text-limit",
     ],
 )
@@ -372,7 +374,7 @@ def test_large_unit_spans(tmp_path, op, count, levels):
     assert payload["levels"] == list(range(levels))
     apply = gamma.successor if op == "s" else gamma.predecessor
     for level, text in payload["witnesses"].items():
-        assert apply(gamma.parse_element(text)) == gamma.psi_element(int(level))
+        assert apply(lang.parse_element(text)) == gamma.psi_element(int(level))
 
 
 # --- determinism --------------------------------------------------------------------

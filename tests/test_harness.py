@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple import cli, gamma, harness
+from logcouple import cli, gamma, harness, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
 from logcouple.harness import (
     AffineMap,
@@ -78,7 +78,7 @@ def test_corrupted_psi_fails_with_counterexamples():
     assert any(f.check == "psi_gap" for f in report.failures)
     bundle = report.failures[0]
     for text in bundle.inputs.values():
-        gamma.parse_element(text)  # replayable through the element grammar
+        lang.parse_element(text)  # replayable through the element grammar
     assert report.failure_count >= len(report.failures)
 
 
@@ -150,9 +150,10 @@ def test_classify_const_psi():
         (psi(0), psi(5)),
         (psi(1), psi(5)),
         (psi(2), psi(5)),
+        (psi(3), psi(5)),
     )
     mapping = AffineMap((Fraction(0), Fraction(1)), ZERO)
-    assert classify_affine_image(mapping, table, min_hits=3) == ConstPsi(5)
+    assert classify_affine_image(mapping, table) == ConstPsi(5)
 
 
 def test_affine_map_rejects_inexact_coefficients():
@@ -161,21 +162,10 @@ def test_affine_map_rejects_inexact_coefficients():
     assert AffineMap((1, Fraction(1, 2)), ZERO).coefficients == (Fraction(1), Fraction(1, 2))
 
 
-def test_min_hits_floor_counts_varying_coordinates():
-    mapping = AffineMap((Fraction(1), Fraction(0)), ZERO)
-    both_vary = _family((psi(0), psi(5)), (psi(1), psi(6)), (psi(2), psi(7)))
-    with pytest.raises(ValueError):
-        classify_affine_image(mapping, both_vary, min_hits=3)
-    one_varies = _family((psi(0), psi(5)), (psi(1), psi(5)), (psi(2), psi(5)))
-    with pytest.raises(ValueError):
-        classify_affine_image(mapping, one_varies, min_hits=2)
-    assert classify_affine_image(mapping, one_varies, min_hits=3) == Projection(0)
-
-
 def test_classify_const_inf():
     table = _family((psi(0),), (psi(1),), (psi(2),))
     mapping = AffineMap((Fraction(1),), INF)
-    assert classify_affine_image(mapping, table, min_hits=3) == ConstInf()
+    assert classify_affine_image(mapping, table) == ConstInf()
 
 
 def test_classify_affine_disguised_projection():

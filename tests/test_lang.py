@@ -1,11 +1,14 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logcouple import gamma, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
@@ -232,6 +235,16 @@ def test_trailing_input_rejected():
     assert err.value.position == 6
 
 
+def test_leftmost_error_wins():
+    # An unknown character no longer hides an error to its left.
+    with pytest.raises(ParseError) as err:
+        lang.parse_any("x y ?")
+    assert str(err.value) == "unexpected 'y' at position 2 (expected '<', '=')"
+    with pytest.raises(lang.ElementError) as err:
+        lang.parse_element("e0 e1 ?")
+    assert str(err.value) == "expected '+' or '-' between terms (at position 3)"
+
+
 @pytest.mark.parametrize("quant", ["forall", "exists"])
 def test_quantifiers_get_pointed_error(quant):
     with pytest.raises(ParseError) as err:
@@ -254,6 +267,47 @@ def test_divide_node_validates():
         Div(Var("x"), 0)
     with pytest.raises(ValueError):
         Apply("log", Var("x"))
+
+
+# --- element text: the literal sums of the term language ---------------------------
+
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).parents[1] / "perfbench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
+
+
+@st.composite
+def literal_sums(draw):
+    """Signed ``[q*]e<k>`` terms in any order, indices repeating, spaces optional."""
+    space = st.sampled_from(("", " ", "  "))
+    text = ""
+    for n in range(draw(st.integers(1, 6))):
+        text += draw(space) + draw(st.sampled_from(("", "-") if n == 0 else ("+", "-")))
+        if draw(st.booleans()):
+            text += draw(space) + str(draw(st.integers(0, 99)))
+            if draw(st.booleans()):
+                text += f"{draw(space)}/{draw(space)}{draw(st.integers(1, 99))}"
+            text += f"{draw(space)}*"
+        text += f"{draw(space)}e{draw(st.integers(0, 5))}"
+    return text + draw(space)
+
+
+@given(literal_sums())
+def test_element_text_is_the_literal_sum_fragment(text):
+    element = lang.parse_element(text)
+    assert element == lang.evaluate(lang.parse_any(text))
+    assert dict(element.coords) == oracle.parse(text)
+
+
+def test_both_readers_agree_on_spacing_and_index_digits():
+    three_halves = unit(0) * Fraction(3, 2)
+    assert lang.parse_element("3 / 2*e0") == lang.evaluate(lang.parse_any("3 / 2*e0")) == three_halves
+    with pytest.raises(lang.ElementError):
+        lang.parse_element("e\u0663")  # ARABIC-INDIC DIGIT THREE
+    with pytest.raises(ParseError):
+        lang.parse_any("e\u0663")
 
 
 # --- evaluation -------------------------------------------------------------------
