@@ -3,8 +3,9 @@
 The group is the direct sum of countably many copies of Q, one per basis
 vector ``e0, e1, e2, ...``, ordered lexicographically: an element is
 positive iff its coefficient at the smallest supported index is positive.
-Elements are immutable, finitely supported vectors with
-``fractions.Fraction`` coefficients; all arithmetic is exact.
+Elements are immutable, finitely supported vectors of exact rationals,
+stored as int numerators over one common denominator and read as
+``fractions.Fraction`` through ``coords`` and ``coefficient()``.
 
 On top of the group live the maps that make it an asymptotic couple:
 
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -95,14 +97,17 @@ class GammaElement:
     Instances are immutable and hashable (the hash is cached); ``==`` is
     exact equality.
 
-    Invariant: ``coords`` is a tuple of ``(index, Fraction)`` pairs with
-    strictly increasing nonnegative int indices and nonzero coefficients.
+    Invariant: ``_num`` is a tuple of ``(index, int)`` pairs with strictly
+    increasing nonnegative indices and nonzero ints, ``_den`` an int > 0
+    with ``gcd(_den, *numerators) == 1``; the coefficient at index i is
+    ``Fraction(n, _den)``, which ``coords`` builds on each access.  The
+    form is canonical, so ``==`` and the hash compare tuples.
     ``__init__`` establishes it from any input; the private ``_make``
-    stores a tuple that already satisfies it without checking, and is
+    stores a form that already satisfies it without checking, and is
     used only by the operations here that preserve it.
     """
 
-    __slots__ = ("_coords", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
         acc: dict = {}
@@ -117,62 +122,63 @@ class GammaElement:
                 acc[index] += q
             else:
                 acc[index] = q
-        _set_coords(self, tuple(sorted((i, q) for i, q in acc.items() if q != 0)))
+        x = _from_pairs(sorted((i, q) for i, q in acc.items() if q != 0))
+        _set_num(self, x._num)
+        _set_den(self, x._den)
         _set_hash(self, None)
 
     @classmethod
-    def _make(cls, coords: Tuple[Tuple[int, Fraction], ...]) -> "GammaElement":
+    def _make(cls, num: Tuple[Tuple[int, int], ...], den: int = 1) -> "GammaElement":
         self = object.__new__(cls)
-        _set_coords(self, coords)
+        _set_num(self, num)
+        _set_den(self, den)
         _set_hash(self, None)
         return self
 
     @property
     def coords(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return self._coords
+        return tuple((i, Fraction(n, self._den)) for i, n in self._num)
 
     def coefficient(self, index: int) -> Fraction:
-        for i, q in self._coords:
+        for i, n in self._num:
             if i == index:
-                return q
+                return Fraction(n, self._den)
             if i > index:
                 break
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coords)
+        return bool(self._num)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GammaElement is immutable")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
-            return self._coords == other._coords
+            return self._num == other._num and self._den == other._den
         return False if isinstance(other, Infinity) else NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self._coords)
+            h = hash((self._num, self._den))
             _set_hash(self, h)
         return h
 
     def __add__(self, other: object) -> "ExtendedElement":
         if isinstance(other, GammaElement):
-            if not (self._coords and other._coords):
-                return other if not self._coords else self
-            return _make(_merge(self._coords, other._coords, False))
+            return _merge(self, other, 1)
         if isinstance(other, Infinity):
             return INF
         return NotImplemented
 
     def __sub__(self, other: object) -> "GammaElement":
         if isinstance(other, GammaElement):
-            return _make(_merge(self._coords, other._coords, True))
+            return _merge(self, other, -1)
         return NotImplemented
 
     def __neg__(self) -> "GammaElement":
-        return _make(tuple((i, -q) for i, q in self._coords))
+        return _make(tuple((i, -n) for i, n in self._num), self._den)
 
     def __mul__(self, q: object) -> "GammaElement":
         if not isinstance(q, (int, Fraction)):
@@ -181,25 +187,38 @@ class GammaElement:
             return ZERO
         if q == 1:
             return self
-        return _make(tuple((i, c * q) for i, c in self._coords))
+        return self._scaled(q.numerator, q.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, q: object) -> "GammaElement":
         if not isinstance(q, (int, Fraction)):
             return NotImplemented
-        return self * Fraction(q.denominator, q.numerator)  # ZeroDivisionError if q == 0
+        if not q:
+            raise ZeroDivisionError("division by zero")
+        return self._scaled(q.denominator, q.numerator)
+
+    def _scaled(self, p: int, r: int) -> "GammaElement":
+        """``self * p/r`` for coprime nonzero ints: two gcds cancel."""
+        if r < 0:
+            p, r = -p, -r
+        num, den = self._num, self._den
+        g = gcd(p, den)
+        h = gcd(r, *[n for _, n in num]) if r != 1 else 1
+        p, den, r = p // g, den // g, r // h
+        return _make(tuple((i, n // h * p) for i, n in num), den * r)
 
     def _cmp(self, other: "GammaElement") -> int:
-        a, b = self._coords, other._coords
-        for pa, pb in zip(a, b):
-            if pa != pb:
-                (ia, qa), (ib, qb) = pa, pb
+        a, b, da, db = self._num, other._num, self._den, other._den
+        for (ia, na), (ib, nb) in zip(a, b):
+            if ia != ib:
                 if ia < ib:
-                    return GT if qa > 0 else LT
-                if ib < ia:
-                    return LT if qb > 0 else GT
-                return GT if qa > qb else LT
+                    return GT if na > 0 else LT
+                return LT if nb > 0 else GT
+            if da != db:
+                na, nb = na * db, nb * da
+            if na != nb:
+                return GT if na > nb else LT
         n = min(len(a), len(b))
         if len(a) > n:
             return GT if a[n][1] > 0 else LT
@@ -233,24 +252,42 @@ class GammaElement:
 
 ExtendedElement = Union[GammaElement, Infinity]
 
-_set_coords = GammaElement._coords.__set__
+_set_num = GammaElement._num.__set__
+_set_den = GammaElement._den.__set__
 _set_hash = GammaElement._hash.__set__
 _make = GammaElement._make
-_ONE = Fraction(1)
-ZERO = GammaElement()
 
 
-def _merge(a: tuple, b: tuple, subtract: bool) -> tuple:
-    """Normalized coordinates of ``a + b`` (``a - b`` if ``subtract``)."""
-    if subtract:
-        b = tuple((i, -q) for i, q in b)
-    if not a or not b:
-        return a or b
-    if a[-1][0] < b[0][0]:
-        return a + b
+def _from_pairs(pairs: Sequence[Tuple[int, Rational]]) -> GammaElement:
+    """The element of sorted, distinct-index, nonzero ``(index, q)`` pairs:
+    numerators over the lcm of the denominators, canonical as they are."""
+    den = lcm(*(q.denominator for _, q in pairs))
+    return _make(tuple((i, q.numerator * (den // q.denominator)) for i, q in pairs), den)
+
+
+def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
+    """``x + y`` (``x - y`` if ``sign`` is -1) over the lcm of the denominators."""
+    b = y._num
+    if not b:
+        return x
+    a = x._num
+    if not a and sign == 1:
+        return y
+    da, db = x._den, y._den
+    g = gcd(da, db)
+    fa, fb = db // g, da // g * sign
+    den = da * fa
+    if fa != 1:
+        a = tuple((i, n * fa) for i, n in a)
+    if fb != 1:
+        b = tuple((i, n * fb) for i, n in b)
+    # Disjoint supports: the lcm keeps the form canonical, no gcd needed.
+    if not a or a[-1][0] < b[0][0]:
+        return _make(a + b, den)
     if b[-1][0] < a[0][0]:
-        return b + a
+        return _make(b + a, den)
     out = []
+    summed = False
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
@@ -265,9 +302,17 @@ def _merge(a: tuple, b: tuple, subtract: bool) -> tuple:
             q = a[i][1] + b[j][1]
             if q:
                 out.append((ia, q))
+            summed = True
             i += 1
             j += 1
-    return (*out, *a[i:], *b[j:])
+    num = (*out, *a[i:], *b[j:])
+    g = gcd(den, *[n for _, n in num]) if summed and den != 1 else 1
+    if g != 1:
+        den, num = den // g, tuple((k, n // g) for k, n in num)
+    return _make(num, den)
+
+
+ZERO = GammaElement()
 
 
 def unit(index: int) -> GammaElement:
@@ -280,7 +325,7 @@ def unit(index: int) -> GammaElement:
 # witness and the subspace images on short input such as ``psi(e200000)``.
 MAX_LEVEL = 10000
 # Members below this level are built once and shared (at most ~8k pairs);
-# all members slice one tuple of ``(i, _ONE)`` pairs, grown on demand.
+# all members slice one tuple of ``(i, 1)`` pairs over ``_den`` 1, grown on demand.
 _INTERNED_LEVELS = 128
 _interned: dict = {}
 _ones: tuple = ()
@@ -305,7 +350,7 @@ def psi_element(level: int) -> GammaElement:
         raise DomainError(f"psi level {level} exceeds MAX_LEVEL = {MAX_LEVEL}")
     if len(_ones) <= level:
         size = min(max(level + 1, 2 * len(_ones)), MAX_LEVEL + 1)
-        _ones += tuple((i, _ONE) for i in range(len(_ones), size))
+        _ones += tuple((i, 1) for i in range(len(_ones), size))
     member = _make(_ones[: level + 1])
     if level < _INTERNED_LEVELS:
         _interned[level] = member
@@ -316,12 +361,12 @@ def psi_level(x: ExtendedElement) -> Optional[int]:
     """Level n if ``x`` is exactly the vector of n+1 ones, else None."""
     if isinstance(x, Infinity):
         return None
-    coords = x._coords
-    n = len(coords) - 1
+    num = x._num
+    n = len(num) - 1
     if _interned.get(n) is x:
         return n
     # Indices strictly increase from 0, so they are 0..n iff the last is n.
-    if n < 0 or coords[n][0] != n or any(q != 1 for _, q in coords):
+    if n < 0 or num[n][0] != n or x._den != 1 or any(q != 1 for _, q in num):
         return None
     return n
 
@@ -332,11 +377,11 @@ def first_non_one_index(a: GammaElement) -> int:
     Always defined: coefficients beyond the support are 0, so the scan
     terminates at ``max(support)+1`` at the latest.
     """
-    expected = 0
-    for i, q in a.coords:
+    expected, den = 0, a._den
+    for i, n in a._num:
         if i > expected:
             return expected
-        if q != 1:
+        if n != den:
             return i
         expected = i + 1
     return expected
@@ -346,7 +391,7 @@ def psi(x: ExtendedElement) -> ExtendedElement:
     """Leading-index valuation: n+1 ones for leading index n; inf on 0, inf."""
     if isinstance(x, Infinity) or not x:
         return INF
-    return psi_element(x.coords[0][0])
+    return psi_element(x._num[0][0])
 
 
 def integrate(x: ExtendedElement) -> ExtendedElement:
@@ -360,11 +405,12 @@ def integrate(x: ExtendedElement) -> ExtendedElement:
     if isinstance(x, Infinity):
         return INF
     n = first_non_one_index(x)
-    # Below n the coordinates are the ones at indices 0..n-1.
-    tail = x._coords[n:]
+    # Below n the coordinates are the ones (numerator den) at indices 0..n-1;
+    # dropping them and subtracting den at n keeps gcd(den, *numerators) == 1.
+    tail, den = x._num[n:], x._den
     if tail and tail[0][0] == n:
-        return _make(((n, tail[0][1] - 1),) + tail[1:])
-    return _make(((n, -_ONE),) + tail)
+        return _make(((n, tail[0][1] - den),) + tail[1:], den)
+    return _make(((n, -den),) + tail, den)
 
 
 def derivative(x: ExtendedElement) -> ExtendedElement:
@@ -450,11 +496,12 @@ def in_negative_derivatives(a: GammaElement) -> bool:
 def format_element(x: ExtendedElement) -> str:
     if isinstance(x, Infinity):
         return "inf"
-    if not x.coords:
+    if not x._num:
         return "0"
     chunks = []
-    for i, q in x._coords:
-        num, den = q.numerator, q.denominator
+    for i, num in x._num:
+        g = gcd(num, x._den)
+        num, den = num // g, x._den // g
         sign = " + " if num > 0 else " - "
         if den != 1:
             chunks.append(f"{sign}{abs(num)}/{den}*e{i}")

@@ -69,8 +69,7 @@ def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0
     window = range(min_index, min_index + MAX_SUPPORT + 1)
     while True:
         size = rng.randint(0, min(4, len(window)))
-        pairs = [(i, sample_coefficient(rng)) for i in rng.sample(window, size)]
-        x = GammaElement(pairs)
+        x = gamma._from_pairs(sorted((i, sample_coefficient(rng)) for i in rng.sample(window, size)))
         if x or not nonzero:
             return x
 
@@ -81,11 +80,11 @@ def sample_positive(rng: random.Random) -> GammaElement:
 
 
 def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, Fraction]]:
-    """At most two random terms at indices above ``k``."""
-    return [
+    """At most two random terms at indices above ``k``, in index order."""
+    return sorted(
         (i, sample_coefficient(rng))
         for i in rng.sample(range(k + 1, k + 2 + MAX_SUPPORT), rng.randint(0, 2))
-    ]
+    )
 
 
 def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaElement:
@@ -97,18 +96,11 @@ def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaEleme
     which puts the element among derivatives of positive/negative
     elements.
     """
-    pairs = [(i, Fraction(1)) for i in range(level)]
-    while True:
-        c = Fraction(1) + sample_coefficient(rng)
-        if c == 1:
-            continue
-        if side > 0 and c <= 1:
-            continue
-        if side < 0 and c >= 1:
-            continue
-        break
-    pairs.append((level, c))
-    return GammaElement(pairs + _sparse_tail(rng, level))
+    c: Union[int, Fraction] = 1  # redrawn until it is not 1 and lies on ``side`` of 1
+    while c == 1 or (side > 0 and c < 1) or (side < 0 and c > 1):
+        c = 1 + sample_coefficient(rng)
+    pivot = [(level, c)] if c else []  # a draw of -1 makes c zero: no term
+    return gamma._from_pairs([(i, 1) for i in range(level)] + pivot + _sparse_tail(rng, level))
 
 
 # --- reports ------------------------------------------------------------------
@@ -241,7 +233,7 @@ def _axiom_trial(
         "0 < lo <= hi but psi(lo) < psi(hi)",
     )
 
-    deep = sample_element(rng, nonzero=True, min_index=a.coords[0][0] + 1)
+    deep = sample_element(rng, nonzero=True, min_index=a._num[0][0] + 1)
     fdeep = fn(deep)
     if fa < fdeep:
         rec.check(
@@ -357,7 +349,7 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     sign = rng.choice((1, -1))
 
     def offset() -> GammaElement:
-        return GammaElement([(k, sign * abs(sample_coefficient(rng)))] + _sparse_tail(rng, k))
+        return gamma._from_pairs([(k, sign * abs(sample_coefficient(rng)))] + _sparse_tail(rng, k))
 
     d1, d2 = offset(), offset()
     x, y = b + d1, b + d2
@@ -849,7 +841,7 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if count > MAX_WITNESS_COUNT:
         raise ValueError(f"count {count} exceeds MAX_WITNESS_COUNT = {MAX_WITNESS_COUNT}")
-    level = epsilon.coords[0][0] + 1
+    level = epsilon._num[0][0] + 1
     alpha = gamma.psi_element(level)
     bound = gamma.integrate(alpha) * -2
     if not (ZERO < bound < epsilon):

@@ -167,7 +167,7 @@ class EvalError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+)
+  | (?P<number>[0-9]+)
   | (?P<basis>e[0-9]+(?![A-Za-z0-9_]))
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[()+\-*/!&|=<])

@@ -81,12 +81,12 @@ class Subspace:
 
     @property
     def pivots(self) -> Tuple[int, ...]:
-        return tuple(row.coords[0][0] for row in self._rows)
+        return tuple(row._num[0][0] for row in self._rows)
 
     @property
     def max_support(self) -> int:
         """Largest basis index touched; -1 for the zero subspace."""
-        return max((row.coords[-1][0] for row in self._rows), default=-1)
+        return max((row._num[-1][0] for row in self._rows), default=-1)
 
     def reduce(self, x: GammaElement) -> GammaElement:
         """Residue of x after subtracting its projection onto the rows."""
@@ -108,7 +108,7 @@ class Subspace:
 
     def psi_image(self) -> ImageReport:
         """Levels of psi over the nonzero members: exactly the pivot set."""
-        witnesses = {row.coords[0][0]: row for row in self._rows}
+        witnesses = {row._num[0][0]: row for row in self._rows}
         return ImageReport("psi", self.pivots, witnesses)
 
     def s_image(self) -> ImageReport:
@@ -123,7 +123,7 @@ class Subspace:
         """
         levels: List[int] = []
         witnesses: Dict[int, GammaElement] = {}
-        row_at = {row.coords[0][0]: row for row in self._rows}
+        row_at = {row._num[0][0]: row for row in self._rows}
         below = ZERO
         for k in range(self.max_support + 2):
             if below.coefficient(k) != 1:
@@ -145,9 +145,9 @@ class Subspace:
         """
         # Every member is 0 at the first index no row touches, and a psi-set
         # member of level n is 1 at indices 0..n: none from there on is inside.
-        touched = {i for row in self._rows for i, _ in row.coords}
+        touched = {i for row in self._rows for i, _ in row._num}
         stop = next(i for i in range(len(touched) + 1) if i not in touched)
-        row_at = {row.coords[0][0]: row for row in self._rows}
+        row_at = {row._num[0][0]: row for row in self._rows}
         witnesses: Dict[int, GammaElement] = {}
         residue = ZERO
         for n in range(stop):
@@ -167,7 +167,7 @@ class Subspace:
 def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
     """``x`` minus, row by row, its coefficient at each row's pivot times the row."""
     for row in rows:
-        c = x.coefficient(row.coords[0][0])
+        c = x.coefficient(row._num[0][0])
         if c != 0:
             x = x - c * row
     return x
@@ -186,14 +186,14 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
         gen = _reduce(rows, gen)
         if not gen:
             continue
-        lead_index, lead_coeff = gen.coords[0]
-        gen = gen / lead_coeff
+        lead_index = gen._num[0][0]
+        gen = gen / gen.coefficient(lead_index)
         for i, row in enumerate(rows):
             c = row.coefficient(lead_index)
             if c != 0:
                 rows[i] = row - c * gen
         rows.append(gen)
-        rows.sort(key=lambda row: row.coords[0][0])
+        rows.sort(key=lambda row: row._num[0][0])
     return Subspace(tuple(rows))
 
 

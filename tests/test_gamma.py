@@ -5,6 +5,8 @@ Fixed expected values are derived by hand from the defining formulas
 cross-checked against brute-force oracles local to this file.
 """
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcouple import gamma, lang
+from logcouple import gamma, harness, lang
 from logcouple.gamma import (
     EQ,
     GT,
@@ -97,10 +99,10 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.coords = ()
     assert hash(a) == hash(elt((2, 3), (0, 1)))
-    for slot in ("_coords", "_hash"):
+    for slot in ("_num", "_den", "_hash"):
         with pytest.raises(AttributeError):
             setattr(a, slot, None)
-    assert hash(a) == hash(a.coords)
+    assert hash(a) == hash(GammaElement(a.coords))
 
 
 # --- fast paths: results built without the normalizing constructor -----------------
@@ -140,6 +142,132 @@ def test_fast_paths_equal_the_normalizing_constructor(a, b, q):
         assert got.coords == want.coords
         assert_normalized(got)
         assert hash(got) == hash(GammaElement(got.coords)) == hash(want)
+
+
+# --- the int kernel against a dict-of-Fraction reference ---------------------------
+
+# Mixed denominators, 20-digit numerators, and the scalars 0, 1 and -1.
+kernel_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+)
+kernel_scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**20), 10**20), kernel_coefficients)
+
+
+def reference(pairs):
+    out = {}
+    for i, q in pairs:
+        out[i] = out.get(i, 0) + Fraction(q)
+    return {i: q for i, q in out.items() if q}
+
+
+@st.composite
+def kernel_operands(draw):
+    """An element and its reference dict; psi-set members one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.integers(0, 12))
+        return gamma.psi_element(n), dict.fromkeys(range(n + 1), Fraction(1))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), kernel_coefficients), max_size=5))
+    return GammaElement(pairs), reference(pairs)
+
+
+def assert_canonical(x, want):
+    """``x`` has the int layout's canonical form and denotes ``want``."""
+    indices = [i for i, _ in x._num]
+    assert indices == sorted(set(indices)) and all(type(i) is int and i >= 0 for i in indices)
+    assert all(type(n) is int and n != 0 for _, n in x._num)
+    assert type(x._den) is int and x._den > 0
+    assert math.gcd(x._den, *(n for _, n in x._num)) == 1
+    assert {i: Fraction(n, x._den) for i, n in x._num} == want
+    assert dict(x.coords) == want and x == GammaElement(want.items())
+
+
+def reference_cmp(x, y):
+    d = reference([*x.items(), *((i, -q) for i, q in y.items())])
+    return 0 if not d else (1 if d[min(d)] > 0 else -1)
+
+
+def reference_first_non_one(x):
+    n = 0
+    while x.get(n) == 1:
+        n += 1
+    return n
+
+
+def reference_integrate(x):
+    n = reference_first_non_one(x)
+    return {n: x.get(n, 0) - 1, **{i: q for i, q in x.items() if i > n}}
+
+
+def reference_level(x):
+    n = max(x, default=-1)
+    return n if x and x == dict.fromkeys(range(n + 1), 1) else None
+
+
+def reference_format(x):
+    terms = []
+    for i in sorted(x):
+        q = x[i]
+        body = f"e{i}" if abs(q) == 1 else f"{abs(q)}*e{i}"
+        terms.append((" - " if q < 0 else " + ") + body)
+    text = "".join(terms)
+    return "0" if not x else text[3:] if x[min(x)] > 0 else "-" + text[3:]
+
+
+@given(kernel_operands(), kernel_operands(), kernel_scalars)
+def test_int_kernel_matches_dict_reference(xa, yb, q):
+    (a, x), (b, y) = xa, yb
+    assert_canonical(a, x)
+    assert_canonical(a + b, reference([*x.items(), *y.items()]))
+    assert_canonical(a - b, reference([*x.items(), *((i, -c) for i, c in y.items())]))
+    assert_canonical(-a, {i: -c for i, c in x.items()})
+    scaled = {i: c * q for i, c in x.items() if q}
+    assert_canonical(a * q, scaled)
+    assert_canonical(q * a, scaled)
+    if q:
+        assert_canonical(a / q, {i: c / q for i, c in x.items()})
+    cmp = reference_cmp(x, y)
+    assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+        cmp < 0, cmp <= 0, cmp == 0, cmp != 0, cmp >= 0, cmp > 0
+    )
+    assert_canonical(gamma.integrate(a), reference_integrate(x))
+    assert gamma.first_non_one_index(a) == reference_first_non_one(x)
+    assert gamma.psi_level(a) == reference_level(x)
+    assert gamma.format_element(a) == reference_format(x)
+
+
+def test_int_kernel_reduces_summed_coordinates():
+    half, sixth, third = Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)
+    total = elt((0, half)) + elt((0, half))
+    assert total == unit(0) and total._den == 1
+    total = elt((0, sixth)) + elt((1, third)) - elt((0, sixth))
+    assert total == elt((1, third)) and total._den == 3
+    assert (elt((0, half), (1, 1)) - elt((0, half)))._den == 1
+    assert (elt((0, third)) * 3)._den == 1 and (unit(0) / 4 * 2)._den == 2
+    assert gamma.psi_element(5) * Fraction(2, 3) / Fraction(2, 3) == gamma.psi_element(5)
+
+
+def test_int_kernel_compares_across_denominators():
+    # equal leading values over different denominators: the later terms decide
+    a = elt((0, Fraction(1, 2)), (1, Fraction(1, 3)))  # over 6
+    b = elt((0, Fraction(1, 2)), (1, Fraction(1, 2)))  # over 2
+    assert a < b and b > a and a != b
+    assert elt((0, Fraction(1, 2))) > elt((0, Fraction(1, 3)))
+    assert elt((0, Fraction(2, 3))) > elt((0, Fraction(1, 2)), (3, 1))
+    assert elt((0, Fraction(1, 2)), (2, -1)) < elt((0, Fraction(1, 2)))
+
+
+def test_sampler_outputs_are_normalized():
+    # The samplers bypass the normalizing constructor: 1 + c is 0 on a draw of -1.
+    for seed in range(2000):
+        rng = random.Random(seed)
+        outputs = [harness.sample_element(rng), harness.sample_positive(rng)]
+        outputs += [harness.sample_prefixed(rng, level, side) for level in range(9) for side in (1, -1)]
+        for x in outputs:
+            assert x == GammaElement(x.coords)
+            assert_normalized(x)
+            assert math.gcd(x._den, *(n for _, n in x._num)) == 1
 
 
 # --- group operations -------------------------------------------------------------

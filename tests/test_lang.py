@@ -1,6 +1,8 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import random
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcouple import gamma, lang
+from logcouple import cli, gamma, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
 from logcouple.harness import MAX_SUPPORT, SamplerConfig, sample_coefficient
 from logcouple.lang import (
@@ -308,6 +310,19 @@ def test_both_readers_agree_on_spacing_and_index_digits():
         lang.parse_element("e\u0663")  # ARABIC-INDIC DIGIT THREE
     with pytest.raises(ParseError):
         lang.parse_any("e\u0663")
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [(["eval", "\u0663*e0"], 0), (["eval", "x / \u0663", "--let", "x=e0"], 4)],
+    ids=["coefficient", "divisor"],
+)
+def test_numbers_take_only_ascii_digits(argv, position):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert (rc, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: unexpected character '\u0663' at position {position}\n"
 
 
 # --- evaluation -------------------------------------------------------------------
