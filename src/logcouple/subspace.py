@@ -1,10 +1,10 @@
 """Finitely generated Q-subspaces of the value group and their map images.
 
-A subspace is kept in reduced row echelon form over ``Fraction``: pivot
-columns strictly increasing, pivot coefficients 1, pivot columns cleared
-in all other rows.  That normal form makes membership a reduction, the
-psi-image the pivot set, and the successor-image an affine-slice
-computation:
+A subspace is kept in reduced row echelon form over int-over-denominator
+elements: pivot columns strictly increasing, pivot coefficients 1, pivot
+columns cleared in all other rows.  That normal form makes membership a
+reduction, the psi-image the pivot set, and the successor- and
+predecessor-images one walk over the rows:
 
 * ``psi`` of a nonzero member has the level of the least pivot carrying
   a nonzero coordinate, so the image over all nonzero members is exactly
@@ -19,9 +19,9 @@ computation:
   there with the sum of the rows whose pivot is below k, and that sum is
   kept as one running sum.
 * ``predecessor`` maps the psi-set members inside V of level >= 1 down
-  one level and everything else to inf.  Membership of psi_n is read
-  off one running residue: residue(psi_n) = residue(psi_{n-1}) +
-  residue(e_n), and residue(e_n) is e_n less the row with pivot n.
+  one level and everything else to inf.  psi_n is inside iff the sum of
+  the rows with pivot <= n is psi_n itself, and that sum is the running
+  sum above, so the same walk reads both images.
 
 No closure assumptions are made about the subspace.  ``growth_check``
 extends it once and reports the psi, s and p growth together; bounds
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import gamma
 from .gamma import ZERO, GammaElement
@@ -111,51 +111,43 @@ class Subspace:
         witnesses = {row._num[0][0]: row for row in self._rows}
         return ImageReport("psi", self.pivots, witnesses)
 
-    def s_image(self) -> ImageReport:
-        """Levels of successor over all members, witnesses included.
+    def _walk(self) -> Tuple[ImageReport, ImageReport]:
+        """The s and p images from one walk over the echelon rows.
 
         A member that is 1 at every coordinate below k has coefficient 1 on
         each row with pivot below k, and the other rows vanish there.  So
         the slice is read off one running sum, ``below``, of the rows with
         pivot below k.  It is nonempty iff ``below`` is 1 below k.  On it,
         coordinate k is free when k is a pivot, where ``below`` is 0, and
-        the constant ``below[k]`` otherwise.  ``below`` is the witness.
+        the constant ``below[k]`` otherwise.  ``below`` is the s witness.
+
+        While the walk runs, ``below`` is 1 below k.  At k = n+1, psi_n minus
+        ``below`` is a combination of the rows with pivot > n that is 0 at
+        their pivots: psi_n (p level n-1) is inside iff ``below`` ends at n.
         """
-        levels: List[int] = []
-        witnesses: Dict[int, GammaElement] = {}
+        s: Dict[int, GammaElement] = {}
+        p: Dict[int, GammaElement] = {}
         row_at = {row._num[0][0]: row for row in self._rows}
         below = ZERO
         for k in range(self.max_support + 2):
+            if k >= 2 and below._num[-1][0] == k - 1:
+                p[k - 2] = below
             if below.coefficient(k) != 1:
                 if gamma.successor(below) != gamma.psi_element(k):
                     raise RuntimeError(f"successor image witness failed at level {k}: {below!r}")
-                levels.append(k)
-                witnesses[k] = below
+                s[k] = below
                 if k not in row_at:
                     break  # no member is 1 at k, so every later slice is empty
                 below = below + row_at[k]
-        return ImageReport("s", tuple(levels), witnesses)
+        return ImageReport("s", tuple(s), s), ImageReport("p", tuple(p), p)
+
+    def s_image(self) -> ImageReport:
+        """Levels of successor over all members, witnesses included."""
+        return self._walk()[0]
 
     def p_image(self) -> ImageReport:
-        """Levels of predecessor over members, excluding the inf fiber.
-
-        psi_n is inside iff its residue is zero.  On RREF rows the residue
-        of e_n is e_n minus the row with pivot n (e_n if n is no pivot), so
-        one running residue, with one term added per level, covers them all.
-        """
-        # Every member is 0 at the first index no row touches, and a psi-set
-        # member of level n is 1 at indices 0..n: none from there on is inside.
-        touched = {i for row in self._rows for i, _ in row._num}
-        stop = next(i for i in range(len(touched) + 1) if i not in touched)
-        row_at = {row._num[0][0]: row for row in self._rows}
-        witnesses: Dict[int, GammaElement] = {}
-        residue = ZERO
-        for n in range(stop):
-            e_n = gamma.unit(n)
-            residue = residue + (e_n - row_at[n] if n in row_at else e_n)
-            if n and not residue:
-                witnesses[n - 1] = gamma.psi_element(n)
-        return ImageReport("p", tuple(witnesses), witnesses)
+        """Levels of predecessor over members, excluding the inf fiber."""
+        return self._walk()[1]
 
     def image(self, function: str) -> ImageReport:
         try:
@@ -166,6 +158,8 @@ class Subspace:
 
 def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
     """``x`` minus, row by row, its coefficient at each row's pivot times the row."""
+    if not isinstance(x, GammaElement):
+        raise TypeError(f"expected a group element, got {x!r}")
     for row in rows:
         c = x.coefficient(row._num[0][0])
         if c != 0:
@@ -173,16 +167,10 @@ def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
     return x
 
 
-def echelonize(generators: Iterable[GammaElement]) -> Subspace:
-    """Reduced row echelon form of the span of the generators.
-
-    Deterministic: the RREF basis is a canonical form of the subspace,
-    independent of generator order and redundancy.
-    """
-    rows: List[GammaElement] = []
+def _extend(rows: Sequence[GammaElement], generators: Iterable[GammaElement]) -> Subspace:
+    """RREF of the span of ``rows``, themselves in RREF, and the generators."""
+    rows = list(rows)
     for gen in generators:
-        if not isinstance(gen, GammaElement):
-            raise TypeError(f"generators must be group elements, got {gen!r}")
         gen = _reduce(rows, gen)
         if not gen:
             continue
@@ -197,18 +185,28 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
     return Subspace(tuple(rows))
 
 
+def echelonize(generators: Iterable[GammaElement]) -> Subspace:
+    """Reduced row echelon form of the span of the generators.
+
+    Deterministic: the RREF basis is a canonical form of the subspace,
+    independent of generator order and redundancy.
+    """
+    return _extend((), generators)
+
+
 def growth_check(
     space: Subspace, new_generators: Sequence[GammaElement]
 ) -> Tuple[GrowthReport, GrowthReport, GrowthReport]:
     """Image growth of psi, s and p when extending a subspace by new generators.
 
-    Counts m (the new generators outside the subspace) and echelonizes
-    the extended span once, then returns the (psi, s, p) reports with
-    bounds m, m+1 and m.  The psi bound is unconditional: image levels
-    are pivot levels, so ``len(psi.new_levels)`` is the extended
-    dimension and rank grows by at most m.  The s and p bounds mirror
-    statements about subgroups closed under the successor map, which a
-    finite-dimensional span need not be:
+    Reduces each new generator once: m counts those outside the base,
+    and their residues extend the base's echelon form.  Returns the
+    (psi, s, p) reports with bounds m, m+1 and m.  The psi bound is
+    unconditional: image levels are pivot levels, so
+    ``len(psi.new_levels)`` is the extended dimension and rank grows by
+    at most m.  The s and p bounds mirror statements about subgroups
+    closed under the successor map, which a finite-dimensional span
+    need not be:
 
     * the s bound fails when the base's unit-prefix chain stalls early
       (deficit = dim + 1 - |s-image| above 1, e.g. no support at
@@ -225,11 +223,12 @@ def growth_check(
     """
     if not new_generators:
         raise ValueError("at least one new generator required")
-    m = sum(1 for g in new_generators if not space.contains(g))
-    extended = echelonize(space.basis + tuple(new_generators))
+    residues = [r for r in map(space.reduce, new_generators) if r]
+    m = len(residues)
+    extended = _extend(space.basis, residues)
     reports = []
-    for function, bound in (("psi", m), ("s", m + 1), ("p", m)):
-        old, new = space.image(function), extended.image(function)
+    images = zip((space.psi_image(), *space._walk()), (extended.psi_image(), *extended._walk()))
+    for (function, bound), (old, new) in zip((("psi", m), ("s", m + 1), ("p", m)), images):
         added = tuple(sorted(set(new.levels) - set(old.levels)))
         passed = len(added) <= bound
         counterexample = None

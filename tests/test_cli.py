@@ -364,8 +364,8 @@ def test_one_far_generator_is_cheap(tmp_path, op):
 
 @pytest.mark.parametrize("op, count, levels", [("s", 200, 201), ("p", 400, 399)])
 def test_large_unit_spans(tmp_path, op, count, levels):
-    # every index is a pivot, so each level folds in one slice equation
-    # (s) or adds one residue term (p) instead of re-solving from scratch
+    # every index is a pivot, so each level adds one row to the running sum
+    # that both images read, instead of re-solving from scratch
     gens = tmp_path / f"e{count}.txt"
     gens.write_text("".join(f"e{i}\n" for i in range(count)))
     rc, out, err = run_cli(["subspace", "--op", op, "--gens", str(gens), "--json"])

@@ -325,11 +325,19 @@ def test_growth_with_dependent_generator():
     _, report, _ = growth_check(span("e1"), [unit(1) / 2])
     assert report.new_generator_count == 0
     assert report.added_levels == () and report.passed
+    # m counts the generators outside the base, not the rank growth: e1
+    # and e0 + e1 both lie outside span(e0), and the extension has dim 2
+    reports = growth_check(span("e0"), [unit(1), unit(0) + unit(1)])
+    assert [r.new_generator_count for r in reports] == [2, 2, 2]
+    assert reports[0].new_levels == (0, 1)
 
 
 def test_growth_rejects_bad_input():
     with pytest.raises(ValueError):
         growth_check(span("e0"), [])
+    for base in (span(), span("e0")):
+        with pytest.raises(TypeError):
+            growth_check(base, [0])
 
 
 extension_lists = st.lists(st.builds(
