@@ -112,17 +112,11 @@ class GammaElement:
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
         acc: dict = {}
         for index, q in coords:
-            if type(index) is not int or index < 0:
-                raise ValueError(f"basis index must be a nonnegative int, got {index!r}")
-            if type(q) is not Fraction:
-                if not isinstance(q, (int, Fraction)):
-                    raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
-                q = Fraction(q)
-            if index in acc:
-                acc[index] += q
-            else:
-                acc[index] = q
-        x = _from_pairs(sorted((i, q) for i, q in acc.items() if q != 0))
+            _check_index(index)
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
+            acc[index] = acc.get(index, 0) + q
+        x = _from_terms(sorted((i, q.numerator, q.denominator) for i, q in acc.items() if q))
         _set_num(self, x._num)
         _set_den(self, x._den)
         _set_hash(self, None)
@@ -140,12 +134,15 @@ class GammaElement:
         return tuple((i, Fraction(n, self._den)) for i, n in self._num)
 
     def coefficient(self, index: int) -> Fraction:
+        return Fraction(self._at(index), self._den)
+
+    def _at(self, index: int) -> int:  # the numerator over ``_den`` at ``index``
         for i, n in self._num:
             if i == index:
-                return Fraction(n, self._den)
+                return n
             if i > index:
                 break
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -185,8 +182,6 @@ class GammaElement:
             return NotImplemented
         if q == 0:
             return ZERO
-        if q == 1:
-            return self
         return self._scaled(q.numerator, q.denominator)
 
     __rmul__ = __mul__
@@ -199,9 +194,11 @@ class GammaElement:
         return self._scaled(q.denominator, q.numerator)
 
     def _scaled(self, p: int, r: int) -> "GammaElement":
-        """``self * p/r`` for coprime nonzero ints: two gcds cancel."""
-        if r < 0:
-            p, r = -p, -r
+        """``self * p/r`` for nonzero ints: reduce p/r, then two gcds cancel."""
+        g = gcd(p, r) if r > 0 else -gcd(p, r)
+        p, r = p // g, r // g
+        if p == r:  # the factor is 1
+            return self
         num, den = self._num, self._den
         g = gcd(p, den)
         h = gcd(r, *[n for _, n in num]) if r != 1 else 1
@@ -258,11 +255,18 @@ _set_hash = GammaElement._hash.__set__
 _make = GammaElement._make
 
 
-def _from_pairs(pairs: Sequence[Tuple[int, Rational]]) -> GammaElement:
-    """The element of sorted, distinct-index, nonzero ``(index, q)`` pairs:
-    numerators over the lcm of the denominators, canonical as they are."""
-    den = lcm(*(q.denominator for _, q in pairs))
-    return _make(tuple((i, q.numerator * (den // q.denominator)) for i, q in pairs), den)
+def _check_index(index: object) -> None:
+    if type(index) is not int or index < 0:
+        raise ValueError(f"basis index must be a nonnegative int, got {index!r}")
+
+
+def _from_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
+    """The element ``sum(n/d * e<i>)`` of ``(i, n, d)`` int terms, indices strictly
+    increasing and ``n != 0 < d``, with ``n/d`` not necessarily reduced."""
+    den = lcm(*[d for _, _, d in terms])
+    num = [(i, n * (den // d)) for i, n, d in terms]
+    g = gcd(den, *[n for _, n in num])
+    return _make(tuple([(i, n // g) for i, n in num]), den // g)
 
 
 def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
@@ -317,7 +321,8 @@ ZERO = GammaElement()
 
 def unit(index: int) -> GammaElement:
     """The basis vector ``e<index>``."""
-    return GammaElement(((index, 1),))
+    _check_index(index)
+    return _make(((index, 1),))
 
 
 # Highest psi-set level built.  Members are stored densely (level n holds

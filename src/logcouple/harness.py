@@ -5,9 +5,11 @@ driver (``run_suite``) runs it once per trial.  Every trial draws its
 randomness from a ``random.Random`` seeded by an integer mix of
 (config seed, trial index), so identical configs produce identical
 sample streams and byte-identical reports on every platform (no
-dependence on hash randomization or global RNG state).  Reports carry
-counters for the nontrivial strata a suite exercised, so vacuous passes
-are visible.  The module computes reports; ``cli`` renders them as text.
+dependence on hash randomization or global RNG state); the samplers make
+the same ``random.Random`` calls in the same order whatever the element
+representation.  Reports carry counters for the nontrivial strata a
+suite exercised, so vacuous passes are visible.  The module computes
+reports; ``cli`` renders them as text.
 
 The module also houses the affine-image trichotomy checker (an affine
 map hitting the psi-set often enough on a generic family must be
@@ -59,9 +61,13 @@ class SamplerConfig:
         return random.Random(_mix64(self.seed, trial))
 
 
-def sample_coefficient(rng: random.Random) -> Fraction:
+def _draw(rng: random.Random) -> Tuple[int, int]:  # (num, den), not reduced
     num = rng.randint(1, MAX_NUMERATOR) * rng.choice((1, -1))
-    return Fraction(num, rng.randint(1, MAX_DENOMINATOR))
+    return num, rng.randint(1, MAX_DENOMINATOR)
+
+
+def sample_coefficient(rng: random.Random) -> Fraction:
+    return Fraction(*_draw(rng))
 
 
 def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0) -> GammaElement:
@@ -69,7 +75,7 @@ def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0
     window = range(min_index, min_index + MAX_SUPPORT + 1)
     while True:
         size = rng.randint(0, min(4, len(window)))
-        x = gamma._from_pairs(sorted((i, sample_coefficient(rng)) for i in rng.sample(window, size)))
+        x = gamma._from_terms(sorted((i, *_draw(rng)) for i in rng.sample(window, size)))
         if x or not nonzero:
             return x
 
@@ -79,10 +85,10 @@ def sample_positive(rng: random.Random) -> GammaElement:
     return x if x > ZERO else -x
 
 
-def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, Fraction]]:
-    """At most two random terms at indices above ``k``, in index order."""
+def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, int, int]]:
+    """At most two random ``(index, num, den)`` terms at indices above ``k``, in index order."""
     return sorted(
-        (i, sample_coefficient(rng))
+        (i, *_draw(rng))
         for i in rng.sample(range(k + 1, k + 2 + MAX_SUPPORT), rng.randint(0, 2))
     )
 
@@ -96,11 +102,11 @@ def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaEleme
     which puts the element among derivatives of positive/negative
     elements.
     """
-    c: Union[int, Fraction] = 1  # redrawn until it is not 1 and lies on ``side`` of 1
-    while c == 1 or (side > 0 and c < 1) or (side < 0 and c > 1):
-        c = 1 + sample_coefficient(rng)
-    pivot = [(level, c)] if c else []  # a draw of -1 makes c zero: no term
-    return gamma._from_pairs([(i, 1) for i in range(level)] + pivot + _sparse_tail(rng, level))
+    num, den = _draw(rng)  # the pivot is 1 + num/den, redrawn until on ``side`` of 1
+    while side * num < 0:
+        num, den = _draw(rng)
+    pivot = [(level, den + num, den)] if den + num else []  # a draw of -1 leaves no term
+    return gamma._from_terms([(i, 1, 1) for i in range(level)] + pivot + _sparse_tail(rng, level))
 
 
 # --- reports ------------------------------------------------------------------
@@ -349,7 +355,8 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     sign = rng.choice((1, -1))
 
     def offset() -> GammaElement:
-        return gamma._from_pairs([(k, sign * abs(sample_coefficient(rng)))] + _sparse_tail(rng, k))
+        num, den = _draw(rng)
+        return gamma._from_terms([(k, sign * abs(num), den)] + _sparse_tail(rng, k))
 
     d1, d2 = offset(), offset()
     x, y = b + d1, b + d2

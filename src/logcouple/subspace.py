@@ -132,7 +132,8 @@ class Subspace:
         for k in range(self.max_support + 2):
             if k >= 2 and below._num[-1][0] == k - 1:
                 p[k - 2] = below
-            if below.coefficient(k) != 1:
+            # below is 1 at 0..k-1, so its coordinate at k, if any, is _num[k]
+            if below._num[k : k + 1] != ((k, below._den),):
                 if gamma.successor(below) != gamma.psi_element(k):
                     raise RuntimeError(f"successor image witness failed at level {k}: {below!r}")
                 s[k] = below
@@ -161,9 +162,9 @@ def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
     if not isinstance(x, GammaElement):
         raise TypeError(f"expected a group element, got {x!r}")
     for row in rows:
-        c = x.coefficient(row._num[0][0])
-        if c != 0:
-            x = x - c * row
+        n = x._at(row._num[0][0])
+        if n:
+            x = x - row._scaled(n, x._den)
     return x
 
 
@@ -174,12 +175,12 @@ def _extend(rows: Sequence[GammaElement], generators: Iterable[GammaElement]) ->
         gen = _reduce(rows, gen)
         if not gen:
             continue
-        lead_index = gen._num[0][0]
-        gen = gen / gen.coefficient(lead_index)
+        lead_index, lead = gen._num[0]
+        gen = gen._scaled(gen._den, lead)
         for i, row in enumerate(rows):
-            c = row.coefficient(lead_index)
-            if c != 0:
-                rows[i] = row - c * gen
+            n = row._at(lead_index)
+            if n:
+                rows[i] = row - gen._scaled(n, row._den)
         rows.append(gen)
         rows.sort(key=lambda row: row._num[0][0])
     return Subspace(tuple(rows))

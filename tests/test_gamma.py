@@ -60,12 +60,12 @@ def test_constructor_normalizes():
 
 
 def test_constructor_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        GammaElement([(-1, 1)])
-    with pytest.raises(ValueError):
-        GammaElement([("0", 1)])
-    with pytest.raises(ValueError):
-        GammaElement([(True, 1)])
+    for bad in (-1, "0", True):
+        with pytest.raises(ValueError, match="basis index must be a nonnegative int"):
+            GammaElement([(bad, 1)])
+        with pytest.raises(ValueError, match="basis index must be a nonnegative int"):
+            unit(bad)
+    assert unit(3) == GammaElement([(3, 1)]) and hash(unit(3)) == hash(GammaElement([(3, 1)]))
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, float("inf"), "1", complex(1)])
@@ -227,6 +227,9 @@ def test_int_kernel_matches_dict_reference(xa, yb, q):
     assert_canonical(q * a, scaled)
     if q:
         assert_canonical(a / q, {i: c / q for i, c in x.items()})
+        # the int scaling behind * and / also takes an unreduced ratio
+        p, r = Fraction(q).as_integer_ratio()
+        assert_canonical(a._scaled(6 * p, -6 * r), {i: -c * q for i, c in x.items()})
     cmp = reference_cmp(x, y)
     assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
         cmp < 0, cmp <= 0, cmp == 0, cmp != 0, cmp >= 0, cmp > 0

@@ -1,6 +1,8 @@
 """Seeded suites, the affine trichotomy checker, and witness construction."""
 
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -66,6 +68,69 @@ def test_seed_changes_the_stream():
     a = run_suite("axioms", SamplerConfig(seed=1, trials=50))
     b = run_suite("axioms", SamplerConfig(seed=2, trials=50))
     assert a.counters != b.counters or a.seed != b.seed
+
+
+# The samplers as they were written over Fractions, kept as references: the
+# int-pair samplers must return equal elements and leave the generator in the
+# same state, so every suite keeps its stream (same random.Random calls, same
+# order) and its report bytes.
+
+
+def _reference_coefficient(rng):
+    num = rng.randint(1, harness.MAX_NUMERATOR) * rng.choice((1, -1))
+    return Fraction(num, rng.randint(1, harness.MAX_DENOMINATOR))
+
+
+def _reference_element(rng, nonzero=False, min_index=0):
+    window = range(min_index, min_index + harness.MAX_SUPPORT + 1)
+    while True:
+        size = rng.randint(0, min(4, len(window)))
+        x = GammaElement(sorted((i, _reference_coefficient(rng)) for i in rng.sample(window, size)))
+        if x or not nonzero:
+            return x
+
+
+def _reference_sparse_tail(rng, k):
+    return sorted(
+        (i, _reference_coefficient(rng))
+        for i in rng.sample(range(k + 1, k + 2 + harness.MAX_SUPPORT), rng.randint(0, 2))
+    )
+
+
+def _reference_prefixed(rng, level, side=0):
+    c = 1
+    while c == 1 or (side > 0 and c < 1) or (side < 0 and c > 1):
+        c = 1 + _reference_coefficient(rng)
+    pivot = [(level, c)] if c else []
+    return GammaElement([(i, 1) for i in range(level)] + pivot + _reference_sparse_tail(rng, level))
+
+
+def _stream_draws():
+    yield harness.sample_coefficient, _reference_coefficient
+    for nonzero in (False, True):
+        for min_index in (0, 3):
+            kwargs = {"nonzero": nonzero, "min_index": min_index}
+            yield partial(harness.sample_element, **kwargs), partial(_reference_element, **kwargs)
+    for k in (0, 4, 8):
+        yield (
+            lambda rng, k=k: gamma._from_terms(harness._sparse_tail(rng, k)),
+            lambda rng, k=k: GammaElement(_reference_sparse_tail(rng, k)),
+        )
+    for side in (-1, 0, 1):
+        for level in range(harness.MAX_SUPPORT + 1):
+            yield (
+                partial(harness.sample_prefixed, level=level, side=side),
+                partial(_reference_prefixed, level=level, side=side),
+            )
+
+
+def test_samplers_keep_the_reference_stream():
+    draws = list(_stream_draws())
+    for seed in range(500):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for sample, reference in draws:
+            assert sample(rng) == reference(ref), seed
+            assert rng.getstate() == ref.getstate(), seed
 
 
 def test_corrupted_psi_fails_with_counterexamples():

@@ -95,6 +95,58 @@ def test_contains_all_generators(gens):
     assert space.contains(ZERO)
 
 
+# Generators over one shared denominator whose numerators share factors with
+# it, such as 2/4*e0 + 6/4*e1: elimination then scales by unreduced n/d.
+shared_denominator_lists = st.lists(
+    st.integers(1, 12).flatmap(
+        lambda d: st.builds(
+            lambda terms: GammaElement((i, Fraction(n, d)) for i, n in terms),
+            st.lists(st.tuples(st.integers(0, 6), st.integers(-12, 12)), max_size=4),
+        )
+    ),
+    max_size=5,
+)
+
+
+def _reference_rref(gens):
+    """Dense Fraction Gauss-Jordan: the RREF rows of the span, by pivot."""
+    coords = [dict(g.coords) for g in gens]
+    width = 1 + max((i for c in coords for i in c), default=-1)
+    rows = [[c.get(j, Fraction(0)) for j in range(width)] for c in coords]
+    top = 0
+    for col in range(width):
+        sel = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        rows[top] = [v / rows[top][col] for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        top += 1
+    return rows[:top]
+
+
+def _dense_element(values):
+    return GammaElement((j, v) for j, v in enumerate(values) if v != 0)
+
+
+@given(shared_denominator_lists, shared_denominator_lists)
+def test_rref_and_reduce_match_dense_reference(gens, probes):
+    space = echelonize(gens)
+    rows = _reference_rref(gens)
+    assert space.basis == tuple(_dense_element(row) for row in rows)
+    for x in gens + probes:
+        # the residue is x minus x's coordinate at each pivot times that row
+        coords = dict(x.coords)
+        residue = [coords.get(j, Fraction(0)) for j in range(1 + max(coords, default=-1))]
+        for row in rows:
+            c = coords.get(next(j for j, v in enumerate(row) if v != 0), 0)
+            residue = [a - c * b for a, b in itertools.zip_longest(residue, row, fillvalue=0)]
+        assert space.reduce(x) == _dense_element(residue)
+
+
 def test_member_builds_combinations():
     space = span("e0", "e2")
     assert space.member([Fraction(2), Fraction(-1)]) == elt((0, 2), (2, -1))
