@@ -49,12 +49,6 @@ class Infinity:
     def __repr__(self) -> str:
         return "inf"
 
-    def __hash__(self) -> int:
-        return hash("logcouple.INF")
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
     def __neg__(self) -> "Infinity":
         return self
 
@@ -422,7 +416,7 @@ def derivative(x: ExtendedElement) -> ExtendedElement:
     """Asymptotic derivative ``x + psi(x)``; sends 0 and inf to inf."""
     if isinstance(x, Infinity) or not x:
         return INF
-    return x + psi(x)
+    return x + psi_element(x._num[0][0])
 
 
 def successor(x: ExtendedElement) -> ExtendedElement:

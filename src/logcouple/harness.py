@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import gamma
 from .gamma import INF, ZERO, ExtendedElement, GammaElement, Infinity
@@ -178,11 +178,7 @@ class _Recorder:
 # --- axiom suite ----------------------------------------------------------------
 
 
-def _axiom_trial(
-    rec: _Recorder,
-    rng: random.Random,
-    psi_fn: Optional[Callable[[ExtendedElement], ExtendedElement]] = None,
-) -> None:
+def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
     """Randomized check of the asymptotic-couple laws.
 
     Covered: subadditivity of psi on sums, invariance under nonzero
@@ -191,20 +187,16 @@ def _axiom_trial(
     comparisons win), the refinement rule psi(a+b) = psi(a) when
     psi(a) < psi(b), strict monotonicity of the derivative, and both
     integrate/derivative round trips.
-
-    ``psi_fn`` substitutes the map used by the psi-dependent checks so
-    a corrupted implementation can be demonstrated to fail; round trips
-    always use the real maps.
     """
-    fn = psi_fn if psi_fn is not None else gamma.psi
+    psi = gamma.psi
     a = sample_element(rng, nonzero=True)
     b = sample_element(rng, nonzero=True)
-    fa, fb = fn(a), fn(b)
+    fa, fb = psi(a), psi(b)
     inputs = (("a", a), ("b", b))
 
     s = a + b
     if s:
-        lhs = fn(s)
+        lhs = psi(s)
         floor = fa if fa <= fb else fb
         rec.check(
             lhs >= floor,
@@ -215,14 +207,14 @@ def _axiom_trial(
 
     k = rng.choice((-3, -2, -1, 2, 3))
     rec.check(
-        fn(a * k) == fa,
+        psi(a * k) == fa,
         "psi_scale_invariant",
         inputs + (("k", str(k)),),
         "psi(k*a) != psi(a)",
     )
 
     pos = a if a > ZERO else -a
-    fpos = fn(pos)
+    fpos = psi(pos)
     rec.check(
         pos + fpos > fb,
         "psi_gap",
@@ -233,17 +225,17 @@ def _axiom_trial(
     other = b if b > ZERO else -b
     lo, hi = (pos, other) if pos <= other else (other, pos)
     rec.check(
-        fn(lo) >= fn(hi),
+        psi(lo) >= psi(hi),
         "psi_antitone",
         (("lo", lo), ("hi", hi)),
         "0 < lo <= hi but psi(lo) < psi(hi)",
     )
 
     deep = sample_element(rng, nonzero=True, min_index=a._num[0][0] + 1)
-    fdeep = fn(deep)
+    fdeep = psi(deep)
     if fa < fdeep:
         rec.check(
-            fn(a + deep) == fa,
+            psi(a + deep) == fa,
             "psi_refinement",
             inputs[:1] + (("c", deep),),
             "psi(a) < psi(c) but psi(a+c) != psi(a)",
@@ -252,7 +244,7 @@ def _axiom_trial(
     if a != b:
         lo, hi = (a, b) if a < b else (b, a)
         rec.check(
-            lo + fn(lo) < hi + fn(hi),
+            lo + psi(lo) < hi + psi(hi),
             "derivative_strictly_monotone",
             (("lo", lo), ("hi", hi)),
             "lo < hi but derivative order not strict",
@@ -776,32 +768,20 @@ def suite_names() -> Tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def _drive(suite: str, cfg: SamplerConfig, run_trial: _Trial) -> SuiteReport:
+def run_suite(name: str, cfg: SamplerConfig) -> SuiteReport:
     """The one trial loop: each trial gets its own seeded RNG."""
+    try:
+        run_trial = _SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}") from None
     rec = _Recorder()
     for trial in range(cfg.trials):
         rec.trial = trial
         run_trial(rec, cfg.trial_rng(trial))
     return SuiteReport(
-        suite, cfg.seed, cfg.trials, rec.failure_count == 0, rec.failure_count,
+        name, cfg.seed, cfg.trials, rec.failure_count == 0, rec.failure_count,
         tuple(rec.failures), dict(sorted(rec.counters.items())),
     )
-
-
-def run_suite(name: str, cfg: SamplerConfig) -> SuiteReport:
-    try:
-        run_trial = _SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}") from None
-    return _drive(name, cfg, run_trial)
-
-
-def run_axiom_suite(
-    cfg: SamplerConfig,
-    psi_fn: Optional[Callable[[ExtendedElement], ExtendedElement]] = None,
-) -> SuiteReport:
-    """The axioms suite, with ``psi_fn`` (default ``gamma.psi``) in the psi-dependent checks."""
-    return _drive("axioms", cfg, lambda rec, rng: _axiom_trial(rec, rng, psi_fn))
 
 
 # --- witness construction ---------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Passing runs never show a failure's inputs or detail text, so the
 golden corpus of CLI outputs cannot catch a change to them.  Each case
-here runs one suite with a deliberately broken map (through ``psi_fn``
-for the axioms, by replacing a ``gamma`` function for the others) and
+here runs one suite with a deliberately broken map (a ``gamma`` function
+replaced for the run; the suites look each map up per trial) and
 compares ``gamma.jsonable`` of the report with
 ``tests/data/failure_golden.json``.  After an intended change, rewrite
 the file with
@@ -85,32 +85,27 @@ def skipping_unit(index):
     return _unit(3 if index == 2 else index)
 
 
-# name -> (suite, seed, psi_fn for the axioms, {gamma attribute: replacement})
+# name -> (suite, seed, {gamma attribute: replacement})
 CASES: Dict[str, tuple] = {
-    "axioms-trailing-psi": ("axioms", 0, trailing_psi, {}),
-    "axioms-negated-psi": ("axioms", 1, negated_psi, {}),
-    "axioms-reversed-psi": ("axioms", 2, reversed_psi, {}),
-    "axioms-coefficient-psi": ("axioms", 3, coefficient_psi, {}),
-    "axioms-long-sum-psi": ("axioms", 4, long_sum_psi, {}),
-    "successor-lopsided-successor": ("successor", 0, None, {"successor": lopsided_successor}),
-    "successor-trailing-psi": ("successor", 1, None, {"psi": trailing_psi}),
-    "lemma41-trailing-psi": ("lemma41", 0, None, {"psi": trailing_psi}),
-    "lemma41-lopsided-successor": ("lemma41", 1, None, {"successor": lopsided_successor}),
-    "lemma44-odd-shifted-level": ("lemma44", 0, None, {"psi_level": odd_shifted_psi_level}),
-    "growth-skipping-unit": ("subspace-growth", 0, None, {"unit": skipping_unit}),
+    "axioms-trailing-psi": ("axioms", 0, {"psi": trailing_psi}),
+    "axioms-negated-psi": ("axioms", 1, {"psi": negated_psi}),
+    "axioms-reversed-psi": ("axioms", 2, {"psi": reversed_psi}),
+    "axioms-coefficient-psi": ("axioms", 3, {"psi": coefficient_psi}),
+    "axioms-long-sum-psi": ("axioms", 4, {"psi": long_sum_psi}),
+    "successor-lopsided-successor": ("successor", 0, {"successor": lopsided_successor}),
+    "successor-trailing-psi": ("successor", 1, {"psi": trailing_psi}),
+    "lemma41-trailing-psi": ("lemma41", 0, {"psi": trailing_psi}),
+    "lemma41-lopsided-successor": ("lemma41", 1, {"successor": lopsided_successor}),
+    "lemma44-odd-shifted-level": ("lemma44", 0, {"psi_level": odd_shifted_psi_level}),
+    "growth-skipping-unit": ("subspace-growth", 0, {"unit": skipping_unit}),
 }
 
 
 def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> object:
-    suite, seed, psi_fn, patches = CASES[name]
+    suite, seed, patches = CASES[name]
     for attr, fn in patches.items():
         monkeypatch.setattr(gamma, attr, fn)
-    cfg = SamplerConfig(seed=seed, trials=TRIALS)
-    if suite == "axioms":
-        report = harness.run_axiom_suite(cfg, psi_fn=psi_fn)
-    else:
-        report = harness.run_suite(suite, cfg)
-    return gamma.jsonable(report)
+    return gamma.jsonable(harness.run_suite(suite, SamplerConfig(seed=seed, trials=TRIALS)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ from logcouple.harness import (
     SamplerConfig,
     classify_affine_image,
     make_witness,
-    run_axiom_suite,
     run_suite,
     suite_names,
 )
@@ -133,11 +132,13 @@ def test_samplers_keep_the_reference_stream():
             assert rng.getstate() == ref.getstate(), seed
 
 
-def test_corrupted_psi_fails_with_counterexamples():
+_real_psi = gamma.psi
+
+
+def test_corrupted_psi_fails_with_counterexamples(monkeypatch):
     # negating psi breaks the gap law; the report must carry replayable text
-    report = run_axiom_suite(
-        SamplerConfig(seed=5, trials=120), psi_fn=lambda x: -gamma.psi(x)
-    )
+    monkeypatch.setattr(gamma, "psi", lambda x: -_real_psi(x))
+    report = run_suite("axioms", SamplerConfig(seed=5, trials=120))
     assert not report.passed
     assert {f.check for f in report.failures} & {"psi_gap", "psi_antitone"}
     assert any(f.check == "psi_gap" for f in report.failures)
@@ -147,20 +148,31 @@ def test_corrupted_psi_fails_with_counterexamples():
     assert report.failure_count >= len(report.failures)
 
 
-def test_failure_recording_caps_but_counts():
-    report = run_axiom_suite(
-        SamplerConfig(seed=5, trials=500), psi_fn=lambda x: INF
-    )
+def test_failure_recording_caps_but_counts(monkeypatch):
+    monkeypatch.setattr(gamma, "psi", lambda x: INF)
+    report = run_suite("axioms", SamplerConfig(seed=5, trials=500))
     assert not report.passed
     assert len(report.failures) <= 10
     assert report.failure_count > len(report.failures)
 
 
-def test_failures_carry_their_trial_number_past_trial_49():
+def test_round_trips_do_not_use_the_patched_psi(monkeypatch):
+    # derivative adds the psi-set member itself, so only the psi laws see a broken psi
+    monkeypatch.setattr(gamma, "psi", lambda x: INF)
+    monkeypatch.setattr(harness, "_MAX_RECORDED_FAILURES", 10**6)  # record every failure
+    report = run_suite("axioms", SamplerConfig(seed=5, trials=500))
+    assert len(report.failures) == report.failure_count > 0
+    failing = {f.check for f in report.failures}
+    assert not failing & {"derivative_after_integrate", "integrate_after_derivative"}
+    assert gamma.derivative(unit(1)) == unit(0) + unit(1) * 2
+
+
+def test_failures_carry_their_trial_number_past_trial_49(monkeypatch):
     cfg = SamplerConfig(seed=0, trials=1000)
-    report = harness._drive(
-        "stub", cfg, lambda rec, rng: rec.check(rng.random() >= 0.02, "rare", [])
+    monkeypatch.setitem(
+        harness._SUITES, "stub", lambda rec, rng: rec.check(rng.random() >= 0.02, "rare", [])
     )
+    report = run_suite("stub", cfg)
     failing = [t for t in range(cfg.trials) if cfg.trial_rng(t).random() < 0.02]
     assert [f.trial for f in report.failures] == failing[:10]
     assert failing[9] > 49

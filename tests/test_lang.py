@@ -1,13 +1,13 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -272,13 +272,6 @@ def test_divide_node_validates():
 
 
 # --- element text: the literal sums of the term language ---------------------------
-
-_ORACLE_SPEC = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).parents[1] / "perfbench" / "oracle.py"
-)
-oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
-_ORACLE_SPEC.loader.exec_module(oracle)
-
 
 @st.composite
 def literal_sums(draw):

@@ -8,15 +8,11 @@ code.  This runs the first rounds of every workload in-process.
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
+import workloads
 
 from logcouple import cli
-
-sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 ROUNDS = {"session": 2, "laws": 5, "growth": 5}
 

@@ -8,9 +8,7 @@ dense slice solver it replaced.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
 
 import pytest
 from hypothesis import given
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from logcouple import gamma, lang
 from logcouple.gamma import ZERO, GammaElement, unit
-from logcouple.subspace import Subspace, echelonize, growth_check
+from logcouple.subspace import echelonize, growth_check
 
 
 def elt(*pairs):
@@ -463,90 +461,25 @@ def test_growth_report_json_shape():
 
 # --- independence and combination rules --------------------------------------------
 #
-# Statements about psi-set members that the CLI does not expose; the checks
-# live here, next to their only callers.
-
-
-def psi_independence_check(levels: Iterable[int]) -> bool:
-    """Distinct psi-set members are linearly independent over Q.
-
-    Computes the rank of the span of the requested members and compares
-    it with the number of distinct levels.
-    """
-    distinct = sorted(set(levels))
-    space = echelonize([gamma.psi_element(level) for level in distinct])
-    return space.dim == len(distinct)
-
-
-@dataclass(frozen=True)
-class CombinationReport:
-    """Successor of a rational combination of psi-set members vs. the rule.
-
-    Rule: for alpha = sum q_j * PsiValue(l_j) with nonzero q_j and
-    strictly increasing levels, successor(alpha) is the least psi-set
-    member when sum(q_j) != 1, and the successor of the SMALLEST
-    constituent when sum(q_j) == 1.
-    """
-
-    coefficients: Tuple[Fraction, ...]
-    levels: Tuple[int, ...]
-    alpha: GammaElement
-    rule: str  # "sum=1" or "sum!=1"
-    expected: GammaElement
-    observed: GammaElement
-    passed: bool
-
-
-def combination_successor_check(
-    coefficients: Sequence[Fraction], levels: Sequence[int]
-) -> CombinationReport:
-    """Check the successor rule for one combination of psi-set members."""
-    coefficients = tuple(Fraction(c) for c in coefficients)
-    levels = tuple(levels)
-    if not coefficients or len(coefficients) != len(levels):
-        raise ValueError("need matching nonempty coefficient and level sequences")
-    if any(c == 0 for c in coefficients):
-        raise ValueError("coefficients must be nonzero")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    alpha = ZERO
-    for c, level in zip(coefficients, levels):
-        alpha = alpha + gamma.psi_element(level) * c
-    if sum(coefficients) == 1:
-        rule = "sum=1"
-        expected = gamma.psi_element(levels[0] + 1)
-    else:
-        rule = "sum!=1"
-        expected = gamma.psi_element(0)
-    observed = gamma.successor(alpha)
-    return CombinationReport(
-        coefficients, levels, alpha, rule, expected, observed, observed == expected
-    )
+# Statements about psi-set members that the CLI does not expose.
 
 
 def test_psi_independence_examples():
-    assert psi_independence_check([0, 1, 2])
-    assert psi_independence_check([])
-    assert psi_independence_check(range(10))
-    assert psi_independence_check([4, 4, 4])  # duplicates collapse
+    # distinct psi-set members are linearly independent over Q
+    for levels in ([0, 1, 2], [], range(10)):
+        assert echelonize([gamma.psi_element(n) for n in levels]).dim == len(levels)
+    assert echelonize([gamma.psi_element(4)] * 3).dim == 1
+
+
+# For alpha = sum q_j * psi_element(l_j) with nonzero q_j and strictly increasing
+# levels, successor(alpha) is the least psi-set member when sum(q_j) != 1, and the
+# successor of the smallest constituent when sum(q_j) == 1.
 
 
 def test_combination_rule_examples():
-    report = combination_successor_check([Fraction(2)], [3])
-    assert report.rule == "sum!=1" and report.passed
-    assert report.expected == unit(0)
-    report = combination_successor_check([Fraction(1, 2), Fraction(1, 2)], [1, 4])
-    assert report.rule == "sum=1" and report.passed
-    assert report.expected == gamma.psi_element(2)
-
-
-def test_combination_rule_validation():
-    with pytest.raises(ValueError):
-        combination_successor_check([], [])
-    with pytest.raises(ValueError):
-        combination_successor_check([Fraction(0)], [1])
-    with pytest.raises(ValueError):
-        combination_successor_check([Fraction(1), Fraction(1)], [2, 2])
+    assert gamma.successor(gamma.psi_element(3) * 2) == unit(0)
+    alpha = gamma.psi_element(1) / 2 + gamma.psi_element(4) / 2
+    assert gamma.successor(alpha) == gamma.psi_element(2)
 
 
 @given(
@@ -554,7 +487,8 @@ def test_combination_rule_validation():
     st.sets(st.integers(0, 10), min_size=1, max_size=4),
 )
 def test_combination_rule_holds_on_random_instances(coeffs, level_set):
-    levels = sorted(level_set)
+    levels = sorted(level_set)[: len(coeffs)]
     coeffs = coeffs[: len(levels)]
-    levels = levels[: len(coeffs)]
-    assert combination_successor_check(coeffs, levels).passed
+    alpha = sum((gamma.psi_element(n) * q for q, n in zip(coeffs, levels)), ZERO)
+    level = levels[0] + 1 if sum(coeffs) == 1 else 0
+    assert gamma.successor(alpha) == gamma.psi_element(level)
