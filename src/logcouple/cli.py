@@ -144,7 +144,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             parsed_name = lang.parse_any(name)
         except lang.ParseError:
             parsed_name = None
-        if not isinstance(parsed_name, lang.Var):
+        if parsed_name != lang.Var(name):  # '(x)' also parses to Var('x')
             raise CliError(f"--let name {name!r} is not a variable")
         env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)

@@ -6,10 +6,11 @@ Terms:    variables, element literals (``0``, ``inf``, ``q*e<k>``), ``+``,
           ``psi(t)``, ``s(t)``, ``p(t)``, ``int(t)``.
 Formulas: ``t1 = t2``, ``t1 < t2``, ``!``, ``&``, ``|`` with precedence
           ``!`` > ``&`` > ``|``; parentheses group both levels.
-``parse_any`` reads the formula grammar in one pass and accepts a bare
-term only when it is the whole input.  ``parse_element`` reads element
-text, the literal sums ``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``,
-from the same tokens.  Both report the leftmost error.
+``parse_any`` reads the formula grammar in one pass, and a bare term only
+as the whole input; a '(' the lexer marks opens a grouped formula, any
+other '(' a term.  ``parse_element`` reads element text, the literal sums
+``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``, from the same tokens.
+Both report an error at the first token that their one reading rejects.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
@@ -44,7 +45,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import GeneratorType
-from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from . import gamma
 from .gamma import INF, ZERO, ExtendedElement
@@ -177,7 +178,6 @@ _TOKEN_RE = re.compile(
 )
 
 _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
-_DEPTH_STEP = {"(": 1, ")": -1}
 
 
 @dataclass(slots=True)
@@ -185,7 +185,7 @@ class _Token:
     kind: str  # number basis var func inf quant char deep ( ) + - * / ! & | = < eof
     text: str
     pos: int
-    value: int = 0
+    value: int = 0  # a number's or basis index's int; 1 on a '(' that opens a formula
 
 
 def _lex(text: str) -> List[_Token]:
@@ -194,23 +194,32 @@ def _lex(text: str) -> List[_Token]:
     A character outside the grammar becomes a ``char`` token and a '(' past
     ``MAX_NESTING`` a ``deep`` token.  No rule consumes either, so the
     parser reports the leftmost error when it reaches one.
+
+    A '(' gets ``value`` 1, the mark of a grouped formula, when ``= < ! & |``
+    occurs at its own depth or its first token opens a marked group.  A
+    parenthesized term never has either; a parenthesized formula always does.
     """
     tokens: List[_Token] = []
-    depth = 0
+    opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
         lexeme, pos = m[0], m.start()
-        if kind == "number":
-            tokens.append(_Token(kind, lexeme, pos, int(lexeme)))
-        elif kind == "basis":
-            tokens.append(_Token(kind, lexeme, pos, int(lexeme[1:])))
+        if kind in ("number", "basis"):
+            tokens.append(_Token(kind, lexeme, pos, int(lexeme.lstrip("e"))))
         elif kind == "name":
             tokens.append(_Token(_NAME_KINDS.get(lexeme, "var"), lexeme, pos))
         elif kind == "sym":
-            depth += _DEPTH_STEP.get(lexeme, 0)
-            tokens.append(_Token("deep" if depth > MAX_NESTING else lexeme, lexeme, pos))
+            if lexeme == "(":
+                opened.append(len(tokens))
+            elif lexeme == ")" and opened:
+                group = opened.pop()
+                if tokens[group].value and opened and opened[-1] == group - 1:
+                    tokens[group - 1].value = 1
+            elif lexeme in "=<!&|" and opened:
+                tokens[opened[-1]].value = 1
+            tokens.append(_Token("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, pos))
         else:
             tokens.append(_Token(kind, lexeme, pos))
     tokens.append(_Token("eof", "", len(text)))
@@ -243,7 +252,7 @@ class _Parser:
             self.fail(tok, expected)
         return self.take()
 
-    def fail(self, tok: _Token, expected: FrozenSet[str]) -> None:
+    def fail(self, tok: _Token, expected: FrozenSet[str]) -> NoReturn:
         if tok.kind == "quant":
             raise ParseError(
                 f"quantifier {tok.text!r} is not supported: only the quantifier-free "
@@ -320,7 +329,6 @@ class _Parser:
             self.expect(")", frozenset({"')'"}))
             return inner
         self.fail(tok, _TERM_START)
-        raise AssertionError("unreachable")
 
     def literal_from_number(self) -> TermNode:
         tok = self.take()
@@ -339,7 +347,6 @@ class _Parser:
         if num == 0:
             return Literal(ZERO)
         self.fail(self.peek(), frozenset({"'*'"}))
-        raise AssertionError("unreachable")
 
     # element text: 'inf', '0', or a sum of signed [q*]e<k> literals
 
@@ -414,17 +421,11 @@ class _Parser:
         return node
 
     def formula_atom(self) -> Node:
-        if self.peek().kind == "(":
-            # Either a grouped formula or a parenthesized term starting a
-            # comparison: try the formula reading first, then backtrack.
-            save = self.i
+        if self.peek().kind == "(" and self.peek().value:  # a grouped formula, see _lex
             self.take()
-            try:
-                inner = self.formula()
-                self.expect(")", frozenset({"')'"}))
-                return inner
-            except ParseError:
-                self.i = save
+            inner = self.formula()
+            self.expect(")", frozenset({"')'"}))
+            return inner
         return self.comparison()
 
     def comparison(self) -> Node:
@@ -440,7 +441,6 @@ class _Parser:
         if start == 0 and tok.kind == "eof":
             return left  # the whole input is one term
         self.fail(tok, frozenset({"'='", "'<'"}))
-        raise AssertionError("unreachable")
 
     def done(self) -> None:
         tok = self.peek()

@@ -244,6 +244,17 @@ def test_let_bindings_do_not_leak_into_the_next_call():
     assert run_cli(["eval", "x"]) == (cli.EXIT_USAGE, "", "error: unbound variable 'x'\n")
 
 
+@pytest.mark.parametrize("name", ["(x)", "((x))", "2", "e0", "psi(x)", "x y"])
+def test_let_name_must_be_a_bare_variable(name):
+    # '(x)' parses to Var('x') too, but would bind the key '(x)', never 'x'.
+    assert run_cli(["eval", "x", "--let", f"{name}=e0"]) == (
+        cli.EXIT_USAGE,
+        "",
+        f"error: --let name {name!r} is not a variable\n",
+    )
+    assert run_cli(["eval", "x", "--let", " x =e0"]) == (cli.EXIT_PASS, "e0\n", "")
+
+
 def test_a_negated_term_follows_double_dash():
     # argparse reads a lone "-e0" as an option; "--" ends the options.
     assert run_cli(["eval", "--", "-e0"]) == (cli.EXIT_PASS, "-e0\n", "")

@@ -177,7 +177,9 @@ def _parse_outcome(parse, text, strict_llog):
         return str(err), err.position, err.expected
 
 
-def test_one_pass_parse_any_matches_two_pass_reference():
+def _reference_texts():
+    """Golden eval/fmt texts, random token strings, and formatted ASTs with and
+    without one character cut out."""
     rng = random.Random(1802)
     texts = [
         case["argv"][1]
@@ -192,10 +194,92 @@ def test_one_pass_parse_any_matches_two_pass_reference():
             text = lang.format_any(node)
             cut = rng.randrange(len(text))
             texts += [text, text[:cut] + text[cut + 1 :]]
-    for text in texts:
+    return texts
+
+
+def test_one_pass_parse_any_matches_two_pass_reference():
+    for text in _reference_texts():
         for strict_llog in (False, True):
             expected = _parse_outcome(two_pass_parse_any, text, strict_llog)
             assert _parse_outcome(lang.parse_any, text, strict_llog) == expected, text
+
+
+class _BacktrackingParser(lang._Parser):
+    """The parser before the lexer marked grouped formulas: it tries each '('
+    as a grouped formula and, when that fails, parses again from the '(' as a
+    term."""
+
+    def formula_atom(self):
+        if self.peek().kind == "(":
+            # Either a grouped formula or a parenthesized term starting a
+            # comparison: try the formula reading first, then backtrack.
+            save = self.i
+            self.take()
+            try:
+                inner = self.formula()
+                self.expect(")", frozenset({"')'"}))
+                return inner
+            except ParseError:
+                self.i = save
+        return self.comparison()
+
+
+def backtracking_parse_any(text, strict_llog=False):
+    parser = _BacktrackingParser(lang._lex(text), strict_llog)
+    node = parser.formula()
+    parser.done()
+    return node
+
+
+def _deep_paren_texts():
+    """Grouped formulas and parenthesized terms, nested 1 to 40 deep whole and
+    with one parenthesis or a right-hand side missing, and whole at the cap
+    and one past it (the reference parser's cost grows with depth squared)."""
+    shapes = (
+        "{o}e0{c} = e0", "{o}e0 = e0{c}", "{o}e0 = e0 &{c}", "{o}e0{c}", "{o}!(e0 = e1){c}",
+        "{o}(e0) = e0{c}", "{o}e0 <{c}", "({o}e0 = e0{c} + e1) = e0", "{o}e0{c} + ({o}e1{c}) < e2",
+        "{o}({o}e0{c} = e0 | e1 < e0{c}) & !{o}e1{c} = e1", "{o}psi({o}e0{c}){c} = e0",
+    )
+    for depth in (1, 2, 5, 40, lang.MAX_NESTING, lang.MAX_NESTING + 1):
+        for shape in shapes:
+            text = shape.format(o="(" * depth, c=")" * depth)
+            yield text
+            if depth < lang.MAX_NESTING:
+                yield from (text[:-1], text.replace(")", "", 1), text.rpartition("=")[0])
+
+
+def test_marked_parentheses_match_the_backtracking_reference():
+    # Each '(' is read once, so an error may sit right of the one the
+    # backtracking parser reported (that one came from the failed second
+    # reading), but never left of it.
+    cases = [(text, strict_llog) for text in _reference_texts() for strict_llog in (False, True)]
+    for text, strict_llog in cases + [(text, False) for text in _deep_paren_texts()]:
+        try:
+            want = backtracking_parse_any(text, strict_llog)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                lang.parse_any(text, strict_llog)
+            assert got.value.position >= err.position, text
+        else:
+            assert lang.parse_any(text, strict_llog) == want, text
+
+
+_TERM_EXPECTED = "(expected '(', '-', '0', 'e<k>', 'inf', coefficient, function, variable)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(" * 127 + "e0 = e0 &" + ")" * 127, f"unexpected ')' at position 136 {_TERM_EXPECTED}"),
+        ("(y<)", f"unexpected ')' at position 3 {_TERM_EXPECTED}"),
+    ],
+    ids=["deep-and", "less-than"],
+)
+def test_grouped_formula_errors_point_at_the_fault(text, message):
+    # The backtracking parser blamed the valid '=' at 130, resp. '<' at 2.
+    with pytest.raises(ParseError) as err:
+        lang.parse_any(text)
+    assert str(err.value) == message
 
 
 def test_zero_literal_vs_division():
