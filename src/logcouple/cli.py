@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from . import gamma, harness, lang
 from .gamma import ExtendedElement, GammaElement, Infinity
-from .harness import SamplerConfig
 from .subspace import GrowthReport, ImageReport, Subspace, echelonize, growth_check
 
 EXIT_PASS = 0
@@ -164,8 +163,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise CliError("--trials must be nonnegative")
     if args.trials > harness.MAX_TRIALS:
         raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {harness.MAX_TRIALS}")
-    cfg = SamplerConfig(seed=args.seed, trials=args.trials)
-    report = harness.run_suite(args.suite, cfg)
+    report = harness.run_suite(args.suite, args.seed, args.trials)
     if args.json:
         _emit_json(gamma.jsonable(report))
     else:
@@ -200,10 +198,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    epsilon = lang.parse_element(args.epsilon)
-    if isinstance(epsilon, Infinity):
-        raise CliError("epsilon must be a group element, not inf")
-    report = harness.make_witness(epsilon, args.count)
+    report = harness.make_witness(lang.parse_element(args.epsilon), args.count)
     if args.json:
         _emit_json(gamma.jsonable(report))
     else:
@@ -229,21 +224,13 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--seed", type=int, default=0, help="sampler seed (check; default 0)"
-    )
-    common.add_argument(
-        "--trials",
-        type=int,
-        default=10000,
-        help="trials per suite (check; default 10000, the certified configuration)",
-    )
-    common.add_argument(
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    text_opts = argparse.ArgumentParser(add_help=False, parents=[json_opt])
+    text_opts.add_argument(
         "--strict-llog",
         action="store_true",
-        help="restrict eval/fmt to the base language (no int applications)",
+        help="restrict to the base language (no int applications)",
     )
 
     parser = argparse.ArgumentParser(
@@ -253,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate a term or quantifier-free formula"
+        "eval", parents=[text_opts], help="evaluate a term or quantifier-free formula"
     )
     p_eval.add_argument("text", help="term or formula, e.g. 'psi(e1) = e0 + e1'")
     p_eval.add_argument(
@@ -270,12 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_check = sub.add_parser("check", parents=[common], help="run a verification suite")
+    p_check = sub.add_parser("check", parents=[json_opt], help="run a verification suite")
     p_check.add_argument("suite", choices=harness.suite_names(), help="suite name")
+    p_check.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
+    p_check.add_argument(
+        "--trials",
+        type=int,
+        default=10000,
+        help="trials per suite (default 10000, the certified configuration)",
+    )
     p_check.set_defaults(func=_cmd_check)
 
     p_sub = sub.add_parser(
-        "subspace", parents=[common], help="subspace images and growth reports"
+        "subspace", parents=[json_opt], help="subspace images and growth reports"
     )
     p_sub.add_argument("--op", required=True, choices=("psi", "s", "p", "growth"))
     p_sub.add_argument("--gens", required=True, metavar="FILE", help="generator file")
@@ -287,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.set_defaults(func=_cmd_subspace)
 
     p_wit = sub.add_parser(
-        "witness", parents=[common], help="discrete increasing set inside (0, epsilon)"
+        "witness", parents=[json_opt], help="discrete increasing set inside (0, epsilon)"
     )
     p_wit.add_argument("--epsilon", required=True, metavar="ELT", help="upper bound element")
     p_wit.add_argument("--count", required=True, type=int, metavar="N", help="elements to emit")
     p_wit.set_defaults(func=_cmd_witness)
 
-    p_fmt = sub.add_parser("fmt", parents=[common], help="reformat a term or formula")
+    p_fmt = sub.add_parser("fmt", parents=[text_opts], help="reformat a term or formula")
     p_fmt.add_argument("text", help="term or formula text")
     p_fmt.set_defaults(func=_cmd_fmt)
 

@@ -2,9 +2,9 @@
 
 Each suite is a per-trial function registered in ``_SUITES``, and one
 driver (``run_suite``) runs it once per trial.  Every trial draws its
-randomness from a ``random.Random`` seeded by an integer mix of
-(config seed, trial index), so identical configs produce identical
-sample streams and byte-identical reports on every platform (no
+randomness from ``trial_rng(seed, trial)``, a ``random.Random`` seeded
+by an integer mix of the two, so equal seeds give identical sample
+streams and byte-identical reports on every platform (no
 dependence on hash randomization or global RNG state); the samplers make
 the same ``random.Random`` calls in the same order whatever the element
 representation.  Reports carry counters for the nontrivial strata a
@@ -50,15 +50,8 @@ MAX_NUMERATOR = 9
 MAX_DENOMINATOR = 4
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seed and trial count shared by all suites."""
-
-    seed: int = 0
-    trials: int = 10000
-
-    def trial_rng(self, trial: int) -> random.Random:
-        return random.Random(_mix64(self.seed, trial))
+def trial_rng(seed: int, trial: int) -> random.Random:
+    return random.Random(_mix64(seed, trial))
 
 
 def _draw(rng: random.Random) -> Tuple[int, int]:  # (num, den), not reduced
@@ -146,8 +139,8 @@ class _Recorder:
         self.failures: List[Failure] = []
         self.counters: Dict[str, int] = {}
 
-    def bump(self, counter: str, by: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + by
+    def bump(self, counter: str) -> None:
+        self.counters[counter] = self.counters.get(counter, 0) + 1
 
     def check(
         self, ok: bool, check: str,
@@ -768,18 +761,18 @@ def suite_names() -> Tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def run_suite(name: str, cfg: SamplerConfig) -> SuiteReport:
+def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
     """The one trial loop: each trial gets its own seeded RNG."""
     try:
         run_trial = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}") from None
     rec = _Recorder()
-    for trial in range(cfg.trials):
+    for trial in range(trials):
         rec.trial = trial
-        run_trial(rec, cfg.trial_rng(trial))
+        run_trial(rec, trial_rng(seed, trial))
     return SuiteReport(
-        name, cfg.seed, cfg.trials, rec.failure_count == 0, rec.failure_count,
+        name, seed, trials, rec.failure_count == 0, rec.failure_count,
         tuple(rec.failures), dict(sorted(rec.counters.items())),
     )
 

@@ -89,7 +89,7 @@ class Div:
     divisor: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.divisor, int) or self.divisor < 1:
+        if type(self.divisor) is not int or self.divisor < 1:
             raise ValueError(f"divisor must be a positive integer, got {self.divisor!r}")
 
 

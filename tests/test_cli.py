@@ -154,6 +154,12 @@ CORPUS = [
     ["check", "axioms", "--trials", "many"],
     ["witness", "--count", "3"],
     ["eval"],
+    # each subcommand takes only the options it reads
+    ["eval", "e0", "--seed", "1"],
+    ["check", "axioms", "--trials", "5", "--strict-llog"],
+    ["subspace", "--op", "s", "--gens", "gens.txt", "--trials", "3"],
+    ["witness", "--epsilon", "e0", "--count", "1", "--strict-llog"],
+    ["fmt", "x", "--seed", "2"],
 ]
 
 # Inputs that once overflowed the recursive parser or evaluator, with the

@@ -25,7 +25,6 @@ import pytest
 
 from logcouple import gamma, harness
 from logcouple.gamma import INF, Infinity
-from logcouple.harness import SamplerConfig
 
 GOLDEN = Path(__file__).parent / "data" / "failure_golden.json"
 TRIALS = 100
@@ -105,7 +104,7 @@ def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> object:
     suite, seed, patches = CASES[name]
     for attr, fn in patches.items():
         monkeypatch.setattr(gamma, attr, fn)
-    return gamma.jsonable(harness.run_suite(suite, SamplerConfig(seed=seed, trials=TRIALS)))
+    return gamma.jsonable(harness.run_suite(suite, seed, TRIALS))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Seeded suites, the affine trichotomy checker, and witness construction."""
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -14,11 +15,11 @@ from logcouple.harness import (
     ConstPsi,
     NotApplicable,
     Projection,
-    SamplerConfig,
     classify_affine_image,
     make_witness,
     run_suite,
     suite_names,
+    trial_rng,
 )
 
 
@@ -30,15 +31,12 @@ def psi(level):
     return gamma.psi_element(level)
 
 
-SMALL = SamplerConfig(seed=0, trials=300)
-
-
 # --- suites pass and are reproducible ----------------------------------------------
 
 
 @pytest.mark.parametrize("name", suite_names())
 def test_suites_pass_at_small_trials(name):
-    report = run_suite(name, SMALL)
+    report = run_suite(name, 0, 300)
     assert report.passed, cli._suite_text(report)
     assert report.trials == 300
     assert report.counters  # nontrivial strata recorded
@@ -47,25 +45,25 @@ def test_suites_pass_at_small_trials(name):
 def test_suite_names_are_the_cli_tokens():
     assert suite_names() == ("axioms", "successor", "lemma41", "lemma44", "subspace-growth")
     with pytest.raises(ValueError):
-        run_suite("nosuch", SMALL)
+        run_suite("nosuch", 0, 300)
 
 
 def test_zero_trials_vacuous_pass():
-    report = run_suite("axioms", SamplerConfig(seed=3, trials=0))
+    report = run_suite("axioms", 3, 0)
     assert report.passed and report.trials == 0 and not report.counters
 
 
 def test_reports_are_byte_reproducible():
-    first = run_suite("successor", SamplerConfig(seed=11, trials=150))
-    second = run_suite("successor", SamplerConfig(seed=11, trials=150))
+    first = run_suite("successor", 11, 150)
+    second = run_suite("successor", 11, 150)
     assert first == second
     assert cli._suite_text(first) == cli._suite_text(second)
     assert gamma.jsonable(first) == gamma.jsonable(second)
 
 
 def test_seed_changes_the_stream():
-    a = run_suite("axioms", SamplerConfig(seed=1, trials=50))
-    b = run_suite("axioms", SamplerConfig(seed=2, trials=50))
+    a = run_suite("axioms", 1, 50)
+    b = run_suite("axioms", 2, 50)
     assert a.counters != b.counters or a.seed != b.seed
 
 
@@ -89,6 +87,11 @@ def _reference_element(rng, nonzero=False, min_index=0):
             return x
 
 
+def _reference_positive(rng):
+    x = _reference_element(rng, nonzero=True)
+    return x if x > ZERO else -x
+
+
 def _reference_sparse_tail(rng, k):
     return sorted(
         (i, _reference_coefficient(rng))
@@ -110,6 +113,7 @@ def _stream_draws():
         for min_index in (0, 3):
             kwargs = {"nonzero": nonzero, "min_index": min_index}
             yield partial(harness.sample_element, **kwargs), partial(_reference_element, **kwargs)
+    yield harness.sample_positive, _reference_positive
     for k in (0, 4, 8):
         yield (
             lambda rng, k=k: gamma._from_terms(harness._sparse_tail(rng, k)),
@@ -123,12 +127,24 @@ def _stream_draws():
             )
 
 
+def _assert_int_layout(x):
+    # The reference goes through the same _from_terms, so equality alone
+    # would miss a layout fault the two share.
+    indices = [i for i, _ in x._num]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(type(n) is int and n != 0 for _, n in x._num)
+    assert x._den > 0 and math.gcd(x._den, *(n for _, n in x._num)) == 1
+
+
 def test_samplers_keep_the_reference_stream():
     draws = list(_stream_draws())
     for seed in range(500):
         rng, ref = random.Random(seed), random.Random(seed)
         for sample, reference in draws:
-            assert sample(rng) == reference(ref), seed
+            x = sample(rng)
+            if isinstance(x, GammaElement):
+                _assert_int_layout(x)
+            assert x == reference(ref), seed
             assert rng.getstate() == ref.getstate(), seed
 
 
@@ -138,7 +154,7 @@ _real_psi = gamma.psi
 def test_corrupted_psi_fails_with_counterexamples(monkeypatch):
     # negating psi breaks the gap law; the report must carry replayable text
     monkeypatch.setattr(gamma, "psi", lambda x: -_real_psi(x))
-    report = run_suite("axioms", SamplerConfig(seed=5, trials=120))
+    report = run_suite("axioms", 5, 120)
     assert not report.passed
     assert {f.check for f in report.failures} & {"psi_gap", "psi_antitone"}
     assert any(f.check == "psi_gap" for f in report.failures)
@@ -150,7 +166,7 @@ def test_corrupted_psi_fails_with_counterexamples(monkeypatch):
 
 def test_failure_recording_caps_but_counts(monkeypatch):
     monkeypatch.setattr(gamma, "psi", lambda x: INF)
-    report = run_suite("axioms", SamplerConfig(seed=5, trials=500))
+    report = run_suite("axioms", 5, 500)
     assert not report.passed
     assert len(report.failures) <= 10
     assert report.failure_count > len(report.failures)
@@ -160,7 +176,7 @@ def test_round_trips_do_not_use_the_patched_psi(monkeypatch):
     # derivative adds the psi-set member itself, so only the psi laws see a broken psi
     monkeypatch.setattr(gamma, "psi", lambda x: INF)
     monkeypatch.setattr(harness, "_MAX_RECORDED_FAILURES", 10**6)  # record every failure
-    report = run_suite("axioms", SamplerConfig(seed=5, trials=500))
+    report = run_suite("axioms", 5, 500)
     assert len(report.failures) == report.failure_count > 0
     failing = {f.check for f in report.failures}
     assert not failing & {"derivative_after_integrate", "integrate_after_derivative"}
@@ -168,12 +184,11 @@ def test_round_trips_do_not_use_the_patched_psi(monkeypatch):
 
 
 def test_failures_carry_their_trial_number_past_trial_49(monkeypatch):
-    cfg = SamplerConfig(seed=0, trials=1000)
     monkeypatch.setitem(
         harness._SUITES, "stub", lambda rec, rng: rec.check(rng.random() >= 0.02, "rare", [])
     )
-    report = run_suite("stub", cfg)
-    failing = [t for t in range(cfg.trials) if cfg.trial_rng(t).random() < 0.02]
+    report = run_suite("stub", 0, 1000)
+    failing = [t for t in range(1000) if trial_rng(0, t).random() < 0.02]
     assert [f.trial for f in report.failures] == failing[:10]
     assert failing[9] > 49
     assert report.failure_count == len(failing)
@@ -189,7 +204,7 @@ def test_recorded_input_texts():
 
 
 def test_growth_suite_counters_cover_strata_and_regimes():
-    report = run_suite("subspace-growth", SamplerConfig(seed=4, trials=400))
+    report = run_suite("subspace-growth", 4, 400)
     counters = dict(report.counters)
     assert counters["base_unit"] + counters["base_sparse"] + counters["base_psi"] == 400
     assert counters["growth_psi"] == 400
