@@ -125,7 +125,7 @@ def _witness_text(report: harness.WitnessReport) -> str:
         f"bound: {gamma.format_element(report.bound)}",
         "prefix:",
     ]
-    lines.extend(f"  {gamma.format_element(x)}" for x in report.prefix)
+    lines.extend(f"  {text}" for text in gamma.format_elements(report.prefix))
     return "\n".join(lines)
 
 

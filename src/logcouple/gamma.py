@@ -17,10 +17,15 @@ On top of the group live the maps that make it an asymptotic couple:
 * ``derivative`` is ``a + psi(a)``, with ``derivative(0) = inf``.
 * ``successor`` / ``predecessor`` walk the psi-set ``{1, 11, 111, ...}``.
 
-The operators are the one arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
-int or Fraction; the comparisons are the order, with ``inf`` on top.  ``inf``
-absorbs every map, sum, negation and scaling, so partial operations never
-raise; ``/ 0`` raises ``ZeroDivisionError``, on ``inf`` as on elements.
+The operators are the arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
+int or Fraction, and ``sum_elements`` adds many elements in one pass; the
+comparisons are the order, with ``inf`` on top.  ``inf`` absorbs every map,
+sum, negation and scaling, so partial operations never raise; ``/ 0`` raises
+``ZeroDivisionError``, on ``inf`` as on elements.
+
+``format_element`` writes element text and ``format_elements`` a list of
+it, formatting only the new terms of an element that extends the previous
+one, so along a chain of partial sums each term is formatted once.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -313,6 +318,31 @@ def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
 ZERO = GammaElement()
 
 
+def sum_elements(xs: Iterable[ExtendedElement]) -> ExtendedElement:
+    """The sum of the elements, in one pass over all their terms.
+
+    The terms are added at the lcm of the denominators and the total is
+    reduced once, so a sum of n elements costs one pass, not n merges
+    into a growing accumulator.  ``inf`` if any element is ``inf``;
+    ``ZERO`` for none.
+    """
+    xs = list(xs)
+    for x in xs:
+        if isinstance(x, Infinity):
+            return INF
+        if not isinstance(x, GammaElement):
+            raise TypeError(f"expected a group element or inf, got {x!r}")
+    den = lcm(*[x._den for x in xs])
+    acc: dict = {}
+    for x in xs:
+        f = den // x._den
+        for i, n in x._num:
+            acc[i] = acc.get(i, 0) + n * f
+    num = [(i, n) for i, n in sorted(acc.items()) if n]
+    g = gcd(den, *[n for _, n in num])
+    return _make(tuple([(i, n // g) for i, n in num]), den // g)
+
+
 def unit(index: int) -> GammaElement:
     """The basis vector ``e<index>``."""
     _check_index(index)
@@ -492,24 +522,54 @@ def in_negative_derivatives(a: GammaElement) -> bool:
 # duplicates.
 
 
-def format_element(x: ExtendedElement) -> str:
-    if isinstance(x, Infinity):
-        return "inf"
-    if not x._num:
-        return "0"
+def _terms_text(num: Sequence[Tuple[int, int]], den: int) -> str:
+    """The terms ``(i, n)`` over ``den``, each as ``' + '`` or ``' - '`` and its text."""
     chunks = []
-    for i, num in x._num:
-        g = gcd(num, x._den)
-        num, den = num // g, x._den // g
-        sign = " + " if num > 0 else " - "
-        if den != 1:
-            chunks.append(f"{sign}{abs(num)}/{den}*e{i}")
-        elif num == 1 or num == -1:
+    for i, n in num:
+        g = gcd(n, den)
+        n, d = n // g, den // g
+        sign = " + " if n > 0 else " - "
+        if d != 1:
+            chunks.append(f"{sign}{abs(n)}/{d}*e{i}")
+        elif n == 1 or n == -1:
             chunks.append(f"{sign}e{i}")
         else:
-            chunks.append(f"{sign}{abs(num)}*e{i}")
-    text = "".join(chunks)
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+            chunks.append(f"{sign}{abs(n)}*e{i}")
+    return "".join(chunks)
+
+
+def format_element(x: ExtendedElement) -> str:
+    return format_elements((x,))[0]
+
+
+def format_elements(xs: Iterable[ExtendedElement]) -> List[str]:
+    """``[format_element(x) for x in xs]``, formatting each new term once along a chain.
+
+    When an element's terms extend the previous element's over the same
+    denominator, as in a chain of partial sums, its text is the previous
+    text followed by the new terms, so a chain of N elements costs N term
+    texts, not N**2.
+    """
+    out = []
+    prev_num, prev_den, terms = ZERO._num, ZERO._den, ""
+    for x in xs:
+        if isinstance(x, Infinity):
+            out.append("inf")
+            continue
+        num, den = x._num, x._den
+        n = len(prev_num)
+        if den == prev_den and num[:n] == prev_num:
+            terms += _terms_text(num[n:], den)
+        else:
+            terms = _terms_text(num, den)
+        prev_num, prev_den = num, den
+        if not terms:
+            out.append("0")
+        elif terms[1] == "+":
+            out.append(terms[3:])
+        else:
+            out.append("-" + terms[3:])
+    return out
 
 
 def jsonable(value: object) -> object:
@@ -530,5 +590,7 @@ def jsonable(value: object) -> object:
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if all(isinstance(v, (GammaElement, Infinity)) for v in value):
+            return format_elements(value)
         return [jsonable(v) for v in value]
     return value

@@ -21,7 +21,9 @@ Parentheses, including those of function calls, nest at most
 ``evaluate`` (value or truth), ``format_any`` (canonical text) and
 ``to_json`` (nested dicts) take a term or a formula alike.  They share one
 walk that keeps its own stack, so a long sum or a long run of ``!`` is no
-deeper for them than a short one.
+deeper for them than a short one.  ``evaluate`` walks the left spine of a
+sum ``t0 + t1 + ... + tn`` with a loop, evaluates the operands from left
+to right, and adds them with one ``gamma.sum_elements``.
 
 Grammar (terms):
 
@@ -531,6 +533,19 @@ def _lookup(node: Var, env: Env) -> ExtendedElement:
         raise EvalError(f"unbound variable {node.name!r}") from None
 
 
+def _sum(node: Add, env: Env) -> Generator:
+    """A chain ``t0 + t1 + ... + tn``: walk its left spine with a loop, the
+    operands from left to right, and add their values in one pass."""
+    rights = []
+    while type(node) is Add:
+        rights.append(node.right)
+        node = node.left
+    values = [(yield node, env)]
+    for operand in reversed(rights):
+        values.append((yield operand, env))
+    return gamma.sum_elements(values)
+
+
 def _and(node: And, env: Env) -> Generator:
     return (yield node.left, env) and (yield node.right, env)
 
@@ -542,7 +557,7 @@ def _or(node: Or, env: Env) -> Generator:
 _EVAL = {
     Literal: lambda node, env: node.value,
     Var: _lookup,
-    Add: _binary(lambda a, b: a + b),
+    Add: _sum,
     Neg: _unary(lambda node, a: -a),
     # Div.__post_init__ has already rejected a divisor below 1.
     Div: _unary(lambda node, a: a / node.divisor),

@@ -99,10 +99,7 @@ class Subspace:
         """The combination sum(coefficients[i] * basis[i])."""
         if len(coefficients) != len(self._rows):
             raise ValueError("one coefficient per basis row required")
-        acc = ZERO
-        for c, row in zip(coefficients, self._rows):
-            acc = acc + row * c
-        return acc
+        return gamma.sum_elements(row * c for c, row in zip(coefficients, self._rows))
 
     # --- images ---------------------------------------------------------
 

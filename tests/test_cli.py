@@ -307,6 +307,19 @@ def test_fmt_json_of_a_very_deep_tree_exits_2(text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_long_witness_prints_every_prefix_element():
+    # the prefix is a chain of partial sums, formatted incrementally
+    argv = ["witness", "--epsilon", "3/4*e5 - e9", "--count", "1000"]
+    prefix = harness.make_witness(lang.parse_element(argv[2]), 1000).prefix
+    want = [gamma.format_element(x) for x in prefix]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    assert out.splitlines()[4:] == [f"  {text}" for text in want]
+    rc, out, err = run_cli(argv + ["--json"])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    assert json.loads(out)["prefix"] == want
+
+
 # --- work bounded by documented caps ------------------------------------------------
 
 

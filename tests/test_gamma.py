@@ -14,7 +14,7 @@ from typing import Optional
 
 import oracle
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logcouple import gamma, harness, lang
@@ -178,6 +178,19 @@ def test_int_kernel_matches_dict_reference(xa, yb, q):
     assert gamma.first_non_one_index(a) == oracle.first_non_one(x)
     assert gamma.psi_level(a) == oracle.level(x)
     assert gamma.format_element(a) == oracle.fmt(x)
+
+
+@given(st.lists(kernel_operands() | st.just((INF, None)), max_size=12))
+def test_sum_elements_is_a_left_fold(operands):
+    total = gamma.sum_elements(x for x, _ in operands)
+    folded, want = ZERO, {}
+    for x, ref in operands:
+        folded, want = folded + x, oracle.add(want, ref)
+    assert total == folded
+    if want is None:
+        assert total is INF
+    else:
+        assert_canonical(total, want)
 
 
 def test_int_kernel_reduces_summed_coordinates():
@@ -556,6 +569,37 @@ def test_parse_error_position():
         assert exc.position == 6
     else:
         pytest.fail("expected a parse error")
+
+
+@st.composite
+def prefix_chains(draw):
+    """Partial sums of terms at increasing indices, with repeats, rescalings
+    (each a change of denominator), ``0`` and ``inf`` in between."""
+    x = draw(st.sampled_from([ZERO, unit(0), elt((1, Fraction(-2, 3)))]))
+    chain = [x]
+    for step in draw(st.lists(st.integers(0, 5), max_size=12)):
+        if step == 0:
+            chain.append(draw(st.sampled_from([ZERO, INF])))
+            continue
+        if step == 1:
+            x = x * draw(coefficients.filter(bool))
+        elif step >= 3:
+            top = x._num[-1][0] if x else -1
+            x = x + elt((top + draw(st.integers(1, 3)), draw(coefficients.filter(bool))))
+        chain.append(x)
+    return chain
+
+
+# Each case shows once: 0 first and inside, a repeat, a negative first new term,
+# and a change of denominator that keeps the numerators' prefix.
+CHAIN = [ZERO, unit(0), unit(0), unit(0) - unit(2), (unit(0) - unit(2) + unit(3)) / 3,
+         INF, ZERO, unit(4), unit(4) + unit(6) * 5]
+
+
+@example(CHAIN)
+@given(st.lists(extended_elements, max_size=8) | prefix_chains())
+def test_format_elements_matches_format_element(xs):
+    assert gamma.format_elements(xs) == [gamma.format_element(x) for x in xs]
 
 
 @given(elements)

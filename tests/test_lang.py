@@ -439,6 +439,12 @@ def test_unbound_variable_is_named():
     with pytest.raises(EvalError) as err:
         lang.evaluate(term("x + e0"), {"y": ZERO})
     assert "'x'" in str(err.value)
+    # a sum evaluates its operands from left to right
+    with pytest.raises(EvalError) as err:
+        lang.evaluate(term("x + y + z"), {"x": ZERO})
+    assert "'y'" in str(err.value)
+    assert lang.evaluate(term("e0 + inf - e0")) is INF
+    assert lang.evaluate(term("e0 + (e1 + e2) - e0")) == unit(1) + unit(2)
 
 
 def test_and_or_short_circuit():
