@@ -21,7 +21,11 @@ The operators are the arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
 int or Fraction, and ``sum_elements`` adds many elements in one pass; the
 comparisons are the order, with ``inf`` on top.  ``inf`` absorbs every map,
 sum, negation and scaling, so partial operations never raise; ``/ 0`` raises
-``ZeroDivisionError``, on ``inf`` as on elements.
+``ZeroDivisionError``, on ``inf`` as on elements.  Two elements over one
+denominator whose first terms agree are compared first on the shorter term
+tuple against the same-length prefix of the longer, one tuple compare that
+runs in C: along a chain of partial sums, where each element extends the one
+before it, that skips the whole shared prefix.
 
 ``format_element`` writes element text and ``format_elements`` a list of
 it, formatting only the new terms of an element that extends the previous
@@ -101,21 +105,22 @@ class GammaElement:
     with ``gcd(_den, *numerators) == 1``; the coefficient at index i is
     ``Fraction(n, _den)``, which ``coords`` builds on each access.  The
     form is canonical, so ``==`` and the hash compare tuples.
-    ``__init__`` establishes it from any input; the private ``_make``
-    stores a form that already satisfies it without checking, and is
-    used only by the operations here that preserve it.
+    ``__init__`` establishes it from any input through ``_sum_terms``,
+    the normalizer that ``sum_elements`` and ``lang.parse_element`` share;
+    the private ``_make`` stores a form that already satisfies it without
+    checking, and is used only by the operations here that preserve it.
     """
 
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
-        acc: dict = {}
+        terms = []
         for index, q in coords:
             _check_index(index)
             if not isinstance(q, (int, Fraction)):
                 raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
-            acc[index] = acc.get(index, 0) + q
-        x = _from_terms(sorted((i, q.numerator, q.denominator) for i, q in acc.items() if q))
+            terms.append((index, q.numerator, q.denominator))
+        x = _sum_terms(terms)
         _set_num(self, x._num)
         _set_den(self, x._den)
         _set_hash(self, None)
@@ -206,15 +211,19 @@ class GammaElement:
 
     def _cmp(self, other: "GammaElement") -> int:
         a, b, da, db = self._num, other._num, self._den, other._den
-        for (ia, na), (ib, nb) in zip(a, b):
-            if ia != ib:
-                if ia < ib:
-                    return GT if na > 0 else LT
-                return LT if nb > 0 else GT
-            if da != db:
-                na, nb = na * db, nb * da
-            if na != nb:
-                return GT if na > nb else LT
+        # Along a chain of partial sums the shorter term tuple is a prefix of
+        # the longer: skip it with one slice compare, which runs in C.  The
+        # first-term test keeps elements that differ at once off the slices.
+        if not (da == db and a and b and a[0] == b[0] and a[: len(b)] == b[: len(a)]):
+            for (ia, na), (ib, nb) in zip(a, b):
+                if ia != ib:
+                    if ia < ib:
+                        return GT if na > 0 else LT
+                    return LT if nb > 0 else GT
+                if da != db:
+                    na, nb = na * db, nb * da
+                if na != nb:
+                    return GT if na > nb else LT
         n = min(len(a), len(b))
         if len(a) > n:
             return GT if a[n][1] > 0 else LT
@@ -259,13 +268,34 @@ def _check_index(index: object) -> None:
         raise ValueError(f"basis index must be a nonnegative int, got {index!r}")
 
 
+def _reduced(num: Sequence[Tuple[int, int]], den: int) -> GammaElement:
+    """The canonical element of nonzero ``(i, n)`` over ``den``, indices increasing:
+    the one place that divides out ``gcd(den, *numerators)``."""
+    if den != 1:
+        g = gcd(den, *[n for _, n in num])
+        if g != 1:
+            return _make(tuple([(i, n // g) for i, n in num]), den // g)
+    return _make(tuple(num), den)
+
+
 def _from_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
     """The element ``sum(n/d * e<i>)`` of ``(i, n, d)`` int terms, indices strictly
     increasing and ``n != 0 < d``, with ``n/d`` not necessarily reduced."""
     den = lcm(*[d for _, _, d in terms])
-    num = [(i, n * (den // d)) for i, n, d in terms]
-    g = gcd(den, *[n for _, n in num])
-    return _make(tuple([(i, n // g) for i, n in num]), den // g)
+    if den == 1:
+        return _make(tuple([(i, n) for i, n, _ in terms]))
+    return _reduced([(i, n * (den // d)) for i, n, d in terms], den)
+
+
+def _sum_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
+    """The element ``sum(n/d * e<i>)`` of ``(i, n, d)`` int terms with ``d > 0``, in
+    any order: indices may repeat and ``n`` may be 0.  The terms are added at
+    the lcm of the denominators and the sum is reduced once."""
+    den = lcm(*[d for _, _, d in terms])
+    acc: dict = {}
+    for i, n, d in terms:
+        acc[i] = acc.get(i, 0) + n * (den // d)
+    return _reduced([(i, n) for i, n in sorted(acc.items()) if n], den)
 
 
 def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
@@ -309,10 +339,7 @@ def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
             i += 1
             j += 1
     num = (*out, *a[i:], *b[j:])
-    g = gcd(den, *[n for _, n in num]) if summed and den != 1 else 1
-    if g != 1:
-        den, num = den // g, tuple((k, n // g) for k, n in num)
-    return _make(num, den)
+    return _reduced(num, den) if summed else _make(num, den)
 
 
 ZERO = GammaElement()
@@ -332,15 +359,7 @@ def sum_elements(xs: Iterable[ExtendedElement]) -> ExtendedElement:
             return INF
         if not isinstance(x, GammaElement):
             raise TypeError(f"expected a group element or inf, got {x!r}")
-    den = lcm(*[x._den for x in xs])
-    acc: dict = {}
-    for x in xs:
-        f = den // x._den
-        for i, n in x._num:
-            acc[i] = acc.get(i, 0) + n * f
-    num = [(i, n) for i, n in sorted(acc.items()) if n]
-    g = gcd(den, *[n for _, n in num])
-    return _make(tuple([(i, n // g) for i, n in num]), den // g)
+    return _sum_terms([(i, n, x._den) for x in xs for i, n in x._num])
 
 
 def unit(index: int) -> GammaElement:

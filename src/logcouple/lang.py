@@ -12,6 +12,13 @@ other '(' a term.  ``parse_element`` reads element text, the literal sums
 ``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``, from the same tokens.
 Both report an error at the first token that their one reading rejects.
 
+The lexer is one compiled regex: each match skips leading whitespace and
+fills one numbered group, and ``_lex`` dispatches on that number.  Tokens
+keep their digits as text, and the parser makes them ints as it consumes
+them, so a number too long for ``int`` is an error only where the parser
+reaches it, after any error to its left.  The token list ends in
+``_EOF_PADDING`` eof tokens, so the parser looks ahead by plain indexing.
+
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
 rejected with a pointed message; the language is quantifier-free.
@@ -45,7 +52,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from types import GeneratorType
 from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
 
@@ -167,19 +173,29 @@ class EvalError(ValueError):
 
 # --- lexer ------------------------------------------------------------------
 
+# One match per token: leading whitespace, then one numbered group.  The
+# empty ``\Z`` alternative matches only at the end, with no group, so
+# trailing whitespace ends the scan in one match instead of one failed
+# match per character.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>[0-9]+)
-  | (?P<basis>e[0-9]+(?![A-Za-z0-9_]))
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[()+\-*/!&|=<])
-  | (?P<char>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"""\s*(?:
+        ([()+\-*/!&|=<])                    # 1 symbol
+      | ([0-9]+)                            # 2 number
+      | (e([0-9]+))(?![A-Za-z0-9_])         # 3 basis vector, 4 its index digits
+      | ([A-Za-z_][A-Za-z0-9_]*)            # 5 name
+      | (\S)                                # 6 any other character
+      | \Z
+    )""",
+    re.VERBOSE,
 )
+_SYMBOL, _NUMBER, _BASIS, _NAME = 1, 2, 3, 5
 
 _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
+
+# eof tokens at the end of every token list.  The parser never moves past
+# the first one, and no lookahead reaches more than two tokens beyond it,
+# so it indexes the list without a bounds check.
+_EOF_PADDING = 3
 
 
 @dataclass(slots=True)
@@ -187,32 +203,30 @@ class _Token:
     kind: str  # number basis var func inf quant char deep ( ) + - * / ! & | = < eof
     text: str
     pos: int
-    value: int = 0  # a number's or basis index's int; 1 on a '(' that opens a formula
+    value: int = 0  # 1 on a '(' that opens a formula
+    digits: str = ""  # a number's digits, or a basis vector's index digits
 
 
 def _lex(text: str) -> List[_Token]:
-    """Tokens of ``text``; never raises a ParseError.
+    """Tokens of ``text``, then ``_EOF_PADDING`` eof tokens; never raises.
 
     A character outside the grammar becomes a ``char`` token and a '(' past
     ``MAX_NESTING`` a ``deep`` token.  No rule consumes either, so the
-    parser reports the leftmost error when it reaches one.
+    parser reports the leftmost error when it reaches one.  Digits stay
+    text until the parser consumes their token, so even a number too long
+    for ``int`` cannot raise here.
 
     A '(' gets ``value`` 1, the mark of a grouped formula, when ``= < ! & |``
     occurs at its own depth or its first token opens a marked group.  A
     parenthesized term never has either; a parenthesized formula always does.
     """
     tokens: List[_Token] = []
+    append = tokens.append
     opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        lexeme, pos = m[0], m.start()
-        if kind in ("number", "basis"):
-            tokens.append(_Token(kind, lexeme, pos, int(lexeme.lstrip("e"))))
-        elif kind == "name":
-            tokens.append(_Token(_NAME_KINDS.get(lexeme, "var"), lexeme, pos))
-        elif kind == "sym":
+        which = m.lastindex
+        if which == _SYMBOL:
+            lexeme = m[1]
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
@@ -221,10 +235,20 @@ def _lex(text: str) -> List[_Token]:
                     tokens[group - 1].value = 1
             elif lexeme in "=<!&|" and opened:
                 tokens[opened[-1]].value = 1
-            tokens.append(_Token("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, pos))
+            append(_Token("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1))
+        elif which == _NUMBER:
+            lexeme = m[2]
+            append(_Token("number", lexeme, m.start(2), 0, lexeme))
+        elif which == _BASIS:
+            append(_Token("basis", m[3], m.start(3), 0, m[4]))
+        elif which == _NAME:
+            lexeme = m[5]
+            append(_Token(_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(5)))
+        elif which is None:
+            break
         else:
-            tokens.append(_Token(kind, lexeme, pos))
-    tokens.append(_Token("eof", "", len(text)))
+            append(_Token("char", m[6], m.end() - 1))
+    tokens += [_Token("eof", "", len(text))] * _EOF_PADDING
     return tokens
 
 
@@ -239,8 +263,8 @@ class _Parser:
         self.i = 0
         self.strict_llog = strict_llog
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def take(self) -> _Token:
         tok = self.tokens[self.i]
@@ -283,9 +307,10 @@ class _Parser:
         while self.peek().kind == "/":
             self.take()
             tok = self.expect("number", frozenset({"positive integer divisor"}))
-            if tok.value < 1:
+            divisor = int(tok.digits)
+            if divisor < 1:
                 raise ParseError("divisor must be a positive integer", tok.pos)
-            node = Div(node, tok.value)
+            node = Div(node, divisor)
         return node
 
     def unary(self) -> TermNode:
@@ -308,7 +333,7 @@ class _Parser:
             return self.literal_from_number()
         if tok.kind == "basis":
             self.take()
-            return Literal(gamma.unit(tok.value))
+            return Literal(gamma.unit(int(tok.digits)))
         if tok.kind == "inf":
             self.take()
             return Literal(INF)
@@ -333,22 +358,26 @@ class _Parser:
         self.fail(tok, _TERM_START)
 
     def literal_from_number(self) -> TermNode:
-        tok = self.take()
-        num = tok.value
-        den = 1
-        if self.peek().kind == "/" and self.peek(1).kind == "number" and self.peek(2).kind == "*":
-            self.take()
-            den_tok = self.take()
-            den = den_tok.value
+        """``n[/d]*e<k>``, or a bare ``0``, read by index from the number token."""
+        tokens, i = self.tokens, self.i
+        num, den = int(tokens[i].digits), 1
+        if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "number" and tokens[i + 3].kind == "*":
+            den_tok = tokens[i + 2]
+            den = int(den_tok.digits)
             if den == 0:
                 raise ParseError("zero denominator in coefficient", den_tok.pos)
-        if self.peek().kind == "*":
-            self.take()
-            basis = self.expect("basis", frozenset({"'e<k>'"}))
-            return Literal(gamma.unit(basis.value) * Fraction(num, den))
-        if num == 0:
-            return Literal(ZERO)
-        self.fail(self.peek(), frozenset({"'*'"}))
+            i += 2
+        if tokens[i + 1].kind != "*":
+            self.i = i + 1
+            if num == 0:
+                return Literal(ZERO)
+            self.fail(tokens[i + 1], frozenset({"'*'"}))
+        basis = tokens[i + 2]
+        if basis.kind != "basis":
+            self.fail(basis, frozenset({"'e<k>'"}))
+        self.i = i + 3
+        index = int(basis.digits)
+        return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
 
     # element text: 'inf', '0', or a sum of signed [q*]e<k> literals
 
@@ -364,23 +393,22 @@ class _Parser:
             return ZERO
         if tok.kind == "+":
             raise ElementError("unexpected leading '+'", tok.pos)
-        pairs = []
+        terms = []
         while True:
-            sign = -1 if tok.kind == "-" else 1
+            num = -1 if tok.kind == "-" else 1
             if tok.kind in ("+", "-"):
                 tok = self.take()
-            coeff = sign
+            den = 1
             if tok.kind == "number":
-                den = 1
+                num *= int(tok.digits)
                 if self.peek().kind == "/":
                     self.take()
                     den_tok = self.take()
                     if den_tok.kind != "number":
                         raise ElementError("expected denominator digits", den_tok.pos)
-                    den = den_tok.value
+                    den = int(den_tok.digits)
                     if den == 0:
                         raise ElementError("zero denominator", den_tok.pos + len(den_tok.text) - 1)
-                coeff = Fraction(sign * tok.value, den)
                 tok = self.take()
                 if tok.kind != "*":
                     raise ElementError("expected '*' after coefficient", tok.pos)
@@ -392,10 +420,10 @@ class _Parser:
                         raise ElementError("expected '+' or '-' between terms", tok.pos + 1 + digits)
                     raise ElementError("expected basis index digits", tok.pos + 1)
                 raise ElementError("expected basis vector 'e<index>'", tok.pos)
-            pairs.append((tok.value, coeff))
+            terms.append((int(tok.digits), num, den))
             tok = self.take()
             if tok.kind == "eof":
-                return gamma.GammaElement(pairs)
+                return gamma._sum_terms(terms)
             if tok.kind not in ("+", "-"):
                 raise ElementError("expected '+' or '-' between terms", tok.pos)
 

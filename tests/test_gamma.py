@@ -311,6 +311,35 @@ def test_order_translation_invariant(a, b, c):
     assert (a < b, a == b) == (a + c < b + c, a + c == b + c)
 
 
+@st.composite
+def shared_prefix_pairs(draw):
+    """Two canonical elements whose numerator tuples start with the same terms:
+    over one denominator (one may extend the other, as along a chain of partial
+    sums) or over two, where equal numerators are unequal coefficients."""
+    start = draw(st.integers(0, 3))
+    gaps = st.integers(1, 3)
+    nums = st.integers(-4, 4).filter(bool)
+    prefix = [(start, draw(st.sampled_from((1, -1))))]  # a numerator of 1 keeps gcd 1
+    for n in draw(st.lists(nums, max_size=6)):
+        prefix.append((prefix[-1][0] + draw(gaps), n))
+    pair = []
+    for den in (draw(st.integers(1, 6)), draw(st.integers(1, 6))):
+        num = list(prefix)
+        for n in draw(st.lists(nums, max_size=3)):
+            num.append((num[-1][0] + draw(gaps), n))
+        pair.append(gamma._make(tuple(num), den))
+    return tuple(pair)
+
+
+@given(st.one_of(shared_prefix_pairs(), st.tuples(elements, elements)))
+def test_order_matches_the_oracle_on_shared_prefixes(pair):
+    for a in pair:
+        assert_canonical(a, dict(a.coords))
+    a, b = pair
+    want = oracle.compare(dict(a.coords), dict(b.coords))
+    assert (a._cmp(b), b._cmp(a), a < b, a > b, a == b) == (want, -want, want < 0, want > 0, want == 0)
+
+
 def test_positive_iff_leading_coefficient_positive():
     assert elt((2, Fraction(1, 9)), (0, 0)) > ZERO
     assert elt((1, -1), (2, 100)) < ZERO
@@ -554,6 +583,21 @@ def test_parse_examples():
 
 
 @pytest.mark.parametrize(
+    "text, pairs",
+    [
+        ("e3 + e0 - 1/2*e3", [(3, 1), (0, 1), (3, Fraction(-1, 2))]),
+        ("0*e1 + e1 - e1", [(1, 0), (1, 1), (1, -1)]),
+        ("1/2*e4 - 2/4*e4 + 6/4*e2 + 0/3*e0", [(4, Fraction(1, 2)), (4, Fraction(-1, 2)), (2, Fraction(3, 2))]),
+    ],
+    ids=["unsorted", "zero-and-cancelling", "all-cancel-but-one"],
+)
+def test_parse_sums_like_the_constructor(text, pairs):
+    x = lang.parse_element(text)
+    assert x == GammaElement(pairs)
+    assert_canonical(x, reference(pairs))
+
+
+@pytest.mark.parametrize(
     "text",
     ["", "+e0", "e-1", "1/0*e2", "e", "2*", "e1 e2", "0 + e1", "infx", "3*f1", "e²", "²*e0"],
 )
@@ -600,6 +644,14 @@ CHAIN = [ZERO, unit(0), unit(0), unit(0) - unit(2), (unit(0) - unit(2) + unit(3)
 @given(st.lists(extended_elements, max_size=8) | prefix_chains())
 def test_format_elements_matches_format_element(xs):
     assert gamma.format_elements(xs) == [gamma.format_element(x) for x in xs]
+
+
+@given(prefix_chains())
+def test_order_matches_the_oracle_along_prefix_chains(chain):
+    chain = [x for x in chain if x is not INF]
+    for a in chain:
+        for b in chain:
+            assert a._cmp(b) == oracle.compare(dict(a.coords), dict(b.coords))
 
 
 @given(elements)

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +266,80 @@ def test_marked_parentheses_match_the_backtracking_reference():
             assert lang.parse_any(text, strict_llog) == want, text
 
 
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>[0-9]+)
+  | (?P<basis>e[0-9]+(?![A-Za-z0-9_]))
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>[()+\-*/!&|=<])
+  | (?P<char>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+@dataclass
+class _ReferenceToken:
+    kind: str
+    text: str
+    pos: int
+    value: int = 0  # a number's or basis index's int; 1 on a '(' that opens a formula
+
+
+def _reference_lex(text):
+    """The lexer before it skipped whitespace inside each match: named groups
+    dispatched by name, digits made ints on the spot, one eof token."""
+    tokens = []
+    opened = []  # indices of the unclosed '(' tokens, innermost last
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        lexeme, pos = m[0], m.start()
+        if kind in ("number", "basis"):
+            tokens.append(_ReferenceToken(kind, lexeme, pos, int(lexeme.lstrip("e"))))
+        elif kind == "name":
+            tokens.append(_ReferenceToken(lang._NAME_KINDS.get(lexeme, "var"), lexeme, pos))
+        elif kind == "sym":
+            if lexeme == "(":
+                opened.append(len(tokens))
+            elif lexeme == ")" and opened:
+                group = opened.pop()
+                if tokens[group].value and opened and opened[-1] == group - 1:
+                    tokens[group - 1].value = 1
+            elif lexeme in "=<!&|" and opened:
+                tokens[opened[-1]].value = 1
+            tokens.append(_ReferenceToken("deep" if len(opened) > lang.MAX_NESTING else lexeme, lexeme, pos))
+        else:
+            tokens.append(_ReferenceToken(kind, lexeme, pos))
+    tokens.append(_ReferenceToken("eof", "", len(text)))
+    return tokens
+
+
+def _whitespace_texts():
+    """Tokens separated by each kind of whitespace, or by none, with whitespace
+    around the whole text, and names that start like a basis vector."""
+    spaces = (" ", "\t", "\n", "\u00a0", "\u3000", " \t\n ", "")
+    shapes = ("3/4*e12 + e0", "(x = y) & !(e1 < 2*e0)", "psi(x) / 7 - 0", "e1e2 + e12x - e\u0663")
+    for space in spaces:
+        for shape in shapes:
+            text = space.join(shape.split(" "))
+            yield from (text, text + space, space + text + " " * 3)
+
+
+def test_lexer_matches_the_reference_lexer():
+    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts()]
+    for text in texts:
+        want = _reference_lex(text)
+        got = lang._lex(text)
+        assert len(got) == len(want) - 1 + lang._EOF_PADDING, text
+        assert all(tok.kind == "eof" and tok.pos == len(text) for tok in got[len(want) - 1 :]), text
+        for new, old in zip(got, want):
+            digits = int(new.digits) if new.kind in ("number", "basis") else new.value
+            assert (new.kind, new.text, new.pos, digits) == (old.kind, old.text, old.pos, old.value), text
+
+
 _TERM_EXPECTED = "(expected '(', '-', '0', 'e<k>', 'inf', coefficient, function, variable)"
 
 
@@ -329,6 +405,14 @@ def test_leftmost_error_wins():
     with pytest.raises(lang.ElementError) as err:
         lang.parse_element("e0 e1 ?")
     assert str(err.value) == "expected '+' or '-' between terms (at position 3)"
+    # A number too long for int() is text until the parser reaches it.
+    huge = "? + " + "9" * 5000 + "*e0"
+    with pytest.raises(ParseError) as err:
+        lang.parse_any(huge)
+    assert str(err.value) == "unexpected character '?' at position 0"
+    with pytest.raises(lang.ElementError) as err:
+        lang.parse_element(huge)
+    assert str(err.value) == "expected basis vector 'e<index>' (at position 0)"
 
 
 @pytest.mark.parametrize("quant", ["forall", "exists"])
