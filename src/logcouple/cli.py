@@ -7,8 +7,9 @@ given epsilon, and reformat an expression canonically.
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
 passed; 1 = a suite or growth bound failed, or a formula evaluated to
-false under --fail-on-false; 2 = usage, parse, or input errors, which
-are reported on stderr as one-line diagnostics.
+false under --fail-on-false; 2 = usage, parse, or input errors, or a
+stdout closed before all output was written, which are reported on
+stderr as one-line diagnostics.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -306,9 +308,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+        return code
     except (CliError, ValueError) as exc:  # parse, element and domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is still buffered goes to devnull,
+        # so flushing it at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
 
 

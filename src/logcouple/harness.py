@@ -5,11 +5,14 @@ driver (``run_suite``) runs it once per trial.  Every trial draws its
 randomness from ``trial_rng(seed, trial)``, a ``random.Random`` seeded
 by an integer mix of the two, so equal seeds give identical sample
 streams and byte-identical reports on every platform (no
-dependence on hash randomization or global RNG state); the samplers make
-the same ``random.Random`` calls in the same order whatever the element
-representation.  Reports carry counters for the nontrivial strata a
-suite exercised, so vacuous passes are visible.  The module computes
-reports; ``cli`` renders them as text.
+dependence on hash randomization or global RNG state).  The samplers
+draw from the generator's ``getrandbits`` and make the same bit
+requests, in the same order, as the ``randint``, ``choice`` and
+``sample`` calls they stand for, so the stream depends neither on which
+of the two does the drawing nor on the element representation.  Reports
+carry counters for the nontrivial strata a suite exercised, so vacuous
+passes are visible.  The module computes reports; ``cli`` renders them
+as text.
 
 The module also houses the affine-image trichotomy checker (an affine
 map hitting the psi-set often enough on a generic family must be
@@ -54,21 +57,49 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(_mix64(seed, trial))
 
 
-def _draw(rng: random.Random) -> Tuple[int, int]:  # (num, den), not reduced
-    num = rng.randint(1, MAX_NUMERATOR) * rng.choice((1, -1))
-    return num, rng.randint(1, MAX_DENOMINATOR)
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """``randrange(n)`` for ``n > 0``: ``n.bit_length()`` bits, redrawn while ``>= n``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _pick(bits: Callable[[int], int], lo: int, n: int, k: int) -> List[int]:
+    """``sample(range(lo, lo + n), k)`` by CPython's pool method, which it uses for ``n <= 21``."""
+    assert 0 <= k <= n <= 21
+    pool = list(range(lo, lo + n))
+    picked = []
+    for last in range(n - 1, n - 1 - k, -1):
+        j = _below(bits, last + 1)
+        picked.append(pool[j])
+        pool[j] = pool[last]
+    return picked
+
+
+def _draw(bits: Callable[[int], int]) -> Tuple[int, int]:  # (num, den), not reduced
+    num = 1 + _below(bits, MAX_NUMERATOR)  # randint(1, MAX_NUMERATOR) * choice((1, -1))
+    if _below(bits, 2):
+        num = -num
+    return num, 1 + _below(bits, MAX_DENOMINATOR)
+
+
+def _terms(bits: Callable[[int], int], lo: int, n: int, k: int) -> List[Tuple[int, int, int]]:
+    """``k`` random ``(index, num, den)`` terms at distinct indices in ``range(lo, lo + n)``,
+    in index order.  Every index is picked before any coefficient is drawn."""
+    return sorted([(i, *_draw(bits)) for i in _pick(bits, lo, n, k)])
 
 
 def sample_coefficient(rng: random.Random) -> Fraction:
-    return Fraction(*_draw(rng))
+    return Fraction(*_draw(rng.getrandbits))
 
 
 def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0) -> GammaElement:
-    """Sparse random element: up to 4 terms at indices in a window."""
-    window = range(min_index, min_index + MAX_SUPPORT + 1)
+    """Sparse random element: up to 4 terms at indices ``min_index`` to ``min_index + MAX_SUPPORT``."""
+    bits = rng.getrandbits
     while True:
-        size = rng.randint(0, min(4, len(window)))
-        x = gamma._from_terms(sorted((i, *_draw(rng)) for i in rng.sample(window, size)))
+        x = gamma._from_terms(_terms(bits, min_index, MAX_SUPPORT + 1, _below(bits, 5)))  # randint(0, 4) terms
         if x or not nonzero:
             return x
 
@@ -80,10 +111,8 @@ def sample_positive(rng: random.Random) -> GammaElement:
 
 def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, int, int]]:
     """At most two random ``(index, num, den)`` terms at indices above ``k``, in index order."""
-    return sorted(
-        (i, *_draw(rng))
-        for i in rng.sample(range(k + 1, k + 2 + MAX_SUPPORT), rng.randint(0, 2))
-    )
+    bits = rng.getrandbits
+    return _terms(bits, k + 1, MAX_SUPPORT + 1, _below(bits, 3))
 
 
 def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaElement:
@@ -95,9 +124,10 @@ def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaEleme
     which puts the element among derivatives of positive/negative
     elements.
     """
-    num, den = _draw(rng)  # the pivot is 1 + num/den, redrawn until on ``side`` of 1
+    bits = rng.getrandbits
+    num, den = _draw(bits)  # the pivot is 1 + num/den, redrawn until on ``side`` of 1
     while side * num < 0:
-        num, den = _draw(rng)
+        num, den = _draw(bits)
     pivot = [(level, den + num, den)] if den + num else []  # a draw of -1 leaves no term
     return gamma._from_terms([(i, 1, 1) for i in range(level)] + pivot + _sparse_tail(rng, level))
 
@@ -182,6 +212,7 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
     integrate/derivative round trips.
     """
     psi = gamma.psi
+    bits = rng.getrandbits
     a = sample_element(rng, nonzero=True)
     b = sample_element(rng, nonzero=True)
     fa, fb = psi(a), psi(b)
@@ -198,7 +229,7 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
             lambda: f"psi(a+b) = {lhs!r} below min(psi a, psi b) = {floor!r}",
         )
 
-    k = rng.choice((-3, -2, -1, 2, 3))
+    k = (-3, -2, -1, 2, 3)[_below(bits, 5)]
     rec.check(
         psi(a * k) == fa,
         "psi_scale_invariant",
@@ -272,7 +303,8 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     side (midpoints stay in the fiber and on the side); successor and
     predecessor as level shift and its inverse on the psi-set.
     """
-    k1, k2 = sorted(rng.sample(range(MAX_SUPPORT + 1), 2))
+    bits = rng.getrandbits
+    k1, k2 = sorted(_pick(bits, 0, MAX_SUPPORT + 1, 2))
     a = sample_prefixed(rng, k1)
     b = sample_prefixed(rng, k2)
     sa, sb = gamma.successor(a), gamma.successor(b)
@@ -288,7 +320,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     d = gamma.derivative(neg)
     assert isinstance(d, GammaElement)
     gap = gamma.successor(d) - d
-    n = rng.randint(1, 10)
+    n = 1 + _below(bits, 10)
     lifted = d + gap * (n + 1)
     rec.check(
         gamma.in_negative_derivatives(d)
@@ -298,8 +330,8 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
         "d + (n+1)(s(d)-d) not a derivative of a positive element",
     )
 
-    level = rng.randint(0, MAX_SUPPORT)
-    side = rng.choice((1, -1))
+    level = _below(bits, MAX_SUPPORT + 1)
+    side = (1, -1)[_below(bits, 2)]
     x = sample_prefixed(rng, level, side=side)
     z = sample_prefixed(rng, level, side=side)
     mid = (x + z) / 2
@@ -312,7 +344,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
         "midpoint left the successor fiber or switched sides",
     )
 
-    j = rng.randint(0, MAX_SUPPORT)
+    j = _below(bits, MAX_SUPPORT + 1)
     pj = gamma.psi_element(j)
     rec.check(
         gamma.successor(pj) == gamma.psi_element(j + 1)
@@ -334,13 +366,14 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     successor fibers around b intersected with a derivative side are
     convex; and the successor identity transported by translation.
     """
+    bits = rng.getrandbits
     b = sample_element(rng)
 
-    k = rng.randint(0, MAX_SUPPORT)
-    sign = rng.choice((1, -1))
+    k = _below(bits, MAX_SUPPORT + 1)
+    sign = (1, -1)[_below(bits, 2)]
 
     def offset() -> GammaElement:
-        num, den = _draw(rng)
+        num, den = _draw(bits)
         return gamma._from_terms([(k, sign * abs(num), den)] + _sparse_tail(rng, k))
 
     d1, d2 = offset(), offset()
@@ -356,8 +389,8 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
         "midpoint left the psi-fiber",
     )
 
-    level = rng.randint(0, MAX_SUPPORT)
-    side = rng.choice((1, -1))
+    level = _below(bits, MAX_SUPPORT + 1)
+    side = (1, -1)[_below(bits, 2)]
     e1 = sample_prefixed(rng, level, side=side)
     e2 = sample_prefixed(rng, level, side=side)
     u, v = b + e1, b + e2
@@ -370,7 +403,7 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
         "midpoint left the successor fiber or switched sides",
     )
 
-    k1, k2 = sorted(rng.sample(range(MAX_SUPPORT + 1), 2))
+    k1, k2 = sorted(_pick(bits, 0, MAX_SUPPORT + 1, 2))
     f1 = sample_prefixed(rng, k1)
     f2 = sample_prefixed(rng, k2)
     p, q = b + f1, b + f2
@@ -553,22 +586,23 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
     planted case, and random maps must classify whenever they hit the
     psi-set often enough.
     """
-    m = rng.randint(1, 4)
-    size = m + 2 + rng.randint(0, 2)
+    bits = rng.getrandbits
+    m = 1 + _below(bits, 4)
+    size = m + 2 + _below(bits, 3)
     constant_cols = [j for j in range(m) if rng.random() < 0.25]
     retained_cols = [j for j in range(m) if j not in constant_cols]
     copy_of: Dict[int, int] = {}
     fresh = []
     for pos, j in enumerate(retained_cols):
         if pos > 0 and rng.random() < 0.2:
-            copy_of[j] = rng.choice(retained_cols[:pos])
+            copy_of[j] = retained_cols[_below(bits, pos)]
         else:
             fresh.append(j)
     pool = iter(rng.sample(range(0, 80), size * max(1, len(fresh))))
     columns: Dict[int, List[ExtendedElement]] = {}
     for j in constant_cols:
         value: ExtendedElement
-        value = INF if rng.random() < 0.2 else gamma.psi_element(rng.randint(0, 80))
+        value = INF if rng.random() < 0.2 else gamma.psi_element(_below(bits, 81))
         columns[j] = [value] * size
     for j in fresh:
         columns[j] = [gamma.psi_element(next(pool)) for _ in range(size)]
@@ -576,7 +610,7 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
         columns[j] = list(columns[src])
     family = [tuple(columns[j][i] for j in range(m)) for i in range(size)]
 
-    kind = rng.choice(("projection", "const_psi", "const_inf", "random", "broken"))
+    kind = ("projection", "const_psi", "const_inf", "random", "broken")[_below(bits, 5)]
     if kind == "projection" and not retained_cols:
         kind = "const_psi"
     if kind == "broken" and not retained_cols:
@@ -585,39 +619,39 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
     label = (("m", str(m)), ("size", str(size)), ("kind", kind))
     points = family
     if kind == "projection":
-        target = rng.choice(retained_cols)
+        target = retained_cols[_below(bits, len(retained_cols))]
         mapping = AffineMap(tuple(Fraction(1 if j == target else 0) for j in range(m)), ZERO)
         check, accept = "planted_projection", lambda r: isinstance(r, Projection)
     elif kind == "const_psi":
-        level = rng.randint(0, 80)
+        level = _below(bits, 81)
         mapping = AffineMap((Fraction(0),) * m, gamma.psi_element(level))
         check, accept = "planted_const_psi", lambda r: r == ConstPsi(level)
     elif kind == "const_inf":
-        coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+        coeffs = tuple(Fraction(_below(bits, 5) - 2) for _ in range(m))
         mapping = AffineMap(coeffs, INF)
         check, accept = "planted_const_inf", lambda r: isinstance(r, ConstInf)
     elif kind == "broken":
-        j = rng.choice(retained_cols)
+        j = retained_cols[_below(bits, len(retained_cols))]
         rows = [list(row) for row in family]
         if rng.random() < 0.5:
-            rows[rng.randrange(size)][j] = INF
+            rows[_below(bits, size)][j] = INF
             reason = "inf"
         else:
-            src = rng.randrange(size)
-            dst = (src + 1 + rng.randrange(size - 1)) % size
+            src = _below(bits, size)
+            dst = (src + 1 + _below(bits, size - 1)) % size
             rows[dst][j] = rows[src][j]
             reason = "duplicate"
         mapping = AffineMap(tuple(Fraction(1 if t == j else 0) for t in range(m)), ZERO)
         points = [tuple(r) for r in rows]
         check, accept = f"broken_{reason}", lambda r: isinstance(r, NotApplicable)
     else:
-        coeffs = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
+        coeffs = tuple(Fraction(_below(bits, 5) - 2, 1 + _below(bits, 2)) for _ in range(m))
         roll = rng.random()
         constant: ExtendedElement
         if roll < 0.25:
             constant = INF
         elif roll < 0.6:
-            constant = gamma.psi_element(rng.randint(0, 80))
+            constant = gamma.psi_element(_below(bits, 81))
         else:
             constant = sample_element(rng)
         mapping = AffineMap(coeffs, constant)
@@ -659,23 +693,24 @@ def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
 
     The extended s-image size is capped at dim + 1 on every trial.
     """
-    dim = rng.randint(0, 3)
-    stratum = rng.choice(("unit", "sparse", "psi"))
+    bits = rng.getrandbits
+    dim = _below(bits, 4)
+    stratum = ("unit", "sparse", "psi")[_below(bits, 3)]
     if stratum == "unit":
         # e_i + a tail at indices >= dim: the span attains a full successor chain (deficit 0)
         base = [gamma.unit(i) + sample_element(rng, min_index=dim) for i in range(dim)]
     elif stratum == "psi":
-        base = [gamma.psi_element(k) for k in rng.sample(range(MAX_SUPPORT + 1), dim)]
+        base = [gamma.psi_element(k) for k in _pick(bits, 0, MAX_SUPPORT + 1, dim)]
     else:
         base = [sample_element(rng, nonzero=True) for _ in range(dim)]
     rec.bump(f"base_{stratum}")
     space = echelonize(base)
-    extra = [sample_element(rng, nonzero=True) for _ in range(rng.randint(1, 3))]
-    if stratum == "psi" and rng.choice((True, False)):
+    extra = [sample_element(rng, nonzero=True) for _ in range(1 + _below(bits, 3))]
+    if stratum == "psi" and not _below(bits, 2):  # choice((True, False))
         # feed the p map a fresh psi-set member
-        extra.append(gamma.psi_element(rng.randrange(MAX_SUPPORT + 1)))
+        extra.append(gamma.psi_element(_below(bits, MAX_SUPPORT + 1)))
         rec.bump("extension_psi")
-    if space.dim and rng.choice((True, False)):
+    if space.dim and not _below(bits, 2):
         # one generator already inside the base, exercising the m count
         extra.append(space.member([sample_coefficient(rng) for _ in range(space.dim)]))
         rec.bump("extension_inherited")

@@ -430,6 +430,32 @@ def test_output_is_independent_of_hash_seed():
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("command", ["witness", "subspace"])
+def test_a_reader_closing_stdout_early_gets_one_error_line(tmp_path, command):
+    # Both outputs are far larger than a pipe's buffer, so the writer is still
+    # writing when the reader goes.
+    if command == "witness":
+        argv = ["witness", "--epsilon", "e0", "--count", "1000"]
+    else:
+        gens = tmp_path / "line.txt"
+        gens.write_text(" + ".join(f"{k % 7 + 1}/{k % 5 + 1}*e{k}" for k in range(9000)) + "\n")
+        argv = ["subspace", "--op", "s", "--gens", str(gens)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logcouple.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    err = err.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert proc.returncode == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def _record() -> None:
     os.chdir(DATA)
     os.environ["COLUMNS"] = "80"
