@@ -18,8 +18,8 @@ On top of the group live the maps that make it an asymptotic couple:
 * ``successor`` / ``predecessor`` walk the psi-set ``{1, 11, 111, ...}``.
 
 The operators are the arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
-int or Fraction, and ``sum_elements`` adds many elements in one pass; the
-comparisons are the order, with ``inf`` on top.  ``inf`` absorbs every map,
+int or Fraction, with ``+`` for two operands and a running ``Sum`` for many;
+the comparisons are the order, with ``inf`` on top.  ``inf`` absorbs every map,
 sum, negation and scaling, so partial operations never raise; ``/ 0`` raises
 ``ZeroDivisionError``, on ``inf`` as on elements.  Two elements over one
 denominator whose first terms agree are compared first on the shorter term
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -105,22 +105,22 @@ class GammaElement:
     with ``gcd(_den, *numerators) == 1``; the coefficient at index i is
     ``Fraction(n, _den)``, which ``coords`` builds on each access.  The
     form is canonical, so ``==`` and the hash compare tuples.
-    ``__init__`` establishes it from any input through ``_sum_terms``,
-    the normalizer that ``sum_elements`` and ``lang.parse_element`` share;
-    the private ``_make`` stores a form that already satisfies it without
-    checking, and is used only by the operations here that preserve it.
+    ``__init__`` establishes it from any input by adding the coordinates
+    into a ``Sum``, as ``lang.parse_element`` adds its terms; the private
+    ``_make`` stores a form that already satisfies it without checking,
+    and is used only by the operations here that preserve it.
     """
 
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
-        terms = []
+        acc = Sum()
         for index, q in coords:
             _check_index(index)
             if not isinstance(q, (int, Fraction)):
                 raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
-            terms.append((index, q.numerator, q.denominator))
-        x = _sum_terms(terms)
+            acc.add_terms(((index, q.numerator),), q.denominator)
+        x = acc.total()
         _set_num(self, x._num)
         _set_den(self, x._den)
         _set_hash(self, None)
@@ -287,17 +287,6 @@ def _from_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
     return _reduced([(i, n * (den // d)) for i, n, d in terms], den)
 
 
-def _sum_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
-    """The element ``sum(n/d * e<i>)`` of ``(i, n, d)`` int terms with ``d > 0``, in
-    any order: indices may repeat and ``n`` may be 0.  The terms are added at
-    the lcm of the denominators and the sum is reduced once."""
-    den = lcm(*[d for _, _, d in terms])
-    acc: dict = {}
-    for i, n, d in terms:
-        acc[i] = acc.get(i, 0) + n * (den // d)
-    return _reduced([(i, n) for i, n in sorted(acc.items()) if n], den)
-
-
 def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
     """``x + y`` (``x - y`` if ``sign`` is -1) over the lcm of the denominators."""
     b = y._num
@@ -342,24 +331,47 @@ def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
     return _reduced(num, den) if summed else _make(num, den)
 
 
-ZERO = GammaElement()
+class Sum:
+    """Adds many operands into one int numerator per index over a running
+    denominator, raised to the lcm as needed, and keeps none of them."""
 
+    __slots__ = ("_num", "_den", "_inf")
 
-def sum_elements(xs: Iterable[ExtendedElement]) -> ExtendedElement:
-    """The sum of the elements, in one pass over all their terms.
+    def __init__(self) -> None:
+        self._num: Dict[int, int] = {}
+        self._den = 1
+        self._inf = False
 
-    The terms are added at the lcm of the denominators and the total is
-    reduced once, so a sum of n elements costs one pass, not n merges
-    into a growing accumulator.  ``inf`` if any element is ``inf``;
-    ``ZERO`` for none.
-    """
-    xs = list(xs)
-    for x in xs:
-        if isinstance(x, Infinity):
-            return INF
-        if not isinstance(x, GammaElement):
+    def add(self, x: ExtendedElement, q: Rational = 1) -> None:
+        """Add ``q * x``: ``inf`` makes the total ``inf`` unless ``q`` is 0."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
+        if isinstance(x, GammaElement) and q and not self._inf:
+            self.add_terms(x._num, x._den * q.denominator, q.numerator)
+        elif isinstance(x, Infinity):
+            self._inf = self._inf or q != 0
+        elif not isinstance(x, GammaElement):
             raise TypeError(f"expected a group element or inf, got {x!r}")
-    return _sum_terms([(i, n, x._den) for x in xs for i, n in x._num])
+
+    def add_terms(self, num: Iterable[Tuple[int, int]], den: int, mul: int = 1) -> None:
+        """Add ``mul * n/den * e<i>`` for int pairs ``(i, n)`` in any order, ``den > 0``."""
+        if self._den % den:
+            f = den // gcd(self._den, den)
+            self._num = {i: n * f for i, n in self._num.items()}
+            self._den *= f
+        mul *= self._den // den
+        acc = self._num
+        for i, n in num:
+            acc[i] = acc.get(i, 0) + n * mul
+
+    def total(self) -> ExtendedElement:
+        """``inf``, or the sum reduced once to canonical form (``ZERO`` for none)."""
+        if self._inf:
+            return INF
+        return _reduced([(i, n) for i, n in sorted(self._num.items()) if n], self._den)
+
+
+ZERO = GammaElement()
 
 
 def unit(index: int) -> GammaElement:

@@ -30,7 +30,7 @@ Parentheses, including those of function calls, nest at most
 walk that keeps its own stack, so a long sum or a long run of ``!`` is no
 deeper for them than a short one.  ``evaluate`` walks the left spine of a
 sum ``t0 + t1 + ... + tn`` with a loop, evaluates the operands from left
-to right, and adds them with one ``gamma.sum_elements``.
+to right, and adds each value into one ``gamma.Sum`` as the walk returns it.
 
 Grammar (terms):
 
@@ -393,7 +393,7 @@ class _Parser:
             return ZERO
         if tok.kind == "+":
             raise ElementError("unexpected leading '+'", tok.pos)
-        terms = []
+        acc = gamma.Sum()
         while True:
             num = -1 if tok.kind == "-" else 1
             if tok.kind in ("+", "-"):
@@ -420,10 +420,10 @@ class _Parser:
                         raise ElementError("expected '+' or '-' between terms", tok.pos + 1 + digits)
                     raise ElementError("expected basis index digits", tok.pos + 1)
                 raise ElementError("expected basis vector 'e<index>'", tok.pos)
-            terms.append((int(tok.digits), num, den))
+            acc.add_terms(((int(tok.digits), num),), den)
             tok = self.take()
             if tok.kind == "eof":
-                return gamma._sum_terms(terms)
+                return acc.total()
             if tok.kind not in ("+", "-"):
                 raise ElementError("expected '+' or '-' between terms", tok.pos)
 
@@ -563,15 +563,15 @@ def _lookup(node: Var, env: Env) -> ExtendedElement:
 
 def _sum(node: Add, env: Env) -> Generator:
     """A chain ``t0 + t1 + ... + tn``: walk its left spine with a loop, the
-    operands from left to right, and add their values in one pass."""
+    operands from left to right, and add each value as the walk returns it."""
     rights = []
     while type(node) is Add:
         rights.append(node.right)
         node = node.left
-    values = [(yield node, env)]
-    for operand in reversed(rights):
-        values.append((yield operand, env))
-    return gamma.sum_elements(values)
+    acc = gamma.Sum()
+    for operand in (node, *reversed(rights)):
+        acc.add((yield operand, env))
+    return acc.total()
 
 
 def _and(node: And, env: Env) -> Generator:

@@ -99,7 +99,10 @@ class Subspace:
         """The combination sum(coefficients[i] * basis[i])."""
         if len(coefficients) != len(self._rows):
             raise ValueError("one coefficient per basis row required")
-        return gamma.sum_elements(row * c for c, row in zip(coefficients, self._rows))
+        acc = gamma.Sum()
+        for c, row in zip(coefficients, self._rows):
+            acc.add(row, c)
+        return acc.total()
 
     # --- images ---------------------------------------------------------
 

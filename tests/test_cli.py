@@ -456,6 +456,40 @@ def test_a_reader_closing_stdout_early_gets_one_error_line(tmp_path, command):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# The child runs one command through cli.main with stdout sent to devnull,
+# then prints the exit code and its own peak RSS (KiB on Linux).
+_PEAK_RSS = """
+import contextlib, os, resource, sys
+from logcouple import cli
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _peak_rss_kib(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-c", _PEAK_RSS, *argv]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib
+
+
+@pytest.mark.parametrize("shape", ["distinct", "repeated"])
+def test_a_sum_keeps_one_running_total_not_its_operands(shape):
+    # 200 dense operands hold millions of terms between them; the sum holds
+    # one numerator per index, so its peak RSS is that of 50 operands.
+    def argv(n):
+        if shape == "distinct":  # psi(e9000) + ... : n members of 9000+ ones each
+            return ["eval", "+".join(f"psi(e{9000 + k})" for k in range(n))]
+        dense = "+".join(f"e{k}" for k in range(10000))
+        return ["eval", "+".join(["x"] * n), "--let", f"x={dense}"]
+
+    small, large = _peak_rss_kib(argv(50)), _peak_rss_kib(argv(200))
+    assert large - small < 10 * 1024, f"peak RSS {small} KiB at n = 50, {large} KiB at n = 200"
+
+
 def _record() -> None:
     os.chdir(DATA)
     os.environ["COLUMNS"] = "80"

@@ -180,17 +180,26 @@ def test_int_kernel_matches_dict_reference(xa, yb, q):
     assert gamma.format_element(a) == oracle.fmt(x)
 
 
-@given(st.lists(kernel_operands() | st.just((INF, None)), max_size=12))
-def test_sum_elements_is_a_left_fold(operands):
-    total = gamma.sum_elements(x for x, _ in operands)
-    folded, want = ZERO, {}
-    for x, ref in operands:
-        folded, want = folded + x, oracle.add(want, ref)
-    assert total == folded
+@given(st.lists(st.tuples(kernel_operands() | st.just((INF, None)), kernel_scalars), max_size=12))
+@example([((INF, None), 0), ((unit(0), {0: Fraction(1)}), Fraction(-1, 2))])
+@example([((INF, None), -1), ((unit(0), {0: Fraction(1)}), 1), ((INF, None), 0)])
+def test_sum_adds_weighted_operands_like_the_oracle(operands):
+    # A zero weight skips its operand, even inf, and any other weight on inf
+    # makes the total inf; a later operand is still type-checked.
+    acc, want = gamma.Sum(), {}
+    for (x, ref), q in operands:
+        acc.add(x, q)
+        if q:
+            want = oracle.add(want, None if ref is None else {i: c * q for i, c in ref.items()})
+    total = acc.total()
     if want is None:
         assert total is INF
     else:
         assert_canonical(total, want)
+    for bad in ((True, 1), ("e0", 0), (unit(0), 0.5)):
+        with pytest.raises(TypeError):
+            acc.add(*bad)
+    assert acc.total() == total
 
 
 def test_int_kernel_reduces_summed_coordinates():

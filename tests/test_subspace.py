@@ -153,6 +153,8 @@ def test_member_builds_combinations():
     assert space.member([Fraction(2), Fraction(-1)]) == elt((0, 2), (2, -1))
     with pytest.raises(ValueError):
         space.member([Fraction(1)])
+    with pytest.raises(TypeError):  # a float coefficient, as in ``row * 0.5``
+        space.member([0.5, Fraction(1)])
 
 
 # --- image computations ------------------------------------------------------------
