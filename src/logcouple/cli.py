@@ -225,7 +225,9 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 # --- parser wiring ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of ``main``."""
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", action="store_true", help="emit JSON instead of text")
     text_opts = argparse.ArgumentParser(add_help=False, parents=[json_opt])
@@ -296,15 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by later calls of ``main``."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -1,14 +1,14 @@
 """Finitely generated Q-subspaces of the value group and their map images.
 
 A subspace is kept in reduced row echelon form over int-over-denominator
-elements: pivot columns strictly increasing, pivot coefficients 1, pivot
-columns cleared in all other rows.  That normal form makes membership a
-reduction, the psi-image the pivot set, and the successor- and
-predecessor-images one walk over the rows:
+elements, as one map from pivot to row in increasing pivot order: pivot
+coefficients 1, pivot columns cleared in all other rows.  That map makes
+membership a reduction, and ``Subspace.image(function)`` reads the psi-image
+off its pivots and the successor- and predecessor-images off one walk:
 
 * ``psi`` of a nonzero member has the level of the least pivot carrying
   a nonzero coordinate, so the image over all nonzero members is exactly
-  ``{PsiValue(p) : p pivot}``.
+  ``{PsiValue(p) : p pivot}``, with each row its pivot's witness.
 * ``successor`` of a member v has level k iff v is 1 at every coordinate
   below k and not 1 at k; level k is attained iff the affine slice
   ``{v in V : v_j = 1 for j < k}`` is nonempty and the k-th coordinate
@@ -67,26 +67,22 @@ class Subspace:
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Tuple[GammaElement, ...]):
-        # rows must already be in RREF; use echelonize() to build one.
+    def __init__(self, rows: Dict[int, GammaElement]):
+        # pivot -> row, in increasing pivot order, already in RREF; use echelonize().
         self._rows = rows
 
     @property
     def basis(self) -> Tuple[GammaElement, ...]:
-        return self._rows
+        return tuple(self._rows.values())
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     @property
-    def pivots(self) -> Tuple[int, ...]:
-        return tuple(row._num[0][0] for row in self._rows)
-
-    @property
     def max_support(self) -> int:
         """Largest basis index touched; -1 for the zero subspace."""
-        return max((row._num[-1][0] for row in self._rows), default=-1)
+        return max((row._num[-1][0] for row in self._rows.values()), default=-1)
 
     def reduce(self, x: GammaElement) -> GammaElement:
         """Residue of x after subtracting its projection onto the rows."""
@@ -100,16 +96,19 @@ class Subspace:
         if len(coefficients) != len(self._rows):
             raise ValueError("one coefficient per basis row required")
         acc = gamma.Sum()
-        for c, row in zip(coefficients, self._rows):
+        for c, row in zip(coefficients, self._rows.values()):
             acc.add(row, c)
         return acc.total()
 
     # --- images ---------------------------------------------------------
 
-    def psi_image(self) -> ImageReport:
-        """Levels of psi over the nonzero members: exactly the pivot set."""
-        witnesses = {row._num[0][0]: row for row in self._rows}
-        return ImageReport("psi", self.pivots, witnesses)
+    def image(self, function: str) -> ImageReport:
+        """The psi, s or p image over the members, one witness per level."""
+        if function == "psi":
+            return ImageReport("psi", tuple(self._rows), dict(self._rows))
+        if function in ("s", "p"):
+            return self._walk()[function == "p"]
+        raise ValueError(f"unknown image function {function!r}")
 
     def _walk(self) -> Tuple[ImageReport, ImageReport]:
         """The s and p images from one walk over the echelon rows.
@@ -127,7 +126,6 @@ class Subspace:
         """
         s: Dict[int, GammaElement] = {}
         p: Dict[int, GammaElement] = {}
-        row_at = {row._num[0][0]: row for row in self._rows}
         below = ZERO
         for k in range(self.max_support + 2):
             if k >= 2 and below._num[-1][0] == k - 1:
@@ -137,53 +135,41 @@ class Subspace:
                 if gamma.successor(below) != gamma.psi_element(k):
                     raise RuntimeError(f"successor image witness failed at level {k}: {below!r}")
                 s[k] = below
-                if k not in row_at:
+                if k not in self._rows:
                     break  # no member is 1 at k, so every later slice is empty
-                below = below + row_at[k]
+                below = below + self._rows[k]
         return ImageReport("s", tuple(s), s), ImageReport("p", tuple(p), p)
 
-    def s_image(self) -> ImageReport:
-        """Levels of successor over all members, witnesses included."""
-        return self._walk()[0]
 
-    def p_image(self) -> ImageReport:
-        """Levels of predecessor over members, excluding the inf fiber."""
-        return self._walk()[1]
-
-    def image(self, function: str) -> ImageReport:
-        try:
-            return {"psi": self.psi_image, "s": self.s_image, "p": self.p_image}[function]()
-        except KeyError:
-            raise ValueError(f"unknown image function {function!r}") from None
-
-
-def _reduce(rows: Iterable[GammaElement], x: GammaElement) -> GammaElement:
-    """``x`` minus, row by row, its coefficient at each row's pivot times the row."""
+def _reduce(rows: Dict[int, GammaElement], x: GammaElement) -> GammaElement:
+    """``x`` minus ``x_i * rows[i]`` for each pivot ``i`` in the support of ``x``,
+    each ``x_i`` read off ``x`` once, before any subtraction.  That is exact: an
+    RREF row is 0 at every other pivot, so no subtraction changes ``x`` there."""
     if not isinstance(x, GammaElement):
         raise TypeError(f"expected a group element, got {x!r}")
-    for row in rows:
-        n = x._at(row._num[0][0])
-        if n:
-            x = x - row._scaled(n, x._den)
+    den = x._den
+    for i, n in x._num:
+        row = rows.get(i)
+        if row is not None:
+            x = x - row._scaled(n, den)
     return x
 
 
-def _extend(rows: Sequence[GammaElement], generators: Iterable[GammaElement]) -> Subspace:
+def _extend(rows: Dict[int, GammaElement], generators: Iterable[GammaElement]) -> Subspace:
     """RREF of the span of ``rows``, themselves in RREF, and the generators."""
-    rows = list(rows)
+    rows = dict(rows)
     for gen in generators:
         gen = _reduce(rows, gen)
         if not gen:
             continue
         lead_index, lead = gen._num[0]
         gen = gen._scaled(gen._den, lead)
-        for i, row in enumerate(rows):
+        for i, row in rows.items():
             n = row._at(lead_index)
             if n:
                 rows[i] = row - gen._scaled(n, row._den)
-        rows.append(gen)
-        rows.sort(key=lambda row: row._num[0][0])
-    return Subspace(tuple(rows))
+        rows[lead_index] = gen
+    return Subspace(dict(sorted(rows.items())))
 
 
 def echelonize(generators: Iterable[GammaElement]) -> Subspace:
@@ -192,7 +178,7 @@ def echelonize(generators: Iterable[GammaElement]) -> Subspace:
     Deterministic: the RREF basis is a canonical form of the subspace,
     independent of generator order and redundancy.
     """
-    return _extend((), generators)
+    return _extend({}, generators)
 
 
 def growth_check(
@@ -226,9 +212,9 @@ def growth_check(
         raise ValueError("at least one new generator required")
     residues = [r for r in map(space.reduce, new_generators) if r]
     m = len(residues)
-    extended = _extend(space.basis, residues)
+    extended = _extend(space._rows, residues)
     reports = []
-    images = zip((space.psi_image(), *space._walk()), (extended.psi_image(), *extended._walk()))
+    images = zip((space.image("psi"), *space._walk()), (extended.image("psi"), *extended._walk()))
     for (function, bound), (old, new) in zip((("psi", m), ("s", m + 1), ("p", m)), images):
         added = tuple(sorted(set(new.levels) - set(old.levels)))
         passed = len(added) <= bound

@@ -78,7 +78,7 @@ def test_echelonize_order_independent(gens, rng):
 @given(generator_lists)
 def test_echelon_rows_are_reduced(gens):
     space = echelonize(gens)
-    pivots = space.pivots
+    pivots = space.image("psi").levels
     assert list(pivots) == sorted(pivots)
     for row in space.basis:
         assert row.coords[0][1] == 1
@@ -133,19 +133,58 @@ def _dense_element(values):
     return GammaElement((j, v) for j, v in enumerate(values) if v != 0)
 
 
-@given(shared_denominator_lists, shared_denominator_lists)
-def test_rref_and_reduce_match_dense_reference(gens, probes):
+def _assert_matches_dense_reference(gens, probes):
     space = echelonize(gens)
     rows = _reference_rref(gens)
     assert space.basis == tuple(_dense_element(row) for row in rows)
+    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in rows]
     for x in gens + probes:
         # the residue is x minus x's coordinate at each pivot times that row
         coords = dict(x.coords)
         residue = [coords.get(j, Fraction(0)) for j in range(1 + max(coords, default=-1))]
-        for row in rows:
-            c = coords.get(next(j for j, v in enumerate(row) if v != 0), 0)
-            residue = [a - c * b for a, b in itertools.zip_longest(residue, row, fillvalue=0)]
+        for pivot, row in zip(pivots, rows):
+            c = coords.get(pivot, 0)
+            if c:
+                residue = [a - c * b for a, b in itertools.zip_longest(residue, row, fillvalue=0)]
         assert space.reduce(x) == _dense_element(residue)
+
+
+@given(shared_denominator_lists, shared_denominator_lists)
+def test_rref_and_reduce_match_dense_reference(gens, probes):
+    _assert_matches_dense_reference(gens, probes)
+
+
+def _unit_span(n):
+    """e0..e(n-1), plus generators that each reduce against several pivots."""
+    mixed = [unit(i) - 2 * unit(i + 7) + unit(n + i % 5) / 3 for i in range(0, n - 7, 29)]
+    return [unit(i) for i in range(n)] + mixed
+
+
+def _psi_span(n):
+    """Scaled psi-set members at the even levels below 2n, whose RREF rows are
+    e0 and e(2i-1) + e(2i), plus combinations that meet several pivots."""
+    psi = gamma.psi_element
+    members = [Fraction(k % 5 + 1, k % 3 + 1) * psi(2 * k) for k in range(n)]
+    mixed = [psi(2 * k + 1) - psi(2 * k + 4) / 2 for k in range(0, n - 2, 13)]
+    return members + mixed
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+@pytest.mark.parametrize("make, n", [(_unit_span, 150), (_psi_span, 60)])
+def test_rref_and_reduce_match_dense_reference_on_ordered_spans(make, n, order):
+    gens = make(n)
+    if order == "reversed":
+        gens.reverse()
+    elif order == "shuffled":
+        random.Random(n).shuffle(gens)
+    top = 2 * n + 6
+    probes = [
+        ones(top),
+        gamma.psi_element(n + 1) * Fraction(-3, 4),
+        sum((unit(i) * Fraction(i % 4 - 1, i % 3 + 1) for i in range(0, top, 3)), ZERO),
+        unit(top) - unit(n // 2) + unit(n - 1) / 5,
+    ]
+    _assert_matches_dense_reference(gens, probes)
 
 
 def test_member_builds_combinations():
@@ -161,24 +200,24 @@ def test_member_builds_combinations():
 
 
 def test_psi_image_examples():
-    assert span().psi_image().levels == ()
-    assert span("e1 + e2").psi_image().levels == (1,)
-    report = span("e0", "2*e1 + e3", "1/2*e2").psi_image()
+    assert span().image("psi").levels == ()
+    assert span("e1 + e2").image("psi").levels == (1,)
+    report = span("e0", "2*e1 + e3", "1/2*e2").image("psi")
     assert report.levels == (0, 1, 2)
     for level, witness in report.witnesses.items():
         assert gamma.psi(witness) == gamma.psi_element(level)
 
 
 def test_s_image_examples():
-    assert span().s_image().levels == (0,)
-    assert span("e0 + e1 + e2").s_image().levels == (0, 3)
-    assert span("e0").s_image().levels == (0, 1)
+    assert span().image("s").levels == (0,)
+    assert span("e0 + e1 + e2").image("s").levels == (0, 3)
+    assert span("e0").image("s").levels == (0, 1)
 
 
 def test_p_image_examples():
-    assert span("e0", "e0 + e1").p_image().levels == (0,)
-    assert span("e5").p_image().levels == ()
-    assert span().p_image().levels == ()
+    assert span("e0", "e0 + e1").image("p").levels == (0,)
+    assert span("e5").image("p").levels == ()
+    assert span().image("p").levels == ()
 
 
 def test_image_dispatch():
@@ -188,6 +227,15 @@ def test_image_dispatch():
     assert space.image("p").function == "p"
     with pytest.raises(ValueError):
         space.image("q")
+
+
+def test_psi_image_witnesses_are_a_copy():
+    space = span("e0", "e1 + e2")
+    report = space.image("psi")
+    report.witnesses[0] = unit(5)
+    del report.witnesses[1]
+    assert space.basis == (unit(0), unit(1) + unit(2))
+    assert space.image("psi").witnesses == {0: unit(0), 1: unit(1) + unit(2)}
 
 
 def _grid_members(space, values):
@@ -211,7 +259,7 @@ def _random_spaces(count, seed, max_dim=3, max_index=6):
 def test_s_image_sound_and_complete_against_enumeration():
     values = (-2, -1, 0, Fraction(1, 2), 1, 2)
     for space in _random_spaces(120, seed=9):
-        report = space.s_image()
+        report = space.image("s")
         computed = set(report.levels)
         # soundness on a grid of members; 0 is in the image by convention
         seen = {0}
@@ -235,7 +283,7 @@ def test_p_image_matches_membership_enumeration():
         for n in range(1, space.max_support + 2):
             if space.contains(gamma.psi_element(n)):
                 expected.append(n - 1)
-        report = space.p_image()
+        report = space.image("p")
         assert list(report.levels) == expected
         for level, witness in report.witnesses.items():
             assert space.contains(witness)
@@ -250,19 +298,19 @@ def _p_levels_by_membership(space):
 @given(generator_lists)
 def test_p_image_scan_stop_matches_full_membership_loop(gens):
     space = echelonize(gens)
-    assert list(space.p_image().levels) == _p_levels_by_membership(space)
+    assert list(space.image("p").levels) == _p_levels_by_membership(space)
 
 
 @given(st.integers(0, 7), st.integers(0, 4))
 def test_p_image_on_gapped_psi_spans(top, gap):
     # psi-set members below a gap, plus a generator far beyond it
     space = echelonize([ones(n + 1) for n in range(top + 1)] + [unit(top + gap + 40)])
-    assert list(space.p_image().levels) == _p_levels_by_membership(space)
+    assert list(space.image("p").levels) == _p_levels_by_membership(space)
 
 
 def test_p_image_with_planted_members():
     space = span("e0", "e0 + e1")  # contains the two smallest psi-set members
-    report = space.p_image()
+    report = space.image("p")
     assert report.levels == (0,)
     assert report.witnesses[0] == ones(2)
 
@@ -335,7 +383,7 @@ def _reference_s_image(space):
 
 
 def _assert_s_image_matches_reference(space):
-    report = space.s_image()
+    report = space.image("s")
     levels, witnesses = _reference_s_image(space)
     assert report.levels == levels
     assert list(report.witnesses) == list(witnesses)
