@@ -11,8 +11,9 @@ requests, in the same order, as the ``randint``, ``choice`` and
 ``sample`` calls they stand for, so the stream depends neither on which
 of the two does the drawing nor on the element representation.  Reports
 carry counters for the nontrivial strata a suite exercised, so vacuous
-passes are visible.  The module computes reports; ``cli`` renders them
-as text.
+passes are visible, and a trial that raises is a failed ``trial_raised``
+check, not a traceback.  The module computes reports; ``cli`` renders
+them as text.
 
 The module also houses the affine-image trichotomy checker (an affine
 map hitting the psi-set often enough on a generic family must be
@@ -91,31 +92,29 @@ def _terms(bits: Callable[[int], int], lo: int, n: int, k: int) -> List[Tuple[in
     return sorted([(i, *_draw(bits)) for i in _pick(bits, lo, n, k)])
 
 
-def sample_coefficient(rng: random.Random) -> Fraction:
-    return Fraction(*_draw(rng.getrandbits))
+def sample_coefficient(bits: Callable[[int], int]) -> Fraction:
+    return Fraction(*_draw(bits))
 
 
-def sample_element(rng: random.Random, nonzero: bool = False, min_index: int = 0) -> GammaElement:
+def sample_element(bits: Callable[[int], int], nonzero: bool = False, min_index: int = 0) -> GammaElement:
     """Sparse random element: up to 4 terms at indices ``min_index`` to ``min_index + MAX_SUPPORT``."""
-    bits = rng.getrandbits
     while True:
         x = gamma._from_terms(_terms(bits, min_index, MAX_SUPPORT + 1, _below(bits, 5)))  # randint(0, 4) terms
         if x or not nonzero:
             return x
 
 
-def sample_positive(rng: random.Random) -> GammaElement:
-    x = sample_element(rng, nonzero=True)
+def sample_positive(bits: Callable[[int], int]) -> GammaElement:
+    x = sample_element(bits, nonzero=True)
     return x if x > ZERO else -x
 
 
-def _sparse_tail(rng: random.Random, k: int) -> List[Tuple[int, int, int]]:
+def _sparse_tail(bits: Callable[[int], int], k: int) -> List[Tuple[int, int, int]]:
     """At most two random ``(index, num, den)`` terms at indices above ``k``, in index order."""
-    bits = rng.getrandbits
     return _terms(bits, k + 1, MAX_SUPPORT + 1, _below(bits, 3))
 
 
-def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaElement:
+def sample_prefixed(bits: Callable[[int], int], level: int, side: int = 0) -> GammaElement:
     """Element whose successor has exactly the given level: ones at
     indices below ``level``, a non-one coordinate at ``level``, then an
     arbitrary sparse tail.
@@ -124,12 +123,11 @@ def sample_prefixed(rng: random.Random, level: int, side: int = 0) -> GammaEleme
     which puts the element among derivatives of positive/negative
     elements.
     """
-    bits = rng.getrandbits
     num, den = _draw(bits)  # the pivot is 1 + num/den, redrawn until on ``side`` of 1
     while side * num < 0:
         num, den = _draw(bits)
     pivot = [(level, den + num, den)] if den + num else []  # a draw of -1 leaves no term
-    return gamma._from_terms([(i, 1, 1) for i in range(level)] + pivot + _sparse_tail(rng, level))
+    return gamma._from_terms([(i, 1, 1) for i in range(level)] + pivot + _sparse_tail(bits, level))
 
 
 # --- reports ------------------------------------------------------------------
@@ -213,8 +211,8 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
     """
     psi = gamma.psi
     bits = rng.getrandbits
-    a = sample_element(rng, nonzero=True)
-    b = sample_element(rng, nonzero=True)
+    a = sample_element(bits, nonzero=True)
+    b = sample_element(bits, nonzero=True)
     fa, fb = psi(a), psi(b)
     inputs = (("a", a), ("b", b))
 
@@ -255,7 +253,7 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
         "0 < lo <= hi but psi(lo) < psi(hi)",
     )
 
-    deep = sample_element(rng, nonzero=True, min_index=a._num[0][0] + 1)
+    deep = sample_element(bits, nonzero=True, min_index=a._num[0][0] + 1)
     fdeep = psi(deep)
     if fa < fdeep:
         rec.check(
@@ -274,7 +272,7 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
             "lo < hi but derivative order not strict",
         )
 
-    x = sample_element(rng)
+    x = sample_element(bits)
     rec.check(
         gamma.derivative(gamma.integrate(x)) == x,
         "derivative_after_integrate",
@@ -305,8 +303,8 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     """
     bits = rng.getrandbits
     k1, k2 = sorted(_pick(bits, 0, MAX_SUPPORT + 1, 2))
-    a = sample_prefixed(rng, k1)
-    b = sample_prefixed(rng, k2)
+    a = sample_prefixed(bits, k1)
+    b = sample_prefixed(bits, k2)
     sa, sb = gamma.successor(a), gamma.successor(b)
     inputs = (("a", a), ("b", b))
     rec.check(
@@ -316,7 +314,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
         lambda: f"psi(a-b) = {gamma.psi(a - b)!r}, s(a) = {sa!r}",
     )
 
-    neg = -sample_positive(rng)
+    neg = -sample_positive(bits)
     d = gamma.derivative(neg)
     assert isinstance(d, GammaElement)
     gap = gamma.successor(d) - d
@@ -332,8 +330,8 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
 
     level = _below(bits, MAX_SUPPORT + 1)
     side = (1, -1)[_below(bits, 2)]
-    x = sample_prefixed(rng, level, side=side)
-    z = sample_prefixed(rng, level, side=side)
+    x = sample_prefixed(bits, level, side=side)
+    z = sample_prefixed(bits, level, side=side)
     mid = (x + z) / 2
     fiber = gamma.psi_element(level)
     rec.check(
@@ -367,14 +365,14 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     convex; and the successor identity transported by translation.
     """
     bits = rng.getrandbits
-    b = sample_element(rng)
+    b = sample_element(bits)
 
     k = _below(bits, MAX_SUPPORT + 1)
     sign = (1, -1)[_below(bits, 2)]
 
     def offset() -> GammaElement:
         num, den = _draw(bits)
-        return gamma._from_terms([(k, sign * abs(num), den)] + _sparse_tail(rng, k))
+        return gamma._from_terms([(k, sign * abs(num), den)] + _sparse_tail(bits, k))
 
     d1, d2 = offset(), offset()
     x, y = b + d1, b + d2
@@ -391,8 +389,8 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
 
     level = _below(bits, MAX_SUPPORT + 1)
     side = (1, -1)[_below(bits, 2)]
-    e1 = sample_prefixed(rng, level, side=side)
-    e2 = sample_prefixed(rng, level, side=side)
+    e1 = sample_prefixed(bits, level, side=side)
+    e2 = sample_prefixed(bits, level, side=side)
     u, v = b + e1, b + e2
     mid = (u + v) / 2
     rec.check(
@@ -404,8 +402,8 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     )
 
     k1, k2 = sorted(_pick(bits, 0, MAX_SUPPORT + 1, 2))
-    f1 = sample_prefixed(rng, k1)
-    f2 = sample_prefixed(rng, k2)
+    f1 = sample_prefixed(bits, k1)
+    f2 = sample_prefixed(bits, k2)
     p, q = b + f1, b + f2
     rec.check(
         gamma.successor(p - b) < gamma.successor(q - b)
@@ -498,15 +496,13 @@ def classify_affine_image(
     """Classify an affine map that often lands in the psi-set.
 
     ``family`` is a sequence of arity-length tuples whose entries are
-    psi-set members or inf.  Genericity asks that every nonconstant
-    coordinate be inf-free, that nonconstant coordinates be pairwise
-    identical or everywhere distinct, and that after merging identical
-    coordinates the retained entries be globally pairwise distinct.
-    Under genericity, if the map's value lies in the psi-set-or-inf on
-    at least arity + 2 family members, the map is identically inf,
-    identically one psi-set member, or a coordinate projection on the
-    whole family; the returned classification is verified extensionally
-    before being returned.
+    psi-set members or inf.  Genericity asks that the nonconstant
+    coordinates be inf-free and, once identical ones are merged, hold
+    pairwise distinct entries.  Under genericity, if the map's value lies
+    in the psi-set-or-inf on at least arity + 2 family members, the map
+    is identically inf, identically one psi-set member, or a coordinate
+    projection on the whole family; the returned classification is
+    verified extensionally before being returned.
 
     An empty family and type-level violations raise ValueError;
     genericity or hit-count shortfalls return NotApplicable; a
@@ -526,34 +522,22 @@ def classify_affine_image(
     if not rows:
         raise ValueError("family must not be empty")
 
-    columns = [tuple(row[j] for row in rows) for j in range(m)]
-    retained = [j for j in range(m) if len(set(columns[j])) > 1]
-    for j in retained:
-        if any(isinstance(v, Infinity) for v in columns[j]):
-            return NotApplicable(f"nonconstant coordinate {j} contains inf")
-    reps: List[int] = []
-    for j in retained:
-        duplicate = False
-        for r in reps:
-            if columns[r] == columns[j]:
-                duplicate = True
-                break
-            if any(a == b for a, b in zip(columns[r], columns[j])):
-                return NotApplicable(
-                    f"coordinates {r} and {j} agree on some rows but not all"
-                )
-        if not duplicate:
-            reps.append(j)
-    seen: Dict[GammaElement, Tuple[int, int]] = {}
-    for j in reps:
-        for i, v in enumerate(columns[j]):
-            if v in seen and seen[v] != (i, j):
-                return NotApplicable(
-                    f"value {gamma.format_element(v)} repeats across retained coordinates"
-                )
-            seen[v] = (i, j)
+    columns = list(zip(*rows))
+    kept = []  # the nonconstant columns, each once
+    for j, column in enumerate(columns):
+        if len(set(column)) > 1:
+            if INF in column:
+                return NotApplicable(f"nonconstant coordinate {j} contains inf")
+            if column not in kept:
+                kept.append(column)
+    entries = set()
+    for column in kept:
+        for v in column:
+            if v in entries:
+                return NotApplicable(f"value {v!r} repeats across retained coordinates")
+            entries.add(v)
 
-    values = [mapping.apply(row) for row in rows]
+    values = tuple(mapping.apply(row) for row in rows)
     hits = sum(
         1 for v in values if isinstance(v, Infinity) or gamma.psi_level(v) is not None
     )
@@ -570,8 +554,8 @@ def classify_affine_image(
         if level is None:
             raise TrichotomyFailure(bundle())
         return ConstPsi(level)
-    for j in range(m):
-        if all(values[i] == rows[i][j] for i in range(len(rows))):
+    for j, column in enumerate(columns):
+        if column == values:
             return Projection(j)
     raise TrichotomyFailure(bundle())
 
@@ -653,7 +637,7 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
         elif roll < 0.6:
             constant = gamma.psi_element(_below(bits, 81))
         else:
-            constant = sample_element(rng)
+            constant = sample_element(bits)
         mapping = AffineMap(coeffs, constant)
         check, accept = "random_map", lambda r: isinstance(r, Classification)
     result = classify_affine_image(mapping, points)
@@ -698,21 +682,21 @@ def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
     stratum = ("unit", "sparse", "psi")[_below(bits, 3)]
     if stratum == "unit":
         # e_i + a tail at indices >= dim: the span attains a full successor chain (deficit 0)
-        base = [gamma.unit(i) + sample_element(rng, min_index=dim) for i in range(dim)]
+        base = [gamma.unit(i) + sample_element(bits, min_index=dim) for i in range(dim)]
     elif stratum == "psi":
         base = [gamma.psi_element(k) for k in _pick(bits, 0, MAX_SUPPORT + 1, dim)]
     else:
-        base = [sample_element(rng, nonzero=True) for _ in range(dim)]
+        base = [sample_element(bits, nonzero=True) for _ in range(dim)]
     rec.bump(f"base_{stratum}")
     space = echelonize(base)
-    extra = [sample_element(rng, nonzero=True) for _ in range(1 + _below(bits, 3))]
+    extra = [sample_element(bits, nonzero=True) for _ in range(1 + _below(bits, 3))]
     if stratum == "psi" and not _below(bits, 2):  # choice((True, False))
         # feed the p map a fresh psi-set member
         extra.append(gamma.psi_element(_below(bits, MAX_SUPPORT + 1)))
         rec.bump("extension_psi")
     if space.dim and not _below(bits, 2):
         # one generator already inside the base, exercising the m count
-        extra.append(space.member([sample_coefficient(rng) for _ in range(space.dim)]))
+        extra.append(space.member([sample_coefficient(bits) for _ in range(space.dim)]))
         rec.bump("extension_inherited")
     inputs = (("base", tuple(base)), ("extra", tuple(extra)))
     psi, s, p = growth_check(space, extra)
@@ -797,7 +781,8 @@ def suite_names() -> Tuple[str, ...]:
 
 
 def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
-    """The one trial loop: each trial gets its own seeded RNG."""
+    """The one trial loop: each trial gets its own seeded RNG, and one that raises
+    is a failed ``trial_raised`` check whose detail is the exception's type and message."""
     try:
         run_trial = _SUITES[name]
     except KeyError:
@@ -805,7 +790,10 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
     rec = _Recorder()
     for trial in range(trials):
         rec.trial = trial
-        run_trial(rec, trial_rng(seed, trial))
+        try:
+            run_trial(rec, trial_rng(seed, trial))
+        except Exception as exc:
+            rec.check(False, "trial_raised", (), f"{type(exc).__name__}: {exc}")
     return SuiteReport(
         name, seed, trials, rec.failure_count == 0, rec.failure_count,
         tuple(rec.failures), dict(sorted(rec.counters.items())),

@@ -5,8 +5,9 @@ golden corpus of CLI outputs cannot catch a change to them.  Each case
 here runs one suite with a deliberately broken map (a ``gamma`` function
 replaced for the run; the suites look each map up per trial) and
 compares ``gamma.jsonable`` of the report with
-``tests/data/failure_golden.json``.  After an intended change, rewrite
-the file with
+``tests/data/failure_golden.json``.  A map that makes a trial raise
+shows as ``trial_raised`` failures, and ``check`` exits 1 with a FAIL
+report.  After an intended change, rewrite the file with
 
     PYTHONPATH=src python tests/test_failure_reports.py --record
 
@@ -23,7 +24,7 @@ from typing import Dict
 
 import pytest
 
-from logcouple import gamma, harness
+from logcouple import cli, gamma, harness
 from logcouple.gamma import INF, Infinity
 
 GOLDEN = Path(__file__).parent / "data" / "failure_golden.json"
@@ -79,6 +80,20 @@ def odd_shifted_psi_level(x):
     return level + 1 if level is not None and level % 2 else level
 
 
+def loose_psi_level(x):
+    """Also a level, its term count less one, for any element of positive integer coefficients."""
+    level = _psi_level(x)
+    if level is not None or isinstance(x, Infinity) or not x:
+        return level
+    return len(x.coords) - 1 if all(q > 0 and q.denominator == 1 for _, q in x.coords) else None
+
+
+def level_seven_blind_psi_level(x):
+    """No level for the psi-set member of level 7."""
+    level = _psi_level(x)
+    return None if level == 7 else level
+
+
 def skipping_unit(index):
     """``e3`` in place of ``e2``."""
     return _unit(3 if index == 2 else index)
@@ -97,6 +112,8 @@ CASES: Dict[str, tuple] = {
     "lemma41-lopsided-successor": ("lemma41", 1, {"successor": lopsided_successor}),
     "lemma44-odd-shifted-level": ("lemma44", 0, {"psi_level": odd_shifted_psi_level}),
     "growth-skipping-unit": ("subspace-growth", 0, {"unit": skipping_unit}),
+    "lemma44-loose-psi-level": ("lemma44", 1, {"psi_level": loose_psi_level}),
+    "growth-lopsided-successor": ("subspace-growth", 0, {"successor": lopsided_successor}),
 }
 
 
@@ -121,6 +138,23 @@ def test_failure_report(name, monkeypatch):
     report = run_case(name, monkeypatch)
     assert report["passed"] is False and report["failures"]
     assert report == _golden()[name]
+
+
+@pytest.mark.parametrize(
+    "suite, attr, fn",
+    [
+        ("lemma44", "psi_level", loose_psi_level),
+        ("lemma44", "psi_level", level_seven_blind_psi_level),
+        ("subspace-growth", "successor", lopsided_successor),
+    ],
+    ids=["loose-psi-level", "level-seven-blind-psi-level", "lopsided-successor"],
+)
+def test_a_trial_that_raises_is_a_failed_check(suite, attr, fn, monkeypatch, capsys):
+    # a fault the trial runs into, even one that looks like bad input, ends in a FAIL report
+    monkeypatch.setattr(gamma, attr, fn)
+    assert cli.main(["check", suite, "--trials", "300"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out and "[trial_raised]" in out and err == ""
 
 
 def _record() -> None:

@@ -226,9 +226,9 @@ def test_int_kernel_compares_across_denominators():
 def test_sampler_outputs_are_normalized():
     # The samplers bypass the normalizing constructor: 1 + c is 0 on a draw of -1.
     for seed in range(2000):
-        rng = random.Random(seed)
-        outputs = [harness.sample_element(rng), harness.sample_positive(rng)]
-        outputs += [harness.sample_prefixed(rng, level, side) for level in range(9) for side in (1, -1)]
+        bits = random.Random(seed).getrandbits
+        outputs = [harness.sample_element(bits), harness.sample_positive(bits)]
+        outputs += [harness.sample_prefixed(bits, level, side) for level in range(9) for side in (1, -1)]
         for x in outputs:
             assert_canonical(x, dict(x.coords))
 

@@ -10,13 +10,14 @@ from functools import partial
 import pytest
 
 from logcouple import cli, gamma, harness, lang
-from logcouple.gamma import INF, ZERO, GammaElement, unit
+from logcouple.gamma import INF, ZERO, GammaElement, Infinity, unit
 from logcouple.harness import (
     AffineMap,
     ConstInf,
     ConstPsi,
     NotApplicable,
     Projection,
+    TrichotomyFailure,
     classify_affine_image,
     make_witness,
     run_suite,
@@ -118,7 +119,7 @@ def _stream_draws():
     yield harness.sample_positive, _reference_positive
     for k in (0, 4, 8):
         yield (
-            lambda rng, k=k: gamma._from_terms(harness._sparse_tail(rng, k)),
+            lambda bits, k=k: gamma._from_terms(harness._sparse_tail(bits, k)),
             lambda rng, k=k: GammaElement(_reference_sparse_tail(rng, k)),
         )
     for side in (-1, 0, 1):
@@ -143,7 +144,7 @@ def test_samplers_keep_the_reference_stream():
     for seed in range(500):
         rng, ref = random.Random(seed), random.Random(seed)
         for sample, reference in draws:
-            x = sample(rng)
+            x = sample(rng.getrandbits)
             if isinstance(x, GammaElement):
                 _assert_int_layout(x)
             assert x == reference(ref), seed
@@ -364,6 +365,141 @@ def test_not_applicable_reasons():
     table = _family((psi(0),), (psi(1),), (psi(2),), (psi(4),))
     result = classify_affine_image(AffineMap((Fraction(2),), unit(3)), table)
     assert isinstance(result, NotApplicable)
+
+    # two nonconstant coordinates that agree on some rows but not all share a value
+    table = _family((psi(0), psi(0)), (psi(1), psi(5)), (psi(2), psi(6)), (psi(3), psi(7)))
+    result = classify_affine_image(AffineMap((Fraction(1), Fraction(0)), ZERO), table)
+    assert result == NotApplicable("value e0 repeats across retained coordinates")
+
+
+def _reference_classify_affine_image(mapping, family):
+    """``classify_affine_image`` as it was with three genericity passes, kept as the reference."""
+    m = mapping.arity
+    rows = []
+    for t in family:
+        t = tuple(t)
+        if len(t) != m:
+            raise ValueError(f"family tuple arity {len(t)} != map arity {m}")
+        for v in t:
+            if not isinstance(v, Infinity) and gamma.psi_level(v) is None:
+                raise ValueError(f"family entries must be psi-set members or inf, got {v!r}")
+        rows.append(t)
+    if not rows:
+        raise ValueError("family must not be empty")
+
+    columns = [tuple(row[j] for row in rows) for j in range(m)]
+    retained = [j for j in range(m) if len(set(columns[j])) > 1]
+    for j in retained:
+        if any(isinstance(v, Infinity) for v in columns[j]):
+            return NotApplicable(f"nonconstant coordinate {j} contains inf")
+    reps = []
+    for j in retained:
+        duplicate = False
+        for r in reps:
+            if columns[r] == columns[j]:
+                duplicate = True
+                break
+            if any(a == b for a, b in zip(columns[r], columns[j])):
+                return NotApplicable(
+                    f"coordinates {r} and {j} agree on some rows but not all"
+                )
+        if not duplicate:
+            reps.append(j)
+    seen = {}
+    for j in reps:
+        for i, v in enumerate(columns[j]):
+            if v in seen and seen[v] != (i, j):
+                return NotApplicable(
+                    f"value {gamma.format_element(v)} repeats across retained coordinates"
+                )
+            seen[v] = (i, j)
+
+    values = [mapping.apply(row) for row in rows]
+    hits = sum(
+        1 for v in values if isinstance(v, Infinity) or gamma.psi_level(v) is not None
+    )
+    if hits < m + 2:
+        return NotApplicable(f"{hits} psi-set hits, need at least {m + 2}")
+
+    def bundle():
+        return gamma.jsonable({"map": mapping, "family": rows, "values": values})
+
+    if all(isinstance(v, Infinity) for v in values):
+        return ConstInf()
+    if all(v == values[0] for v in values):
+        level = gamma.psi_level(values[0])
+        if level is None:
+            raise TrichotomyFailure(bundle())
+        return ConstPsi(level)
+    for j in range(m):
+        if all(values[i] == rows[i][j] for i in range(len(rows))):
+            return Projection(j)
+    raise TrichotomyFailure(bundle())
+
+
+def _random_family(rng):
+    """Arity 1-4 and 1-7 rows, built from constant, inf-bearing, copied,
+    partially agreeing, repeating and fresh columns."""
+    m, size = rng.randint(1, 4), rng.randint(1, 7)
+    fresh = iter(rng.sample(range(60), 60))  # fresh columns share no value
+    columns = []
+    for _ in range(m):
+        kind = rng.choice(("constant", "inf", "copy", "partial", "repeat", "fresh", "fresh"))
+        if kind in ("copy", "partial") and not columns:
+            kind = "fresh"
+        if kind == "constant":
+            column = [INF if rng.random() < 0.3 else psi(rng.randrange(60))] * size
+        elif kind == "copy":
+            column = list(rng.choice(columns))
+        else:
+            column = [psi(next(fresh)) for _ in range(size)]
+        if kind == "inf":
+            column[rng.randrange(size)] = INF
+        elif kind == "partial":
+            source = rng.choice(columns)
+            for i in rng.sample(range(size), rng.randint(1, size)):
+                column[i] = source[i]
+        elif kind == "repeat":
+            column[rng.randrange(size)] = rng.choice(rng.choice(columns + [column]))
+        columns.append(column)
+    return m, [tuple(column[i] for column in columns) for i in range(size)]
+
+
+def _random_map(rng, m):
+    roll = rng.randrange(4)
+    if roll == 0:  # a projection
+        target = rng.randrange(m)
+        return AffineMap(tuple(Fraction(j == target) for j in range(m)), ZERO)
+    if roll == 1:  # a constant psi-set member or inf
+        return AffineMap((Fraction(0),) * m, INF if rng.random() < 0.3 else psi(rng.randrange(60)))
+    coefficients = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
+    constant = rng.choice((INF, ZERO, psi(rng.randrange(60)), unit(rng.randrange(9))))
+    return AffineMap(coefficients, constant)
+
+
+def _branch(result):
+    if not isinstance(result, NotApplicable):
+        return type(result).__name__
+    keys = ("contains inf", "repeats across", "psi-set hits", "agree on some rows")
+    return next(key for key in keys if key in result.reason)
+
+
+def test_classify_matches_the_three_pass_reference():
+    def outcome(result):
+        return type(result).__name__, getattr(result, "level", None), getattr(result, "coordinate", None)
+
+    reached, reference_reached = set(), set()
+    for seed in range(2500):
+        rng = random.Random(seed)
+        m, family = _random_family(rng)
+        mapping = _random_map(rng, m)
+        result = classify_affine_image(mapping, family)
+        reference = _reference_classify_affine_image(mapping, family)
+        assert outcome(result) == outcome(reference), seed
+        reached.add(_branch(result))
+        reference_reached.add(_branch(reference))
+    assert reached == {"ConstInf", "ConstPsi", "Projection", "contains inf", "repeats across", "psi-set hits"}
+    assert reference_reached == reached | {"agree on some rows"}
 
 
 def test_classify_validates_shapes():

@@ -590,7 +590,7 @@ def sample_literal_ast(rng: random.Random) -> Literal:
         return Literal(ZERO)
     if roll < 0.3:
         return Literal(INF)
-    coeff = abs(sample_coefficient(rng))
+    coeff = abs(sample_coefficient(rng.getrandbits))
     return Literal(gamma.unit(rng.randint(0, MAX_SUPPORT)) * coeff)
 
 
