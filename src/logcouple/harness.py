@@ -1,19 +1,18 @@
 """Seeded randomized checking of the asymptotic-couple laws.
 
 Each suite is a per-trial function registered in ``_SUITES``, and one
-driver (``run_suite``) runs it once per trial.  Every trial draws its
-randomness from ``trial_rng(seed, trial)``, a ``random.Random`` seeded
-by an integer mix of the two, so equal seeds give identical sample
-streams and byte-identical reports on every platform (no
-dependence on hash randomization or global RNG state).  The samplers
-draw from the generator's ``getrandbits`` and make the same bit
-requests, in the same order, as the ``randint``, ``choice`` and
-``sample`` calls they stand for, so the stream depends neither on which
-of the two does the drawing nor on the element representation.  Reports
-carry counters for the nontrivial strata a suite exercised, so vacuous
-passes are visible, and a trial that raises is a failed ``trial_raised``
-check, not a traceback.  The module computes reports; ``cli`` renders
-them as text.
+driver (``run_suite``) runs it once per trial as ``trial(rec, bits)``.
+``bits`` is the ``getrandbits`` of ``trial_rng(seed, trial)``, a
+``random.Random`` seeded by an integer mix of the two, and it is the
+one source of randomness: every draw is an int function of its words,
+defined here (``_below``, ``_pick``, ``_roll`` and the samplers built
+on them), with no floats.  They ask for the same bits, in the same
+order, as the ``randrange``, ``sample`` and ``random`` calls they stand
+for, so equal seeds give byte-identical reports on every platform and
+Python version.  Reports carry counters for the nontrivial strata a
+suite exercised, so vacuous passes are visible, and a trial that raises
+is a failed ``trial_raised`` check, not a traceback.  The module
+computes reports; ``cli`` renders them as text.
 
 The module also houses the affine-image trichotomy checker (an affine
 map hitting the psi-set often enough on a generic family must be
@@ -68,8 +67,14 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
 
 def _pick(bits: Callable[[int], int], lo: int, n: int, k: int) -> List[int]:
-    """``sample(range(lo, lo + n), k)`` by CPython's pool method, which it uses for ``n <= 21``."""
-    assert 0 <= k <= n <= 21
+    """``sample(range(lo, lo + n), k)``: CPython's pool method while a list of ``n`` is smaller than
+    a set of ``k`` (``n <= 21``, plus ``4**ceil(log4(3k))`` for ``k > 5``), else redraws on a repeat."""
+    assert 0 <= k <= n
+    if n > 21 + (4 ** (((3 * k - 1).bit_length() + 1) >> 1) if k > 5 else 0):
+        seen: Dict[int, None] = {}  # a dict keeps the draws in order
+        while len(seen) < k:
+            seen[lo + _below(bits, n)] = None
+        return list(seen)
     pool = list(range(lo, lo + n))
     picked = []
     for last in range(n - 1, n - 1 - k, -1):
@@ -77,6 +82,16 @@ def _pick(bits: Callable[[int], int], lo: int, n: int, k: int) -> List[int]:
         picked.append(pool[j])
         pool[j] = pool[last]
     return picked
+
+
+def _roll(bits: Callable[[int], int]) -> int:
+    """``random() * 2**53`` as an int: 27 bits of one 32-bit word over 26 bits of the next."""
+    return (bits(32) >> 5) << 26 | bits(32) >> 6
+
+
+# ``random() < p`` is ``_roll(bits) < ceil(p * 2**53)``; these are that bound for the
+# nearest doubles to p = 1/4, 1/5, 1/2 and 3/5, the probabilities lemma44 draws with.
+_ROLL_QUARTER, _ROLL_FIFTH, _ROLL_HALF, _ROLL_THREE_FIFTHS = 1 << 51, 1801439850948199, 1 << 52, 5404319552844595
 
 
 def _draw(bits: Callable[[int], int]) -> Tuple[int, int]:  # (num, den), not reduced
@@ -199,7 +214,7 @@ class _Recorder:
 # --- axiom suite ----------------------------------------------------------------
 
 
-def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
+def _axiom_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Randomized check of the asymptotic-couple laws.
 
     Covered: subadditivity of psi on sums, invariance under nonzero
@@ -210,7 +225,6 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
     integrate/derivative round trips.
     """
     psi = gamma.psi
-    bits = rng.getrandbits
     a = sample_element(bits, nonzero=True)
     b = sample_element(bits, nonzero=True)
     fa, fb = psi(a), psi(b)
@@ -291,7 +305,7 @@ def _axiom_trial(rec: _Recorder, rng: random.Random) -> None:
 # --- successor suite ----------------------------------------------------------
 
 
-def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
+def _successor_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Randomized checks of the successor map on the psi-set.
 
     Covered: the successor identity (if s(a) < s(b) then psi(a-b) =
@@ -301,7 +315,6 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
     side (midpoints stay in the fiber and on the side); successor and
     predecessor as level shift and its inverse on the psi-set.
     """
-    bits = rng.getrandbits
     k1, k2 = sorted(_pick(bits, 0, MAX_SUPPORT + 1, 2))
     a = sample_prefixed(bits, k1)
     b = sample_prefixed(bits, k2)
@@ -356,7 +369,7 @@ def _successor_trial(rec: _Recorder, rng: random.Random) -> None:
 # --- translated fiber suite (CLI: check lemma41) --------------------------------
 
 
-def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
+def _fiber_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Fiber geometry around a translation point b.
 
     Covered: psi-fibers around b are convex on each side of b
@@ -364,7 +377,6 @@ def _fiber_trial(rec: _Recorder, rng: random.Random) -> None:
     successor fibers around b intersected with a derivative side are
     convex; and the successor identity transported by translation.
     """
-    bits = rng.getrandbits
     b = sample_element(bits)
 
     k = _below(bits, MAX_SUPPORT + 1)
@@ -482,11 +494,20 @@ Classification = Union[ConstInf, ConstPsi, Projection, NotApplicable]
 
 
 class TrichotomyFailure(RuntimeError):
-    """Hypotheses held but no case matched: an implementation bug."""
+    """Hypotheses held but no case matched: an implementation bug.  The message writes an entry or
+    value that ``psi_level`` gives a level as ``psi(e<level>)``; ``bundle`` keeps all as element text."""
 
-    def __init__(self, bundle: Dict[str, object]):
-        super().__init__(f"no trichotomy case matched: {bundle!r}")
-        self.bundle = bundle
+    def __init__(self, mapping: AffineMap, rows: Sequence[Tuple[ExtendedElement, ...]],
+                 values: Tuple[ExtendedElement, ...]):
+        def text(v: ExtendedElement) -> str:
+            level = gamma.psi_level(v)
+            return gamma.format_element(v) if level is None else f"psi(e{level})"
+        family = " ".join(f"({', '.join(map(text, row))})" for row in rows)
+        super().__init__(
+            f"no trichotomy case matched: coefficients {', '.join(map(str, mapping.coefficients))}; "
+            f"constant {text(mapping.constant)}; family {family}; values {', '.join(map(text, values))}"
+        )
+        self.bundle = gamma.jsonable({"map": mapping, "family": rows, "values": values})
 
 
 def classify_affine_image(
@@ -544,23 +565,20 @@ def classify_affine_image(
     if hits < m + 2:
         return NotApplicable(f"{hits} psi-set hits, need at least {m + 2}")
 
-    def bundle() -> Dict[str, object]:
-        return gamma.jsonable({"map": mapping, "family": rows, "values": values})
-
     if all(isinstance(v, Infinity) for v in values):
         return ConstInf()
     if all(v == values[0] for v in values):
         level = gamma.psi_level(values[0])
         if level is None:
-            raise TrichotomyFailure(bundle())
+            raise TrichotomyFailure(mapping, rows, values)
         return ConstPsi(level)
     for j, column in enumerate(columns):
         if column == values:
             return Projection(j)
-    raise TrichotomyFailure(bundle())
+    raise TrichotomyFailure(mapping, rows, values)
 
 
-def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
+def _affine_image_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Randomized trichotomy checking over planted and random maps.
 
     Each trial builds a generic family over the psi-set plus inf, then
@@ -570,23 +588,22 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
     planted case, and random maps must classify whenever they hit the
     psi-set often enough.
     """
-    bits = rng.getrandbits
     m = 1 + _below(bits, 4)
     size = m + 2 + _below(bits, 3)
-    constant_cols = [j for j in range(m) if rng.random() < 0.25]
+    constant_cols = [j for j in range(m) if _roll(bits) < _ROLL_QUARTER]
     retained_cols = [j for j in range(m) if j not in constant_cols]
     copy_of: Dict[int, int] = {}
     fresh = []
     for pos, j in enumerate(retained_cols):
-        if pos > 0 and rng.random() < 0.2:
+        if pos > 0 and _roll(bits) < _ROLL_FIFTH:
             copy_of[j] = retained_cols[_below(bits, pos)]
         else:
             fresh.append(j)
-    pool = iter(rng.sample(range(0, 80), size * max(1, len(fresh))))
+    pool = iter(_pick(bits, 0, 80, size * max(1, len(fresh))))
     columns: Dict[int, List[ExtendedElement]] = {}
     for j in constant_cols:
         value: ExtendedElement
-        value = INF if rng.random() < 0.2 else gamma.psi_element(_below(bits, 81))
+        value = INF if _roll(bits) < _ROLL_FIFTH else gamma.psi_element(_below(bits, 81))
         columns[j] = [value] * size
     for j in fresh:
         columns[j] = [gamma.psi_element(next(pool)) for _ in range(size)]
@@ -617,7 +634,7 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
     elif kind == "broken":
         j = retained_cols[_below(bits, len(retained_cols))]
         rows = [list(row) for row in family]
-        if rng.random() < 0.5:
+        if _roll(bits) < _ROLL_HALF:
             rows[_below(bits, size)][j] = INF
             reason = "inf"
         else:
@@ -630,17 +647,21 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
         check, accept = f"broken_{reason}", lambda r: isinstance(r, NotApplicable)
     else:
         coeffs = tuple(Fraction(_below(bits, 5) - 2, 1 + _below(bits, 2)) for _ in range(m))
-        roll = rng.random()
+        roll = _roll(bits)
         constant: ExtendedElement
-        if roll < 0.25:
+        if roll < _ROLL_QUARTER:
             constant = INF
-        elif roll < 0.6:
+        elif roll < _ROLL_THREE_FIFTHS:
             constant = gamma.psi_element(_below(bits, 81))
         else:
             constant = sample_element(bits)
         mapping = AffineMap(coeffs, constant)
         check, accept = "random_map", lambda r: isinstance(r, Classification)
-    result = classify_affine_image(mapping, points)
+    try:
+        result = classify_affine_image(mapping, points)
+    except TrichotomyFailure as exc:
+        rec.check(False, check, label, str(exc))
+        return
     rec.check(accept(result), check, label, lambda: f"got {result!r}")
     if kind == "random":
         rec.bump(f"random_{type(result).__name__}")
@@ -649,7 +670,7 @@ def _affine_image_trial(rec: _Recorder, rng: random.Random) -> None:
 # --- growth suite (CLI: check subspace-growth) -----------------------------------
 
 
-def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
+def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Image growth over random generator extensions.
 
     Every trial extends a base subspace by fresh generators, takes the
@@ -677,7 +698,6 @@ def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
 
     The extended s-image size is capped at dim + 1 on every trial.
     """
-    bits = rng.getrandbits
     dim = _below(bits, 4)
     stratum = ("unit", "sparse", "psi")[_below(bits, 3)]
     if stratum == "unit":
@@ -765,7 +785,7 @@ def _growth_trial(rec: _Recorder, rng: random.Random) -> None:
         )
 
 
-_Trial = Callable[[_Recorder, random.Random], None]
+_Trial = Callable[[_Recorder, Callable[[int], int]], None]
 
 _SUITES: Dict[str, _Trial] = {
     "axioms": _axiom_trial,
@@ -791,7 +811,7 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
     for trial in range(trials):
         rec.trial = trial
         try:
-            run_trial(rec, trial_rng(seed, trial))
+            run_trial(rec, trial_rng(seed, trial).getrandbits)
         except Exception as exc:
             rec.check(False, "trial_raised", (), f"{type(exc).__name__}: {exc}")
     return SuiteReport(

@@ -143,11 +143,10 @@ def test_failure_report(name, monkeypatch):
 @pytest.mark.parametrize(
     "suite, attr, fn",
     [
-        ("lemma44", "psi_level", loose_psi_level),
         ("lemma44", "psi_level", level_seven_blind_psi_level),
         ("subspace-growth", "successor", lopsided_successor),
     ],
-    ids=["loose-psi-level", "level-seven-blind-psi-level", "lopsided-successor"],
+    ids=["level-seven-blind-psi-level", "lopsided-successor"],
 )
 def test_a_trial_that_raises_is_a_failed_check(suite, attr, fn, monkeypatch, capsys):
     # a fault the trial runs into, even one that looks like bad input, ends in a FAIL report
@@ -155,6 +154,16 @@ def test_a_trial_that_raises_is_a_failed_check(suite, attr, fn, monkeypatch, cap
     assert cli.main(["check", suite, "--trials", "300"]) == cli.EXIT_FAIL
     out, err = capsys.readouterr()
     assert "result: FAIL" in out and "[trial_raised]" in out and err == ""
+
+
+def test_a_trichotomy_failure_fails_its_own_check(monkeypatch, capsys):
+    # lemma44 records a TrichotomyFailure under the trial's check, with the trial's
+    # m, size and kind, and the detail names each psi-set member by its level
+    monkeypatch.setattr(gamma, "psi_level", loose_psi_level)
+    assert cli.main(["check", "lemma44", "--trials", "300"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out and "[random_map] no trichotomy case matched" in out and err == ""
+    assert "trial_raised" not in out and "kind = random" in out and "e0 + e1" not in out
 
 
 def _record() -> None:

@@ -1,11 +1,13 @@
 """Seeded suites, the affine trichotomy checker, and witness construction."""
 
+import ast
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -162,13 +164,13 @@ def test_bit_draws_match_the_stdlib():
     # Each getrandbits helper against the random.Random call it stands for: the
     # same value, and the generator left in the same state after every call.
     window = harness.MAX_SUPPORT + 1
+
+    def same(drawn, expected):
+        assert drawn == expected and rng.getstate() == ref.getstate(), seed
+
     for seed in range(200):
         rng, ref = random.Random(seed), random.Random(seed)
         bits = rng.getrandbits
-
-        def same(drawn, expected):
-            assert drawn == expected and rng.getstate() == ref.getstate(), seed
-
         for n in range(1, 100):
             same(harness._below(bits, n), ref.randrange(n))
         for n in range(22):
@@ -176,6 +178,25 @@ def test_bit_draws_match_the_stdlib():
                 same(harness._pick(bits, seed, n, k), ref.sample(range(seed, seed + n), k))
         for k in range(5):
             same(harness._terms(bits, seed, window, k), _reference_terms(ref, seed, window, k))
+    # _roll is random() * 2**53; over 80 values sample redraws on a repeat up to
+    # k = 5 and swaps picks out of a pool from k = 6, and _pick must do the same
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        bits = rng.getrandbits
+        for k in range(81):
+            same(harness._roll(bits), int(ref.random() * 2**53))
+            same(harness._pick(bits, seed, 80, k), ref.sample(range(seed, seed + 80), k))
+
+
+def test_src_has_no_float_and_no_stdlib_draw():
+    # Every draw is an int function of getrandbits words defined in harness; random()
+    # and sample are only the references above.  Parsed, so a version string is no float.
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
+            called = node.func if isinstance(node, ast.Call) else None
+            assert not (isinstance(called, ast.Attribute) and called.attr in ("random", "sample")), where
 
 
 # sha256 of each suite's --json report at 300 trials, seeds 0-2, recorded before
@@ -255,10 +276,10 @@ def test_round_trips_do_not_use_the_patched_psi(monkeypatch):
 
 def test_failures_carry_their_trial_number_past_trial_49(monkeypatch):
     monkeypatch.setitem(
-        harness._SUITES, "stub", lambda rec, rng: rec.check(rng.random() >= 0.02, "rare", [])
+        harness._SUITES, "stub", lambda rec, bits: rec.check(bits(32) >= 2**32 // 50, "rare", [])
     )
     report = run_suite("stub", 0, 1000)
-    failing = [t for t in range(1000) if trial_rng(0, t).random() < 0.02]
+    failing = [t for t in range(1000) if trial_rng(0, t).getrandbits(32) < 2**32 // 50]
     assert [f.trial for f in report.failures] == failing[:10]
     assert failing[9] > 49
     assert report.failure_count == len(failing)
@@ -421,20 +442,17 @@ def _reference_classify_affine_image(mapping, family):
     if hits < m + 2:
         return NotApplicable(f"{hits} psi-set hits, need at least {m + 2}")
 
-    def bundle():
-        return gamma.jsonable({"map": mapping, "family": rows, "values": values})
-
     if all(isinstance(v, Infinity) for v in values):
         return ConstInf()
     if all(v == values[0] for v in values):
         level = gamma.psi_level(values[0])
         if level is None:
-            raise TrichotomyFailure(bundle())
+            raise TrichotomyFailure(mapping, rows, values)
         return ConstPsi(level)
     for j in range(m):
         if all(values[i] == rows[i][j] for i in range(len(rows))):
             return Projection(j)
-    raise TrichotomyFailure(bundle())
+    raise TrichotomyFailure(mapping, rows, values)
 
 
 def _random_family(rng):
