@@ -13,11 +13,13 @@ other '(' a term.  ``parse_element`` reads element text, the literal sums
 Both report an error at the first token that their one reading rejects.
 
 The lexer is one compiled regex: each match skips leading whitespace and
-fills one numbered group, and ``_lex`` dispatches on that number.  Tokens
-keep their digits as text, and the parser makes them ints as it consumes
-them, so a number too long for ``int`` is an error only where the parser
-reaches it, after any error to its left.  The token list ends in
-``_EOF_PADDING`` eof tokens, so the parser looks ahead by plain indexing.
+fills one numbered group, and ``_lex`` dispatches on that number.  A token
+is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  When
+``= < ! & |`` shows a '(' to open a grouped formula, ``_lex`` replaces its
+entry with one whose mark is 1.  Digits stay text, so a number too long
+for ``int`` is an error only where the parser reaches it, after any error
+to its left.  The token list ends in ``_EOF_PADDING`` eof tokens, so the
+parser looks ahead by plain indexing.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
@@ -197,30 +199,24 @@ _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys
 # so it indexes the list without a bounds check.
 _EOF_PADDING = 3
 
-
-@dataclass(slots=True)
-class _Token:
-    kind: str  # number basis var func inf quant char deep ( ) + - * / ! & | = < eof
-    text: str
-    pos: int
-    value: int = 0  # 1 on a '(' that opens a formula
-    digits: str = ""  # a number's digits, or a basis vector's index digits
+# kind: number basis var func inf quant char deep ( ) + - * / ! & | = < eof
+_Tok = Tuple[str, str, int, int, str]  # (kind, text, pos, mark, digits)
 
 
-def _lex(text: str) -> List[_Token]:
-    """Tokens of ``text``, then ``_EOF_PADDING`` eof tokens; never raises.
+def _lex(text: str) -> List[_Tok]:
+    """``_Tok`` tuples of ``text``, then ``_EOF_PADDING`` eof tokens; never raises.
 
     A character outside the grammar becomes a ``char`` token and a '(' past
     ``MAX_NESTING`` a ``deep`` token.  No rule consumes either, so the
     parser reports the leftmost error when it reaches one.  Digits stay
-    text until the parser consumes their token, so even a number too long
-    for ``int`` cannot raise here.
+    text, so even a number too long for ``int`` cannot raise here.
 
-    A '(' gets ``value`` 1, the mark of a grouped formula, when ``= < ! & |``
-    occurs at its own depth or its first token opens a marked group.  A
-    parenthesized term never has either; a parenthesized formula always does.
+    A '(' gets mark 1, the mark of a grouped formula, when ``= < ! & |``
+    occurs at its own depth or its first token opens a marked group: its
+    list entry is replaced by the marked tuple.  A parenthesized term never
+    has either; a parenthesized formula always does.
     """
-    tokens: List[_Token] = []
+    tokens: List[_Tok] = []
     append = tokens.append
     opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
@@ -231,24 +227,24 @@ def _lex(text: str) -> List[_Token]:
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
                 group = opened.pop()
-                if tokens[group].value and opened and opened[-1] == group - 1:
-                    tokens[group - 1].value = 1
+                if tokens[group][3] and opened and opened[-1] == group - 1:
+                    tokens[group - 1] = tokens[group - 1][:3] + (1, "")
             elif lexeme in "=<!&|" and opened:
-                tokens[opened[-1]].value = 1
-            append(_Token("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1))
+                tokens[opened[-1]] = tokens[opened[-1]][:3] + (1, "")
+            append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0, ""))
         elif which == _NUMBER:
             lexeme = m[2]
-            append(_Token("number", lexeme, m.start(2), 0, lexeme))
+            append(("number", lexeme, m.start(2), 0, lexeme))
         elif which == _BASIS:
-            append(_Token("basis", m[3], m.start(3), 0, m[4]))
+            append(("basis", m[3], m.start(3), 0, m[4]))
         elif which == _NAME:
             lexeme = m[5]
-            append(_Token(_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(5)))
+            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(5), 0, ""))
         elif which is None:
             break
         else:
-            append(_Token("char", m[6], m.end() - 1))
-    tokens += [_Token("eof", "", len(text))] * _EOF_PADDING
+            append(("char", m[6], m.end() - 1, 0, ""))
+    tokens += [("eof", "", len(text), 0, "")] * _EOF_PADDING
     return tokens
 
 
@@ -258,58 +254,58 @@ _TERM_START = frozenset({"'0'", "'inf'", "'e<k>'", "coefficient", "variable", "f
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], strict_llog: bool):
+    def __init__(self, tokens: List[_Tok], strict_llog: bool):
         self.tokens = tokens
         self.i = 0
         self.strict_llog = strict_llog
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
+    def take(self) -> _Tok:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def expect(self, kind: str, expected: FrozenSet[str]) -> _Token:
+    def expect(self, kind: str, expected: FrozenSet[str]) -> _Tok:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             self.fail(tok, expected)
         return self.take()
 
-    def fail(self, tok: _Token, expected: FrozenSet[str]) -> NoReturn:
-        if tok.kind == "quant":
+    def fail(self, tok: _Tok, expected: FrozenSet[str]) -> NoReturn:
+        if tok[0] == "quant":
             raise ParseError(
-                f"quantifier {tok.text!r} is not supported: only the quantifier-free "
+                f"quantifier {tok[1]!r} is not supported: only the quantifier-free "
                 "fragment (=, <, !, &, |) is implemented",
-                tok.pos,
+                tok[2],
             )
-        if tok.kind == "char":
-            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
-        if tok.kind == "deep":
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
-        what = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-        raise ParseError(f"unexpected {what}", tok.pos, expected)
+        if tok[0] == "char":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
+        if tok[0] == "deep":
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
+        what = "end of input" if tok[0] == "eof" else f"{tok[1]!r}"
+        raise ParseError(f"unexpected {what}", tok[2], expected)
 
     # terms
 
     def term(self) -> TermNode:
         node = self.product()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
+        while (op := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             rhs = self.product()
-            node = Add(node, Neg(rhs)) if op.kind == "-" else Add(node, rhs)
+            node = Add(node, Neg(rhs)) if op == "-" else Add(node, rhs)
         return node
 
     def product(self) -> TermNode:
         node = self.unary()
-        while self.peek().kind == "/":
-            self.take()
+        while self.tokens[self.i][0] == "/":
+            self.i += 1
             tok = self.expect("number", frozenset({"positive integer divisor"}))
-            divisor = int(tok.digits)
+            divisor = int(tok[4])
             if divisor < 1:
-                raise ParseError("divisor must be a positive integer", tok.pos)
+                raise ParseError("divisor must be a positive integer", tok[2])
             node = Div(node, divisor)
         return node
 
@@ -321,37 +317,38 @@ class _Parser:
         return node
 
     def count_prefix(self, kind: str) -> int:
-        count = 0
-        while self.peek().kind == kind:
-            self.take()
-            count += 1
-        return count
+        start = i = self.i
+        while self.tokens[i][0] == kind:
+            i += 1
+        self.i = i
+        return i - start
 
     def atom(self) -> TermNode:
-        tok = self.peek()
-        if tok.kind == "number":
+        tok = self.tokens[self.i]
+        kind = tok[0]
+        if kind == "number":
             return self.literal_from_number()
-        if tok.kind == "basis":
-            self.take()
-            return Literal(gamma.unit(int(tok.digits)))
-        if tok.kind == "inf":
-            self.take()
+        if kind == "basis":
+            self.i += 1
+            return Literal(gamma.unit(int(tok[4])))
+        if kind == "inf":
+            self.i += 1
             return Literal(INF)
-        if tok.kind == "var":
-            self.take()
-            return Var(tok.text)
-        if tok.kind == "func":
-            if tok.text == "int" and self.strict_llog:
+        if kind == "var":
+            self.i += 1
+            return Var(tok[1])
+        if kind == "func":
+            if tok[1] == "int" and self.strict_llog:
                 raise ParseError(
-                    "'int' is a flagged extension and is rejected in strict mode", tok.pos
+                    "'int' is a flagged extension and is rejected in strict mode", tok[2]
                 )
-            self.take()
+            self.i += 1
             self.expect("(", frozenset({"'('"}))
             inner = self.term()
             self.expect(")", frozenset({"')'"}))
-            return Apply(tok.text, inner)
-        if tok.kind == "(":
-            self.take()
+            return Apply(tok[1], inner)
+        if kind == "(":
+            self.i += 1
             inner = self.term()
             self.expect(")", frozenset({"')'"}))
             return inner
@@ -360,86 +357,89 @@ class _Parser:
     def literal_from_number(self) -> TermNode:
         """``n[/d]*e<k>``, or a bare ``0``, read by index from the number token."""
         tokens, i = self.tokens, self.i
-        num, den = int(tokens[i].digits), 1
-        if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "number" and tokens[i + 3].kind == "*":
+        num, den = int(tokens[i][4]), 1
+        if tokens[i + 1][0] == "/" and tokens[i + 2][0] == "number" and tokens[i + 3][0] == "*":
             den_tok = tokens[i + 2]
-            den = int(den_tok.digits)
+            den = int(den_tok[4])
             if den == 0:
-                raise ParseError("zero denominator in coefficient", den_tok.pos)
+                raise ParseError("zero denominator in coefficient", den_tok[2])
             i += 2
-        if tokens[i + 1].kind != "*":
+        if tokens[i + 1][0] != "*":
             self.i = i + 1
             if num == 0:
                 return Literal(ZERO)
             self.fail(tokens[i + 1], frozenset({"'*'"}))
         basis = tokens[i + 2]
-        if basis.kind != "basis":
+        if basis[0] != "basis":
             self.fail(basis, frozenset({"'e<k>'"}))
         self.i = i + 3
-        index = int(basis.digits)
+        index = int(basis[4])
         return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
 
     # element text: 'inf', '0', or a sum of signed [q*]e<k> literals
 
     def element(self) -> ExtendedElement:
-        tok = self.take()
-        if tok.kind == "eof":
-            raise ElementError("empty element text", tok.pos)
-        if tok.kind == "inf":
-            if self.peek().kind != "eof":
-                raise ElementError("trailing input after 'inf'", self.peek().pos)
+        tokens, i = self.tokens, self.i + 1  # a cursor past the token in kind, text, ...
+        kind, text, pos, _, digits = tokens[i - 1]
+        if kind == "eof":
+            raise ElementError("empty element text", pos)
+        if kind == "inf":
+            if tokens[i][0] != "eof":
+                raise ElementError("trailing input after 'inf'", tokens[i][2])
             return INF
-        if tok.text == "0" and self.peek().kind == "eof":
+        if text == "0" and tokens[i][0] == "eof":
             return ZERO
-        if tok.kind == "+":
-            raise ElementError("unexpected leading '+'", tok.pos)
+        if kind == "+":
+            raise ElementError("unexpected leading '+'", pos)
         acc = gamma.Sum()
         while True:
-            num = -1 if tok.kind == "-" else 1
-            if tok.kind in ("+", "-"):
-                tok = self.take()
+            num = -1 if kind == "-" else 1
+            if kind in ("+", "-"):
+                kind, text, pos, _, digits = tokens[i]
+                i += 1
             den = 1
-            if tok.kind == "number":
-                num *= int(tok.digits)
-                if self.peek().kind == "/":
-                    self.take()
-                    den_tok = self.take()
-                    if den_tok.kind != "number":
-                        raise ElementError("expected denominator digits", den_tok.pos)
-                    den = int(den_tok.digits)
+            if kind == "number":
+                num *= int(digits)
+                if tokens[i][0] == "/":
+                    kind, text, pos, _, digits = tokens[i + 1]
+                    i += 2
+                    if kind != "number":
+                        raise ElementError("expected denominator digits", pos)
+                    den = int(digits)
                     if den == 0:
-                        raise ElementError("zero denominator", den_tok.pos + len(den_tok.text) - 1)
-                tok = self.take()
-                if tok.kind != "*":
-                    raise ElementError("expected '*' after coefficient", tok.pos)
-                tok = self.take()
-            if tok.kind != "basis":
-                if tok.text.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
-                    digits = len(tok.text) - 1 - len(tok.text[1:].lstrip("0123456789"))
-                    if digits:
-                        raise ElementError("expected '+' or '-' between terms", tok.pos + 1 + digits)
-                    raise ElementError("expected basis index digits", tok.pos + 1)
-                raise ElementError("expected basis vector 'e<index>'", tok.pos)
-            acc.add_terms(((int(tok.digits), num),), den)
-            tok = self.take()
-            if tok.kind == "eof":
+                        raise ElementError("zero denominator", pos + len(text) - 1)
+                if tokens[i][0] != "*":
+                    raise ElementError("expected '*' after coefficient", tokens[i][2])
+                kind, text, pos, _, digits = tokens[i + 1]
+                i += 2
+            if kind != "basis":
+                if text.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
+                    run = len(text) - 1 - len(text[1:].lstrip("0123456789"))
+                    if run:
+                        raise ElementError("expected '+' or '-' between terms", pos + 1 + run)
+                    raise ElementError("expected basis index digits", pos + 1)
+                raise ElementError("expected basis vector 'e<index>'", pos)
+            acc.add_terms(((int(digits), num),), den)
+            kind, text, pos, _, digits = tokens[i]
+            i += 1
+            if kind == "eof":
                 return acc.total()
-            if tok.kind not in ("+", "-"):
-                raise ElementError("expected '+' or '-' between terms", tok.pos)
+            if kind not in ("+", "-"):
+                raise ElementError("expected '+' or '-' between terms", pos)
 
     # formulas
 
     def formula(self) -> Node:
         node = self.conjunction()
-        while self.peek().kind == "|":
-            self.take()
+        while self.tokens[self.i][0] == "|":
+            self.i += 1
             node = Or(node, self.conjunction())
         return node
 
     def conjunction(self) -> Node:
         node = self.negation()
-        while self.peek().kind == "&":
-            self.take()
+        while self.tokens[self.i][0] == "&":
+            self.i += 1
             node = And(node, self.negation())
         return node
 
@@ -451,8 +451,8 @@ class _Parser:
         return node
 
     def formula_atom(self) -> Node:
-        if self.peek().kind == "(" and self.peek().value:  # a grouped formula, see _lex
-            self.take()
+        if self.peek()[0] == "(" and self.peek()[3]:  # a grouped formula, see _lex
+            self.i += 1
             inner = self.formula()
             self.expect(")", frozenset({"')'"}))
             return inner
@@ -461,20 +461,20 @@ class _Parser:
     def comparison(self) -> Node:
         start = self.i
         left = self.term()
-        tok = self.peek()
-        if tok.kind == "=":
-            self.take()
+        tok = self.tokens[self.i]
+        if tok[0] == "=":
+            self.i += 1
             return Eq(left, self.term())
-        if tok.kind == "<":
-            self.take()
+        if tok[0] == "<":
+            self.i += 1
             return Lt(left, self.term())
-        if start == 0 and tok.kind == "eof":
+        if start == 0 and tok[0] == "eof":
             return left  # the whole input is one term
         self.fail(tok, frozenset({"'='", "'<'"}))
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
             self.fail(tok, frozenset({"end of input"}))
 
 

@@ -606,6 +606,37 @@ def test_parse_sums_like_the_constructor(text, pairs):
     assert_canonical(x, reference(pairs))
 
 
+@st.composite
+def written_terms(draw):
+    """``(text, pairs)``: random ``(index, n, d)`` terms, zero and cancelling
+    coefficients and repeated indices included, written with random whitespace,
+    an explicit or elided ``1*`` and ``+``/``-`` joins."""
+    terms = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=8))
+    terms += [(i, -n, d) for i, n, d in draw(st.lists(st.sampled_from(terms), max_size=3))]
+    space = st.sampled_from(("", "", " ", "  ", "\t", "\n"))
+    text = draw(space)
+    for k, (index, n, d) in enumerate(terms):
+        if n < 0 or (n == 0 and draw(st.booleans())):
+            text += "-" + draw(space)
+        elif k:
+            text += "+" + draw(space)
+        if abs(n) != 1 or d != 1 or draw(st.booleans()):
+            text += str(abs(n)) + draw(space)
+            if d != 1 or draw(st.booleans()):
+                text += "/" + draw(space) + str(d) + draw(space)
+            text += "*" + draw(space)
+        text += f"e{index}" + draw(space)
+    return text, [(i, Fraction(n, d)) for i, n, d in terms]
+
+
+@given(written_terms())
+def test_parse_reads_any_spelling_of_a_term_list(case):
+    text, pairs = case
+    x = lang.parse_element(text)
+    assert x == GammaElement(pairs)
+    assert_canonical(x, reference(pairs))
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "+e0", "e-1", "1/0*e2", "e", "2*", "e1 e2", "0 + e1", "infx", "3*f1", "e²", "²*e0"],

@@ -1,6 +1,7 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from logcouple import cli, gamma, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
-from logcouple.harness import MAX_SUPPORT, sample_coefficient, trial_rng
+from logcouple.harness import MAX_SUPPORT, sample_coefficient, sample_element, trial_rng
 from logcouple.lang import (
     Add,
     And,
@@ -138,10 +139,10 @@ class _TwoPassParser(lang._Parser):
     def comparison(self):
         left = self.term()
         tok = self.peek()
-        if tok.kind == "=":
+        if tok[0] == "=":
             self.take()
             return Eq(left, self.term())
-        if tok.kind == "<":
+        if tok[0] == "<":
             self.take()
             return Lt(left, self.term())
         self.fail(tok, frozenset({"'='", "'<'"}))
@@ -212,7 +213,7 @@ class _BacktrackingParser(lang._Parser):
     term."""
 
     def formula_atom(self):
-        if self.peek().kind == "(":
+        if self.peek()[0] == "(":
             # Either a grouped formula or a parenthesized term starting a
             # comparison: try the formula reading first, then backtrack.
             save = self.i
@@ -334,10 +335,71 @@ def test_lexer_matches_the_reference_lexer():
         want = _reference_lex(text)
         got = lang._lex(text)
         assert len(got) == len(want) - 1 + lang._EOF_PADDING, text
-        assert all(tok.kind == "eof" and tok.pos == len(text) for tok in got[len(want) - 1 :]), text
-        for new, old in zip(got, want):
-            digits = int(new.digits) if new.kind in ("number", "basis") else new.value
-            assert (new.kind, new.text, new.pos, digits) == (old.kind, old.text, old.pos, old.value), text
+        assert all(tok == ("eof", "", len(text), 0, "") for tok in got[len(want) - 1 :]), text
+        for (kind, lexeme, pos, mark, digits), old in zip(got, want):
+            assert (kind, lexeme, pos) == (old.kind, old.text, old.pos), text
+            if kind in ("number", "basis"):
+                assert (mark, digits, int(digits)) == (0, lexeme.removeprefix("e"), old.value), text
+            else:
+                assert (mark, digits) == (old.value, ""), text
+
+
+def _element_texts():
+    """Element text: formatted sampled elements respaced at random, and sums with
+    ``n/d*`` coefficients, sign runs and repeated indices; each whole and with
+    one character cut out."""
+    rng = random.Random(2510)
+
+    def space():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    texts = []
+    for _ in range(400):
+        pieces = re.findall(r"e?[0-9]+|inf|\S", gamma.format_element(sample_element(rng.getrandbits)))
+        texts.append(space() + "".join(piece + space() for piece in pieces))
+        text = space()
+        for n in range(rng.randint(1, 6)):
+            signs = rng.choice(("", "", "-", "--", "+") if n == 0 else ("+", "+", "-", "-", "+-", "--", "-+-"))
+            coefficient = rng.choice(("", "{n}*", "{n}/{d}*", "{n} / {d} *", "{n}/{d}"))
+            text += signs + space() + coefficient.format(n=rng.randint(0, 12), d=rng.randint(0, 6))
+            text += space() + f"e{rng.randint(0, 4)}" + space()
+        texts.append(text)
+    for text in texts[:]:
+        if text:
+            cut = rng.randrange(len(text))
+            texts.append(text[:cut] + text[cut + 1 :])
+    return texts
+
+
+def _outcome_digest(outcomes):
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_front_end_outcomes_are_pinned():
+    # Every tree, message, position and expected set that parse_any gives, and
+    # every value or message and position that parse_element gives, on the
+    # corpora above.  The digests were recorded while each token was a
+    # dataclass object, so a change of token layout that moves any error shows.
+    def parse(text, strict_llog):
+        try:
+            return repr(lang.parse_any(text, strict_llog))
+        except ParseError as err:
+            return str(err), err.position, sorted(err.expected)
+
+    def read(text):
+        try:
+            return gamma.format_element(lang.parse_element(text))
+        except lang.ElementError as err:
+            return str(err), err.position
+
+    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts()]
+    parsed = (parse(text, strict_llog) for text in texts for strict_llog in (False, True))
+    assert _outcome_digest(parsed) == "699c0735fb64f3aa1e4fa6723645a67e969307cef70c5547e6ee825f80961a2b"
+    read_all = (read(text) for text in [*texts, *_element_texts()])
+    assert _outcome_digest(read_all) == "bdd17a0fcbb9483faa9eae7c62da7c48152fe734a2b7653a477550a4e4b4b022"
 
 
 _TERM_EXPECTED = "(expected '(', '-', '0', 'e<k>', 'inf', coefficient, function, variable)"
