@@ -1,4 +1,10 @@
-"""Exact-arithmetic workbench for the asymptotic couple of logarithmic transseries."""
+"""Exact-arithmetic workbench for the asymptotic couple of logarithmic transseries.
+
+``harness`` and ``subspace`` load on first use, as ``logcouple.harness`` or
+through ``import logcouple.harness``, which works as before.
+"""
+
+import importlib
 
 from .gamma import (
     INF,
@@ -24,3 +30,9 @@ from .gamma import (
 from .lang import ElementError, parse_element
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:  # PEP 562
+    if name in ("harness", "subspace"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,9 @@ Subcommands: evaluate a term or formula, run a checking suite, compute
 subspace images and growth reports, emit a discrete witness set below a
 given epsilon, and reformat an expression canonically.
 
+``eval`` and ``fmt`` load only ``gamma`` and ``lang``: ``harness``,
+``subspace`` and ``json`` load when a command first uses them.
+
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
 passed; 1 = a suite or growth bound failed, or a formula evaluated to
@@ -16,14 +19,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
+import stat
 import sys
 from typing import Dict, List, Optional, Sequence, Union
 
-from . import gamma, harness, lang
+from . import gamma, lang
 from .gamma import ExtendedElement, GammaElement, Infinity
-from .subspace import GrowthReport, ImageReport, Subspace, echelonize, growth_check
+
+# harness and subspace load on first use, as attributes of the package object
+# this module was imported with: a call-time ``from . import`` would look the
+# package up in sys.modules, which may hold another copy of it.
+_package = sys.modules[__package__]
+
+SUITES = ("axioms", "successor", "lemma41", "lemma44", "subspace-growth")  # == harness.suite_names()
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,10 +47,14 @@ def load_generators(path: str) -> List[GammaElement]:
 
     Blank lines and lines starting with ``#`` are skipped.  Errors carry
     the offending line number.  ``inf`` is rejected: subspaces contain
-    group elements only.
+    group elements only.  Only a regular file or a pipe is read, so a
+    device such as ``/dev/zero`` is an error, not an endless read.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            mode = os.fstat(handle.fileno()).st_mode
+            if not (stat.S_ISREG(mode) or stat.S_ISFIFO(mode)):
+                raise CliError(f"cannot read {path}: not a regular file or a pipe")
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -63,6 +76,8 @@ def load_generators(path: str) -> List[GammaElement]:
 
 
 def _emit_json(payload: object) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -92,7 +107,7 @@ def _suite_text(report: harness.SuiteReport) -> str:
     return "\n".join(lines)
 
 
-def _image_text(space: Subspace, report: ImageReport) -> str:
+def _image_text(space: subspace.Subspace, report: subspace.ImageReport) -> str:
     lines = [
         f"function: {report.function}",
         f"dim: {space.dim}",
@@ -103,7 +118,7 @@ def _image_text(space: Subspace, report: ImageReport) -> str:
     return "\n".join(lines)
 
 
-def _growth_text(report: GrowthReport) -> str:
+def _growth_text(report: subspace.GrowthReport) -> str:
     lines = [
         f"function: {report.function}",
         f"old levels: {_levels_text(report.old_levels)}",
@@ -161,6 +176,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    harness = _package.harness
     if args.trials < 0:
         raise CliError("--trials must be nonnegative")
     if args.trials > harness.MAX_TRIALS:
@@ -174,6 +190,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
+    subspace = _package.subspace
     generators = load_generators(args.gens)
     if args.op == "growth":
         if args.extend is None:
@@ -181,7 +198,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
         extra = load_generators(args.extend)
         if not extra:
             raise CliError(f"{args.extend}: growth needs at least one new generator")
-        reports = growth_check(echelonize(generators), extra)
+        reports = subspace.growth_check(subspace.echelonize(generators), extra)
         ok = all(r.passed for r in reports)
         if args.json:
             _emit_json(gamma.jsonable({"passed": ok, "growth": reports}))
@@ -190,7 +207,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     if args.extend is not None:
         generators += load_generators(args.extend)
-    space = echelonize(generators)
+    space = subspace.echelonize(generators)
     report = space.image(args.op)
     if args.json:
         _emit_json(gamma.jsonable(report))
@@ -200,7 +217,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    report = harness.make_witness(lang.parse_element(args.epsilon), args.count)
+    report = _package.harness.make_witness(lang.parse_element(args.epsilon), args.count)
     if args.json:
         _emit_json(gamma.jsonable(report))
     else:
@@ -262,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_check = sub.add_parser("check", parents=[json_opt], help="run a verification suite")
-    p_check.add_argument("suite", choices=harness.suite_names(), help="suite name")
+    p_check.add_argument("suite", choices=SUITES, help="suite name")
     p_check.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
     p_check.add_argument(
         "--trials",

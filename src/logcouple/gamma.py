@@ -34,7 +34,6 @@ one, so along a chain of partial sums each term is formatted once.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -615,8 +614,9 @@ def jsonable(value: object) -> object:
         return format_element(value)
     if isinstance(value, Fraction):
         return str(value)
-    if is_dataclass(value):
-        pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
+    names = getattr(type(value), "__dataclass_fields__", None)  # what dataclasses.fields walks
+    if names is not None:
+        pairs = ((name, getattr(value, name)) for name in names)
         return {name: jsonable(v) for name, v in pairs if v is not None}
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}

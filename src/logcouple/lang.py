@@ -27,6 +27,9 @@ rejected with a pointed message; the language is quantifier-free.
 Parentheses, including those of function calls, nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError.
 
+The AST nodes are plain ``__slots__`` classes on one base, ``_Node``, so
+``lang`` loads only ``gamma`` and the standard modules it names.
+
 ``evaluate`` (value or truth), ``format_any`` (canonical text) and
 ``to_json`` (nested dicts) take a term or a formula alike.  They share one
 walk that keeps its own stack, so a long sum or a long run of ``!`` is no
@@ -53,7 +56,6 @@ sums).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from types import GeneratorType
 from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
 
@@ -71,78 +73,128 @@ MAX_NESTING = 128
 
 # --- AST --------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Literal:
-    value: ExtendedElement
+_set = object.__setattr__  # how each __init__ sets its slots past _Node.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """An AST node: immutable, and equal to a node of its own class with equal
+    fields.  A class lists its fields in ``__slots__`` and sets them in its
+    own ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild a node through __init__
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "TermNode"
-    right: "TermNode"
+class Literal(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: ExtendedElement) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "TermNode"
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Div:
-    operand: "TermNode"
-    divisor: int
+class Add(_Node):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        if type(self.divisor) is not int or self.divisor < 1:
-            raise ValueError(f"divisor must be a positive integer, got {self.divisor!r}")
+    def __init__(self, left: TermNode, right: TermNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Apply:
-    func: str
-    operand: "TermNode"
+class Neg(_Node):
+    __slots__ = ("operand",)
 
-    def __post_init__(self) -> None:
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.func!r}")
+    def __init__(self, operand: TermNode) -> None:
+        _set(self, "operand", operand)
+
+
+class Div(_Node):
+    __slots__ = ("operand", "divisor")
+
+    def __init__(self, operand: TermNode, divisor: int) -> None:
+        if type(divisor) is not int or divisor < 1:
+            raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
+        _set(self, "operand", operand)
+        _set(self, "divisor", divisor)
+
+
+class Apply(_Node):
+    __slots__ = ("func", "operand")
+
+    def __init__(self, func: str, operand: TermNode) -> None:
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}")
+        _set(self, "func", func)
+        _set(self, "operand", operand)
 
 
 TermNode = Union[Literal, Var, Add, Neg, Div, Apply]
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: TermNode
-    right: TermNode
+class Eq(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: TermNode, right: TermNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Lt:
-    left: TermNode
-    right: TermNode
+class Lt(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: TermNode, right: TermNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "FormulaNode"
+class Not(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: FormulaNode) -> None:
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "FormulaNode"
-    right: "FormulaNode"
+class And(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: FormulaNode, right: FormulaNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "FormulaNode"
-    right: "FormulaNode"
+class Or(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: FormulaNode, right: FormulaNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 FormulaNode = Union[Eq, Lt, Not, And, Or]
@@ -587,7 +639,7 @@ _EVAL = {
     Var: _lookup,
     Add: _sum,
     Neg: _unary(lambda node, a: -a),
-    # Div.__post_init__ has already rejected a divisor below 1.
+    # Div.__init__ has already rejected a divisor below 1.
     Div: _unary(lambda node, a: a / node.divisor),
     Apply: _unary(lambda node, a: _FUNC_EVAL[node.func](a)),
     Eq: _binary(lambda a, b: a == b),
@@ -667,10 +719,10 @@ _JSON_NAMES = {kind: kind.__name__.lower() for kind in _EVAL} | {Neg: "negate", 
 
 def _json_step(node: Node, _: object) -> Generator:
     out: Dict[str, object] = {"node": _JSON_NAMES[type(node)]}
-    for field in fields(node):
-        value = getattr(node, field.name)
+    for name in node.__slots__:
+        value = getattr(node, name)
         is_node = type(value) in _JSON_NAMES
-        out[field.name] = (yield value, None) if is_node else gamma.jsonable(value)
+        out[name] = (yield value, None) if is_node else gamma.jsonable(value)
     return out
 
 

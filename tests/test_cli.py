@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -405,6 +406,93 @@ def test_large_unit_spans(tmp_path, op, count, levels):
     apply = gamma.successor if op == "s" else gamma.predecessor
     for level, text in payload["witnesses"].items():
         assert apply(lang.parse_element(text)) == gamma.psi_element(int(level))
+
+
+def _run_child(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("flag", ["--gens", "--extend"])
+def test_a_device_is_not_a_generator_file(flag):
+    # /dev/zero is one endless line; it is refused, not read until memory runs out
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    files = ["--gens", "/dev/zero"] if flag == "--gens" else ["--gens", str(DATA / "gens.txt"), "--extend", "/dev/zero"]
+    argv = [sys.executable, "-m", "logcouple.cli", "subspace", "--op", "growth", *files]
+    # a child that reads anyway fails fast on 1 GiB of address space
+    proc = _run_child(argv, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+    assert proc.stderr == "error: cannot read /dev/zero: not a regular file or a pipe\n"
+
+
+def test_generators_can_come_from_a_pipe(tmp_path):
+    if not os.path.exists("/dev/stdin"):
+        pytest.skip("no /dev/stdin")
+    text = "e0 + 2*e3\n# a comment\n\ne1\n"
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+    argv = ["subspace", "--op", "s", "--gens"]
+    proc = _run_child([sys.executable, "-m", "logcouple.cli", *argv, "/dev/stdin"], input=text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli([*argv, str(gens)])
+
+
+# The child runs one command through cli.main, then writes to stderr the
+# modules that importing the package and running the command loaded.
+_LOADED = """
+import sys
+before = set(sys.modules)
+from logcouple import cli
+cli.main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+_EVAL_SET = ["logcouple", "logcouple.cli", "logcouple.gamma", "logcouple.lang"]
+
+
+@pytest.mark.parametrize(
+    "argv, package, loaded, not_loaded",
+    [
+        (["eval", "psi(e1) = e0 + e1"], _EVAL_SET, [], ["dataclasses", "json"]),
+        (["fmt", "e0+  e1/2"], _EVAL_SET, [], ["dataclasses", "json"]),
+        (["fmt", "e0+  e1/2", "--json"], None, ["json"], []),
+        (["check", "axioms", "--trials", "1"], None, ["logcouple.harness"], []),
+    ],
+    ids=["eval", "fmt", "fmt-json", "check"],
+)
+def test_a_command_loads_only_what_it_uses(argv, package, loaded, not_loaded):
+    proc = _run_child([sys.executable, "-c", _LOADED, *argv])
+    modules = proc.stderr.splitlines()[-1].split()
+    if package is not None:
+        assert [m for m in modules if m.split(".")[0] == "logcouple"] == package
+    assert set(loaded) <= set(modules)
+    assert not set(not_loaded) & set(modules)
+
+
+# A second copy of the package, loaded as perfbench's traced run loads one:
+# each module before the modules that use it, then sys.modules restored.  The
+# copy's cli must run the copy's harness, which a call-time ``from . import``
+# would miss: it finds the first copy through sys.modules.
+_SECOND_COPY = """
+import importlib, sys
+import logcouple.cli
+plain = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "logcouple"}
+for name in plain:
+    del sys.modules[name]
+harness = importlib.import_module("logcouple.harness")
+cli = importlib.import_module("logcouple.cli")
+for name in [k for k in sys.modules if k.split(".")[0] == "logcouple"]:
+    del sys.modules[name]
+sys.modules.update(plain)
+calls = []
+run_suite = harness.run_suite
+harness.run_suite = lambda *args: calls.append(args) or run_suite(*args)
+print(cli.main(["check", "axioms", "--trials", "1"]), len(calls), file=sys.stderr)
+"""
+
+
+def test_a_second_copy_of_the_package_runs_its_own_harness():
+    proc = _run_child([sys.executable, "-c", _SECOND_COPY])
+    assert proc.stderr.split() == ["0", "1"], proc.stderr
 
 
 # --- determinism --------------------------------------------------------------------

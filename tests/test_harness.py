@@ -49,6 +49,7 @@ def test_suites_pass_at_small_trials(name):
 
 def test_suite_names_are_the_cli_tokens():
     assert suite_names() == ("axioms", "successor", "lemma41", "lemma44", "subspace-growth")
+    assert cli.SUITES == suite_names()
     with pytest.raises(ValueError):
         run_suite("nosuch", 0, 300)
 

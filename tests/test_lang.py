@@ -1,9 +1,12 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import json
+import pickle
 import random
 import re
 from dataclasses import dataclass
@@ -500,6 +503,108 @@ def test_divide_node_validates():
             Div(Var("x"), divisor)
     with pytest.raises(ValueError):
         Apply("log", Var("x"))
+
+
+def _reference_node_classes():
+    """lang's 11 AST node classes as they were: frozen dataclasses, with
+    ``Div`` and ``Apply`` checking their fields in ``__post_init__``."""
+
+    def check_divisor(node):
+        if type(node.divisor) is not int or node.divisor < 1:
+            raise ValueError(f"divisor must be a positive integer, got {node.divisor!r}")
+
+    def check_func(node):
+        if node.func not in lang.FUNCTIONS:
+            raise ValueError(f"unknown function {node.func!r}")
+
+    shapes = [
+        ("Literal", ["value"]), ("Var", ["name"]), ("Add", ["left", "right"]), ("Neg", ["operand"]),
+        ("Div", ["operand", "divisor"]), ("Apply", ["func", "operand"]), ("Eq", ["left", "right"]),
+        ("Lt", ["left", "right"]), ("Not", ["operand"]), ("And", ["left", "right"]), ("Or", ["left", "right"]),
+    ]
+    checks = {"Div": check_divisor, "Apply": check_func}
+    classes = {}
+    for name, fields in shapes:
+        namespace = {"__post_init__": checks[name]} if name in checks else None
+        classes[name] = dataclasses.make_dataclass(name, fields, frozen=True, namespace=namespace)
+    return classes
+
+
+_REFERENCE_NODES = _reference_node_classes()
+
+
+def _field_values(node):
+    """A node's fields, read in the reference class's field order."""
+    return [getattr(node, f.name) for f in dataclasses.fields(_REFERENCE_NODES[type(node).__name__])]
+
+
+def _as_reference(node):
+    """The same tree built from the reference classes."""
+    args = [_as_reference(a) if type(a).__name__ in _REFERENCE_NODES else a for a in _field_values(node)]
+    return _REFERENCE_NODES[type(node).__name__](*args)
+
+
+def _parity_nodes():
+    """Sampled term and formula trees, and every tree ``parse_any`` reads from
+    ``_reference_texts()``, each parsed twice: equal trees that are not the
+    same object."""
+    rng = random.Random(2611)
+    nodes = [sample_term_ast(rng) for _ in range(300)] + [sample_formula_ast(rng) for _ in range(300)]
+    for text in _reference_texts():
+        try:
+            nodes += [lang.parse_any(text), lang.parse_any(text)]
+        except ParseError:
+            pass
+    return nodes
+
+
+def test_nodes_match_the_reference_dataclasses():
+    nodes = _parity_nodes()
+    refs = [_as_reference(node) for node in nodes]
+    for node, ref in zip(nodes, refs):
+        assert repr(node) == repr(ref)
+        assert hash(node) == hash(ref)
+    for (a, ref_a), (b, ref_b) in zip(zip(nodes, refs), zip(nodes[1:], refs[1:])):
+        assert (a == b, a != b) == (ref_a == ref_b, ref_a != ref_b), (a, b)
+    # Nodes of two kinds with the same fields are unequal, as are the references.
+    swaps = {Eq: Lt, Lt: Eq, And: Or, Or: And, Add: Eq, Neg: Not, Not: Neg}
+    for node in nodes:
+        if type(node) in swaps:
+            twin = swaps[type(node)](*_field_values(node))
+            assert node != twin and not node == twin and _as_reference(twin) != _as_reference(node)
+
+
+def test_node_fields_cannot_be_assigned():
+    for node in _parity_nodes():
+        for name in (*type(node).__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert not hasattr(node, "__dict__")
+        assert copy.copy(node) == node
+    # a tree without literals pickles (a literal's GammaElement does not)
+    node = formula("psi(x) / 2 = y | !(x < -y)")
+    assert pickle.loads(pickle.dumps(node)) == node and copy.deepcopy(node) == node
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [("Div", {"operand": Var("x"), "divisor": d}) for d in (1, 7, 2**70, 0, -3, True, False, 2.0, "2", None)]
+    + [("Apply", {"func": f, "operand": Var("x")}) for f in (*lang.FUNCTIONS, "log", "", "PSI", None, 1)],
+)
+def test_checked_nodes_reject_what_the_reference_rejects(kind, fields):
+    def outcome(cls, *args, **kwargs):
+        try:
+            return repr(cls(*args, **kwargs))
+        except ValueError as err:
+            return str(err)
+
+    new, ref = getattr(lang, kind), _REFERENCE_NODES[kind]
+    want = outcome(ref, *fields.values())
+    assert outcome(new, *fields.values()) == want
+    assert outcome(new, **fields) == want
+    assert outcome(ref, **fields) == want
 
 
 # --- element text: the literal sums of the term language ---------------------------
