@@ -30,13 +30,17 @@ before it, that skips the whole shared prefix.
 ``format_element`` writes element text and ``format_elements`` a list of
 it, formatting only the new terms of an element that extends the previous
 one, so along a chain of partial sums each term is formatted once.
+
+``Record`` is the one immutable record type of the package: the AST nodes
+of ``lang`` and the reports of ``harness`` and ``subspace`` list their
+fields in ``__slots__``.  ``jsonable`` writes any report as JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -602,11 +606,56 @@ def format_elements(xs: Iterable[ExtendedElement]) -> List[str]:
     return out
 
 
+_set = object.__setattr__  # how Record.__init__ sets its slots past Record.__setattr__
+
+
+class Record:
+    """An immutable record, equal to a record of its own class with equal fields.
+
+    A class lists its fields once, in ``__slots__``, and is built from them
+    positionally; a wrong number of them is a TypeError.  ``==``, ``hash``,
+    ``repr`` (``Name(field=value, ...)``) and ``jsonable`` read the fields
+    in that order.  A class that checks or normalizes its fields does so in
+    its own ``__init__``, which passes them on to ``Record.__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild a record through __init__
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def jsonable(value: object) -> object:
     """The JSON form of a report: the one serializer of every report type.
 
-    Elements become element text and Fractions ``n/d`` text.  A dataclass
-    becomes a dict of its fields in declaration order, leaving out fields
+    Elements become element text and Fractions ``n/d`` text.  A ``Record``
+    becomes a dict of its fields in ``__slots__`` order, leaving out fields
     that are None.  Mappings become dicts with ``str`` keys, tuples and
     lists become lists, and other values are kept as they are.
     """
@@ -614,9 +663,8 @@ def jsonable(value: object) -> object:
         return format_element(value)
     if isinstance(value, Fraction):
         return str(value)
-    names = getattr(type(value), "__dataclass_fields__", None)  # what dataclasses.fields walks
-    if names is not None:
-        pairs = ((name, getattr(value, name)) for name in names)
+    if isinstance(value, Record):
+        pairs = ((name, getattr(value, name)) for name in value.__slots__)
         return {name: jsonable(v) for name, v in pairs if v is not None}
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}

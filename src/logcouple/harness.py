@@ -23,12 +23,11 @@ constructor of small discrete witness sets below a prescribed epsilon.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import gamma
-from .gamma import INF, ZERO, ExtendedElement, GammaElement, Infinity
+from .gamma import INF, ZERO, ExtendedElement, GammaElement, Infinity, Record
 from .subspace import echelonize, growth_check
 
 _MASK = (1 << 64) - 1
@@ -150,23 +149,16 @@ def sample_prefixed(bits: Callable[[int], int], level: int, side: int = 0) -> Ga
 _MAX_RECORDED_FAILURES = 10
 
 
-@dataclass(frozen=True)
-class Failure:
-    trial: int
-    check: str
-    inputs: Dict[str, str]
-    detail: str
+class Failure(Record):
+    """A failed check: its trial, its name, its inputs as text and what went wrong."""
+
+    __slots__ = ("trial", "check", "inputs", "detail")
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    trials: int
-    passed: bool
-    failure_count: int
-    failures: Tuple[Failure, ...]
-    counters: Dict[str, int]  # sorted by name
+class SuiteReport(Record):
+    """One suite run: its first ``failures``, and its ``counters`` sorted by name."""
+
+    __slots__ = ("suite", "seed", "trials", "passed", "failure_count", "failures", "counters")
 
 
 class _Recorder:
@@ -429,21 +421,20 @@ def _fiber_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
 # --- affine image trichotomy (CLI: check lemma44) -------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """h(a_1..a_m) = sum(q_j * a_j) + c over the extended group.
 
     ``inf`` absorbs: the value is ``inf`` whenever the constant is or
-    any argument with a nonzero coefficient is.
+    any argument with a nonzero coefficient is.  The coefficients are
+    kept as a tuple of Fractions.
     """
 
-    coefficients: Tuple[Fraction, ...]
-    constant: ExtendedElement
+    __slots__ = ("coefficients", "constant")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, (int, Fraction)) for c in self.coefficients):
-            raise TypeError(f"coefficients must be ints or Fractions, got {self.coefficients!r}")
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
+    def __init__(self, coefficients: Sequence[Union[int, Fraction]], constant: ExtendedElement) -> None:
+        if not all(isinstance(c, (int, Fraction)) for c in coefficients):
+            raise TypeError(f"coefficients must be ints or Fractions, got {coefficients!r}")
+        super().__init__(tuple(Fraction(c) for c in coefficients), constant)
 
     @property
     def arity(self) -> int:
@@ -464,30 +455,28 @@ class AffineMap:
         return acc
 
 
-@dataclass(frozen=True)
-class ConstInf:
+class ConstInf(Record):
     """The map is identically inf on the family."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ConstPsi:
+
+class ConstPsi(Record):
     """The map is identically the psi-set member of this level."""
 
-    level: int
+    __slots__ = ("level",)
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(Record):
     """The map returns its argument at this coordinate (0-based)."""
 
-    coordinate: int
+    __slots__ = ("coordinate",)
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Record):
     """Preconditions genuinely fail; no classification is claimed."""
 
-    reason: str
+    __slots__ = ("reason",)
 
 
 Classification = Union[ConstInf, ConstPsi, Projection, NotApplicable]
@@ -796,10 +785,6 @@ _SUITES: Dict[str, _Trial] = {
 }
 
 
-def suite_names() -> Tuple[str, ...]:
-    return tuple(_SUITES)
-
-
 def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
     """The one trial loop: each trial gets its own seeded RNG, and one that raises
     is a failed ``trial_raised`` check whose detail is the exception's type and message."""
@@ -823,21 +808,16 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
 # --- witness construction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """A finite increasing discrete set inside (0, epsilon).
 
-    ``alpha`` is a psi-set member with ``0 < bound = -2*integrate(alpha)
-    < epsilon``; the prefix elements are the differences of the psi-set
-    members above alpha with alpha itself, which increase with strictly
-    positive gaps and all stay below the bound.
+    ``alpha`` is the psi-set member of level ``alpha_level``, with ``0 <
+    bound = -2*integrate(alpha) < epsilon``; the ``prefix`` elements are the
+    differences of the psi-set members above alpha with alpha itself, which
+    increase with strictly positive gaps and all stay below the bound.
     """
 
-    epsilon: GammaElement
-    alpha_level: int
-    alpha: GammaElement
-    bound: GammaElement
-    prefix: Tuple[GammaElement, ...]
+    __slots__ = ("epsilon", "alpha_level", "alpha", "bound", "prefix")
 
 
 # Largest witness prefix: element k has k coordinates, so output grows as count**2.

@@ -27,8 +27,10 @@ rejected with a pointed message; the language is quantifier-free.
 Parentheses, including those of function calls, nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError.
 
-The AST nodes are plain ``__slots__`` classes on one base, ``_Node``, so
-``lang`` loads only ``gamma`` and the standard modules it names.
+The AST nodes are ``gamma.Record``s: each class lists its fields in
+``__slots__`` and is built from them positionally; ``Div`` and ``Apply``
+check theirs.  ``lang`` loads only ``gamma`` and the standard modules it
+names.
 
 ``evaluate`` (value or truth), ``format_any`` (canonical text) and
 ``to_json`` (nested dicts) take a term or a formula alike.  They share one
@@ -60,7 +62,7 @@ from types import GeneratorType
 from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from . import gamma
-from .gamma import INF, ZERO, ExtendedElement
+from .gamma import INF, ZERO, ExtendedElement, Record
 
 FUNCTIONS = ("psi", "s", "p", "int")
 _QUANTIFIERS = ("forall", "exists")
@@ -73,128 +75,62 @@ MAX_NESTING = 128
 
 # --- AST --------------------------------------------------------------------
 
-_set = object.__setattr__  # how each __init__ sets its slots past _Node.__setattr__
 
-
-class _Node:
-    """An AST node: immutable, and equal to a node of its own class with equal
-    fields.  A class lists its fields in ``__slots__`` and sets them in its
-    own ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild a node through __init__
-        return type(self), self._fields()
-
-    def __setattr__(self, name: str, value: object) -> NoReturn:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> NoReturn:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Literal(_Node):
+class Literal(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: ExtendedElement) -> None:
-        _set(self, "value", value)
 
-
-class Var(_Node):
+class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
 
-
-class Add(_Node):
+class Add(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: TermNode, right: TermNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-class Neg(_Node):
+class Neg(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: TermNode) -> None:
-        _set(self, "operand", operand)
 
-
-class Div(_Node):
+class Div(Record):
     __slots__ = ("operand", "divisor")
 
     def __init__(self, operand: TermNode, divisor: int) -> None:
         if type(divisor) is not int or divisor < 1:
             raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
-        _set(self, "operand", operand)
-        _set(self, "divisor", divisor)
+        super().__init__(operand, divisor)
 
 
-class Apply(_Node):
+class Apply(Record):
     __slots__ = ("func", "operand")
 
     def __init__(self, func: str, operand: TermNode) -> None:
         if func not in FUNCTIONS:
             raise ValueError(f"unknown function {func!r}")
-        _set(self, "func", func)
-        _set(self, "operand", operand)
+        super().__init__(func, operand)
 
 
 TermNode = Union[Literal, Var, Add, Neg, Div, Apply]
 
 
-class Eq(_Node):
+class Eq(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: TermNode, right: TermNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-class Lt(_Node):
+class Lt(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: TermNode, right: TermNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-class Not(_Node):
+class Not(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: FormulaNode) -> None:
-        _set(self, "operand", operand)
 
-
-class And(_Node):
+class And(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: FormulaNode, right: FormulaNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-class Or(_Node):
+class Or(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: FormulaNode, right: FormulaNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 FormulaNode = Union[Eq, Lt, Not, And, Or]

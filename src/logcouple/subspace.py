@@ -31,35 +31,30 @@ generators (e.g. spans of differences of consecutive psi-set members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from . import gamma
-from .gamma import ZERO, GammaElement
+from .gamma import ZERO, GammaElement, Record
 
 
-@dataclass(frozen=True)
-class ImageReport:
-    """Image of a unary map over a subspace, with one witness per level."""
+class ImageReport(Record):
+    """Image of a unary map over a subspace, with one witness per level, in level order."""
 
-    function: str
-    levels: Tuple[int, ...]
-    witnesses: Dict[int, GammaElement]  # in level order
+    __slots__ = ("function", "levels", "witnesses")
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Image growth under a generator extension, checked against a bound."""
+class GrowthReport(Record):
+    """Image growth under a generator extension, checked against a bound.
 
-    function: str
-    old_levels: Tuple[int, ...]
-    new_levels: Tuple[int, ...]
-    added_levels: Tuple[int, ...]
-    new_generator_count: int
-    bound: int
-    passed: bool
-    counterexample: Optional[Dict[str, object]] = None  # JSON-ready
+    ``counterexample`` is None when the bound holds, and otherwise a
+    JSON-ready bundle of the bases, levels and witnesses.
+    """
+
+    __slots__ = (
+        "function", "old_levels", "new_levels", "added_levels", "new_generator_count", "bound", "passed",
+        "counterexample",
+    )
 
 
 class Subspace:

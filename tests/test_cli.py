@@ -246,6 +246,24 @@ def test_or_short_circuits_past_unbound_variable():
     assert "unbound variable 'y'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        # inf absorbs addition, negation and division
+        (["eval", "e1 - x / 3", "--let", "x=inf"], "inf"),
+        # the comparisons order inf on top, and scaling keeps it
+        (["eval", "e5 < inf & !(inf < inf)"], "true"),
+        (["eval", "x / 2 = inf", "--let", "x=inf"], "true"),
+        (["eval", "3/2*e0 / 3 = 1/2*e0"], "true"),
+        # element text reads like the term language: spaces inside a coefficient
+        (["eval", "x", "--let", "x=3 / 2*e0"], "3/2*e0"),
+    ],
+    ids=["inf-absorbs", "inf-on-top", "inf-halved", "scaled-order", "spaced-coefficient"],
+)
+def test_inf_and_element_text_evaluate(argv, value):
+    assert run_cli(argv) == (cli.EXIT_PASS, value + "\n", "")
+
+
 def test_let_bindings_do_not_leak_into_the_next_call():
     assert run_cli(["eval", "x", "--let", "x=e0"]) == (cli.EXIT_PASS, "e0\n", "")
     assert run_cli(["eval", "x"]) == (cli.EXIT_USAGE, "", "error: unbound variable 'x'\n")
@@ -455,9 +473,14 @@ _EVAL_SET = ["logcouple", "logcouple.cli", "logcouple.gamma", "logcouple.lang"]
         (["eval", "psi(e1) = e0 + e1"], _EVAL_SET, [], ["dataclasses", "json"]),
         (["fmt", "e0+  e1/2"], _EVAL_SET, [], ["dataclasses", "json"]),
         (["fmt", "e0+  e1/2", "--json"], None, ["json"], []),
-        (["check", "axioms", "--trials", "1"], None, ["logcouple.harness"], []),
+        (["check", "axioms", "--trials", "1"], None, ["logcouple.harness"], ["dataclasses", "inspect"]),
+        (["witness", "--epsilon", "e0", "--count", "2"], None, ["logcouple.harness"], ["dataclasses", "inspect"]),
+        (
+            ["subspace", "--op", "s", "--gens", str(DATA / "gens.txt")],
+            None, ["logcouple.subspace"], ["dataclasses", "inspect", "logcouple.harness"],
+        ),
     ],
-    ids=["eval", "fmt", "fmt-json", "check"],
+    ids=["eval", "fmt", "fmt-json", "check", "witness", "subspace"],
 )
 def test_a_command_loads_only_what_it_uses(argv, package, loaded, not_loaded):
     proc = _run_child([sys.executable, "-c", _LOADED, *argv])

@@ -8,9 +8,7 @@ are cross-checked against ``perfbench/oracle.py``, which computes on
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import oracle
 import pytest
@@ -707,15 +705,10 @@ def test_repr_is_text_format():
 
 
 def test_jsonable_rules():
-    @dataclass
-    class Report:
-        level: int
-        value: object
-        ratio: Fraction
-        by_level: dict
-        note: Optional[str] = None
+    class Report(gamma.Record):
+        __slots__ = ("level", "value", "ratio", "by_level", "note")
 
-    report = Report(3, (unit(0) + unit(2), INF), Fraction(3, 2), {1: ZERO, 0: True})
+    report = Report(3, (unit(0) + unit(2), INF), Fraction(3, 2), {1: ZERO, 0: True}, None)
     assert gamma.jsonable(report) == {
         "level": 3,
         "value": ["e0 + e2", "inf"],
@@ -723,4 +716,6 @@ def test_jsonable_rules():
         "by_level": {"1": "0", "0": True},
     }
     assert list(gamma.jsonable(report)) == ["level", "value", "ratio", "by_level"]
+    with pytest.raises(TypeError):
+        Report(3, None, None, None)
     assert gamma.jsonable(Fraction(4, 2)) == "2"

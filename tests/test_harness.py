@@ -1,6 +1,7 @@
 """Seeded suites, the affine trichotomy checker, and witness construction."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,15 +18,17 @@ from logcouple.harness import (
     AffineMap,
     ConstInf,
     ConstPsi,
+    Failure,
     NotApplicable,
     Projection,
+    SuiteReport,
     TrichotomyFailure,
     classify_affine_image,
     make_witness,
     run_suite,
-    suite_names,
     trial_rng,
 )
+from logcouple.subspace import GrowthReport, echelonize, growth_check
 
 
 def ones(n):
@@ -39,7 +42,7 @@ def psi(level):
 # --- suites pass and are reproducible ----------------------------------------------
 
 
-@pytest.mark.parametrize("name", suite_names())
+@pytest.mark.parametrize("name", cli.SUITES)
 def test_suites_pass_at_small_trials(name):
     report = run_suite(name, 0, 300)
     assert report.passed, cli._suite_text(report)
@@ -48,8 +51,7 @@ def test_suites_pass_at_small_trials(name):
 
 
 def test_suite_names_are_the_cli_tokens():
-    assert suite_names() == ("axioms", "successor", "lemma41", "lemma44", "subspace-growth")
-    assert cli.SUITES == suite_names()
+    assert cli.SUITES == tuple(harness._SUITES)
     with pytest.raises(ValueError):
         run_suite("nosuch", 0, 300)
 
@@ -231,7 +233,7 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", suite_names())
+@pytest.mark.parametrize("name", cli.SUITES)
 def test_report_digests_are_pinned(name):
     digests = tuple(
         hashlib.sha256(json.dumps(gamma.jsonable(run_suite(name, seed, 300)), indent=2).encode()).hexdigest()
@@ -613,3 +615,113 @@ def test_witness_json_shape():
         "bound": "2*e2",
         "prefix": ["e2"],
     }
+
+
+# --- report records ----------------------------------------------------------------
+
+
+def _reference_report_classes():
+    """The 10 report classes as they were: frozen dataclasses, with ``AffineMap``
+    normalizing its coefficients in ``__post_init__``."""
+
+    def normalize(mapping):
+        object.__setattr__(mapping, "coefficients", tuple(Fraction(c) for c in mapping.coefficients))
+
+    shapes = [
+        ("Failure", ["trial", "check", "inputs", "detail"]),
+        ("SuiteReport", ["suite", "seed", "trials", "passed", "failure_count", "failures", "counters"]),
+        ("AffineMap", ["coefficients", "constant"]),
+        ("ConstInf", []),
+        ("ConstPsi", ["level"]),
+        ("Projection", ["coordinate"]),
+        ("NotApplicable", ["reason"]),
+        ("WitnessReport", ["epsilon", "alpha_level", "alpha", "bound", "prefix"]),
+        ("ImageReport", ["function", "levels", "witnesses"]),
+        ("GrowthReport", ["function", "old_levels", "new_levels", "added_levels", "new_generator_count",
+                          "bound", "passed", "counterexample"]),
+    ]
+    return {
+        name: dataclasses.make_dataclass(
+            name, fields, frozen=True, namespace={"__post_init__": normalize} if name == "AffineMap" else None
+        )
+        for name, fields in shapes
+    }
+
+
+_REFERENCE_REPORTS = _reference_report_classes()
+
+
+def _as_reference(value):
+    """The same report built from the reference classes, nested reports included."""
+    if isinstance(value, tuple):
+        return tuple(_as_reference(v) for v in value)
+    if not isinstance(value, gamma.Record):
+        return value
+    cls = _REFERENCE_REPORTS[type(value).__name__]
+    return cls(*(_as_reference(getattr(value, f.name)) for f in dataclasses.fields(cls)))
+
+
+def _reference_json(value):
+    """``gamma.jsonable``'s rule for a dataclass, as it read one: its fields in
+    declaration order, leaving out fields that are None."""
+    if dataclasses.is_dataclass(value):
+        pairs = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: _reference_json(v) for name, v in pairs if v is not None}
+    if isinstance(value, tuple) and any(dataclasses.is_dataclass(v) for v in value):
+        return [_reference_json(v) for v in value]
+    return gamma.jsonable(value)
+
+
+def _sample_reports():
+    """Reports of all 10 classes, most as the suites, the witness builder and
+    the subspace functions return them; each call builds new objects."""
+    reports = [run_suite(name, 0, 20) for name in cli.SUITES]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gamma, "psi", lambda x: -_real_psi(x))
+        reports.append(run_suite("axioms", 5, 40))
+    reports += reports[-1].failures
+    reports += [Failure(7, "planted_const_psi", {"level": "44"}, f"got {ConstPsi(44)!r}")]
+    reports += [ConstInf(), ConstPsi(3), ConstPsi(44), Projection(3), Projection(0), NotApplicable("1 psi-set hits")]
+    reports += [AffineMap((1, Fraction(1, 2)), ZERO), AffineMap([Fraction(2), 0], psi(3)), AffineMap((), INF)]
+    reports += [make_witness(unit(0), 3), make_witness(unit(1) * Fraction(1, 3), 2)]
+    space = echelonize([unit(1), unit(2)])
+    reports += [space.image(function) for function in ("psi", "s", "p")]
+    reports += growth_check(space, [unit(0)]) + growth_check(echelonize([unit(0)]), [unit(1)])
+    return reports
+
+
+def test_reports_match_the_reference_dataclasses():
+    reports, copies = _sample_reports(), _sample_reports()
+    assert {type(r).__name__ for r in reports} == set(_REFERENCE_REPORTS)
+    assert any(r.failures for r in reports if isinstance(r, SuiteReport))
+    growth = [r for r in reports if isinstance(r, GrowthReport)]
+    assert {r.counterexample is None for r in growth} == {True, False}
+    assert all("counterexample" not in gamma.jsonable(r) for r in growth if r.passed)
+    refs, copy_refs = [_as_reference(r) for r in reports], [_as_reference(r) for r in copies]
+    for report, ref in zip(reports, refs):
+        assert repr(report) == repr(ref)
+        assert json.dumps(gamma.jsonable(report)) == json.dumps(_reference_json(ref))  # keys in order
+        try:
+            want = hash(ref)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(report)
+        else:
+            assert hash(report) == want
+    for a, ref_a in zip(reports, refs):
+        for b, ref_b in zip(copies, copy_refs):
+            assert (a == b, a != b) == (ref_a == ref_b, ref_a != ref_b), (a, b)
+    assert ConstPsi(3) != Projection(3) and _as_reference(ConstPsi(3)) != _as_reference(Projection(3))
+    assert repr(ConstPsi(44)) == "ConstPsi(level=44)"
+
+
+def test_a_report_takes_exactly_its_fields():
+    for report in _sample_reports():
+        fields = [getattr(report, name) for name in type(report).__slots__]
+        with pytest.raises(TypeError):
+            type(report)(*fields, None)
+        if fields:
+            with pytest.raises(TypeError):
+                type(report)(*fields[:-1])
+        with pytest.raises(AttributeError):
+            report.extra = None
