@@ -5,7 +5,8 @@ subspace images and growth reports, emit a discrete witness set below a
 given epsilon, and reformat an expression canonically.
 
 ``eval`` and ``fmt`` load only ``gamma`` and ``lang``: ``harness``,
-``subspace`` and ``json`` load when a command first uses them.
+``subspace`` and ``json`` load when a command first uses them.  A command
+line led by a subcommand's exact name goes straight to that subparser.
 
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
@@ -76,9 +77,42 @@ def load_generators(path: str) -> List[GammaElement]:
 
 
 def _emit_json(payload: object) -> None:
-    import json
+    """Print ``payload`` byte for byte as ``print(json.dumps(payload, indent=2))``.
 
-    print(json.dumps(payload, indent=2))
+    With an indent, ``json.dumps`` runs its pure-Python encoder, at about three
+    times this writer's cost.  It takes what ``gamma.jsonable`` and ``lang.to_json``
+    produce (dicts with str keys, lists, str, int, bool, None) and raises TypeError
+    on anything else.  One frame per nesting level: too deep a tree raises RecursionError.
+    """
+    from json.encoder import encode_basestring_ascii as quote  # TypeError on a non-str
+    out: List[str] = []
+
+    def write(value: object, indent: str) -> None:
+        if isinstance(value, str):
+            out.append(quote(value))
+        elif isinstance(value, dict):
+            sep, inner = "{\n", indent + "  "
+            for key, item in value.items():
+                out.append(f"{sep}{inner}{quote(key)}: ")
+                write(item, inner)
+                sep = ",\n"
+            out.append(f"\n{indent}}}" if value else "{}")
+        elif isinstance(value, list):
+            sep, inner = "[\n", indent + "  "
+            for item in value:
+                out.append(sep + inner)
+                write(item, inner)
+                sep = ",\n"
+            out.append(f"\n{indent}]" if value else "[]")
+        elif value is None or isinstance(value, bool):
+            out.append("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(payload, "")
+    print("".join(out))
 
 
 # --- report text ------------------------------------------------------------------
@@ -156,11 +190,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         name = name.strip()
         if not sep:
             raise CliError(f"malformed --let {binding!r}; expected NAME=ELEMENT")
-        try:
-            parsed_name = lang.parse_any(name)
-        except lang.ParseError:
-            parsed_name = None
-        if parsed_name != lang.Var(name):  # '(x)' also parses to Var('x')
+        # one var token spelling all of name ('(x)' parses to Var('x') but is not a name)
+        if lang._lex(name)[0][:2] != ("var", name):
             raise CliError(f"--let name {name!r} is not a variable")
         env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
@@ -259,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for the logarithmic asymptotic couple.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    parser.commands = sub.choices  # name -> subparser, for main's direct dispatch
 
     p_eval = sub.add_parser(
         "eval", parents=[text_opts], help="evaluate a term or quantifier-free formula"
@@ -316,8 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:  # no arguments, -h, "--", or not exactly a command name
+            args = parser.parse_args(argv)
+        else:  # what parse_args does once the name picks the subparser, minus the top-level pass
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -19,10 +19,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logcouple import cli, gamma, harness, lang
 
@@ -161,6 +164,12 @@ CORPUS = [
     ["subspace", "--op", "s", "--gens", "gens.txt", "--trials", "3"],
     ["witness", "--epsilon", "e0", "--count", "1", "--strict-llog"],
     ["fmt", "x", "--seed", "2"],
+    # dispatch: help, an abbreviated name, "--" before the command, and leftovers after "--"
+    ["-h"],
+    ["eval", "-h"],
+    ["ev", "e0"],
+    ["--", "eval", "e0"],
+    ["check", "axioms", "--trials", "1", "--json", "--", "x"],
 ]
 
 # Inputs that once overflowed the recursive parser or evaluator, with the
@@ -269,7 +278,9 @@ def test_let_bindings_do_not_leak_into_the_next_call():
     assert run_cli(["eval", "x"]) == (cli.EXIT_USAGE, "", "error: unbound variable 'x'\n")
 
 
-@pytest.mark.parametrize("name", ["(x)", "((x))", "2", "e0", "psi(x)", "x y"])
+@pytest.mark.parametrize(
+    "name", ["(x)", "((x))", "2", "e0", "psi(x)", "x y", "inf", "psi", "forall", "e1", "é", ""]
+)
 def test_let_name_must_be_a_bare_variable(name):
     # '(x)' parses to Var('x') too, but would bind the key '(x)', never 'x'.
     assert run_cli(["eval", "x", "--let", f"{name}=e0"]) == (
@@ -278,6 +289,11 @@ def test_let_name_must_be_a_bare_variable(name):
         f"error: --let name {name!r} is not a variable\n",
     )
     assert run_cli(["eval", "x", "--let", " x =e0"]) == (cli.EXIT_PASS, "e0\n", "")
+
+
+@pytest.mark.parametrize("name", ["e1x", "x_1", "_"])
+def test_let_name_may_look_like_a_keyword_or_index(name):
+    assert run_cli(["eval", name, "--let", f"{name}=e0"]) == (cli.EXIT_PASS, "e0\n", "")
 
 
 def test_a_negated_term_follows_double_dash():
@@ -337,6 +353,44 @@ def test_long_witness_prints_every_prefix_element():
     rc, out, err = run_cli(argv + ["--json"])
     assert (rc, err) == (cli.EXIT_PASS, "")
     assert json.loads(out)["prefix"] == want
+    # below e0 each element's text extends the previous one's, so the 1000th
+    # has 1000 terms; formatting stays linear beyond the output bytes
+    start = time.perf_counter()
+    rc, out, err = run_cli(["witness", "--epsilon", "e0", "--count", "1000", "--json"])
+    assert time.perf_counter() - start < 10
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    # a bool, so that a failure does not make pytest diff two 4 MB strings
+    same_bytes = out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert same_bytes, "witness --json differs from what json.dumps(indent=2) writes"
+    prefix = json.loads(out)["prefix"]
+    assert len(prefix) == 1000 and prefix[-1].count("e") == 1000
+
+
+# Every value shape that gamma.jsonable and lang.to_json produce, with text
+# over all of Unicode (surrogates, quotes, backslashes and controls included).
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "é", "\u2028", "😀"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "a": {}, "b": [True, 1, False, 0, None, -7, 2**70], "c": [[], {}, [{}]]})
+@example([])
+@example({})
+def test_json_writer_prints_what_json_dumps_prints(value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), {1: "a"}, {"a": {None: 1}}, [b"x"]], ids=repr)
+def test_json_writer_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError), redirect_stdout(io.StringIO()):
+        cli._emit_json(value)
 
 
 # --- work bounded by documented caps ------------------------------------------------

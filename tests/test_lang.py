@@ -187,10 +187,10 @@ def _reference_texts():
     """Golden eval/fmt texts, random token strings, and formatted ASTs with and
     without one character cut out."""
     rng = random.Random(1802)
-    texts = [
+    texts = [  # the text of each eval/fmt golden case ('-h' is a flag, not a text)
         case["argv"][1]
         for case in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-        if case["argv"][:1] in (["eval"], ["fmt"]) and len(case["argv"]) > 1
+        if case["argv"][:1] in (["eval"], ["fmt"]) and case["argv"][1:2] not in ([], ["-h"])
     ]
     for _ in range(3000):
         pieces = rng.choices(_REFERENCE_TOKENS, k=rng.randint(0, 9))
