@@ -484,7 +484,7 @@ Classification = Union[ConstInf, ConstPsi, Projection, NotApplicable]
 
 class TrichotomyFailure(RuntimeError):
     """Hypotheses held but no case matched: an implementation bug.  The message writes an entry or
-    value that ``psi_level`` gives a level as ``psi(e<level>)``; ``bundle`` keeps all as element text."""
+    value that ``psi_level`` gives a level as ``psi(e<level>)``."""
 
     def __init__(self, mapping: AffineMap, rows: Sequence[Tuple[ExtendedElement, ...]],
                  values: Tuple[ExtendedElement, ...]):
@@ -496,7 +496,6 @@ class TrichotomyFailure(RuntimeError):
             f"no trichotomy case matched: coefficients {', '.join(map(str, mapping.coefficients))}; "
             f"constant {text(mapping.constant)}; family {family}; values {', '.join(map(text, values))}"
         )
-        self.bundle = gamma.jsonable({"map": mapping, "family": rows, "values": values})
 
 
 def classify_affine_image(

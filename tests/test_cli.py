@@ -16,11 +16,13 @@ import functools
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,8 @@ CORPUS = [
 DEEP_PSI = "psi(" * 3000 + "x" + ")" * 3000
 MANY_NOTS = "!" * 3000 + "e0 = e0"
 LONG_SUM = " + ".join(["e0"] * 5000)
+# 9000 terms with n/d coefficients on one generator line
+LONG_LINE = " + ".join(f"{k % 7 + 1}/{k % 5 + 1}*e{k}" for k in range(9000))
 
 
 def run_cli(argv):
@@ -184,6 +188,13 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_cli_within(seconds, argv):
+    start = time.perf_counter()
+    result = run_cli(argv)
+    assert time.perf_counter() - start < seconds, f"{' '.join(argv)[:60]} took over {seconds} s"
+    return result
 
 
 @pytest.fixture
@@ -320,6 +331,13 @@ def test_nesting_up_to_the_cap_parses():
     assert run_cli(["eval", "psi(" * depth + "e3" + ")" * depth]) == (cli.EXIT_PASS, "e0\n", "")
     text = "(" * depth + "e0 = e0" + ")" * depth
     assert run_cli(["eval", text]) == (cli.EXIT_PASS, "true\n", "")
+    # 450 atoms of 127 parentheses around e0, joined by '&' (118,797 bytes): the
+    # lexer marks grouped formulas, so each '(' is read once and this is linear
+    big = " & ".join(["(" * 127 + "e0" + ")" * 127 + " = e0"] * 450)
+    assert run_cli_within(10, ["eval", big]) == (cli.EXIT_PASS, "true\n", "")
+    # the last atom without its right-hand side is one parse error
+    rc, out, err = run_cli_within(10, ["eval", big.removesuffix(" e0")])
+    assert (rc, out) == (cli.EXIT_USAGE, "") and err.count("\n") == 1
 
 
 def test_long_negation_chain_evaluates():
@@ -333,6 +351,19 @@ def test_long_sum_evaluates():
     assert run_cli(["eval", LONG_SUM]) == (cli.EXIT_PASS, "5000*e0\n", "")
     rc, out, _ = run_cli(["fmt", LONG_SUM])
     assert (rc, out) == (cli.EXIT_PASS, LONG_SUM + "\n")
+    # a 5000-term mixed-coefficient sum is added once; its value comes from fractions
+    terms, value = [], {}
+    for k in range(5000):
+        i, q, sign = k * 13 % 41, Fraction(k % 7 + 1, k % 5 + 1), -1 if k % 2 else 1
+        value[i] = value.get(i, 0) + sign * q
+        terms.append(("" if k == 0 else " - " if sign < 0 else " + ") + f"{q}*e{i}")
+    want = "".join(
+        (" - " if c < 0 else " + ") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"e{i}"
+        for i, c in sorted(value.items())
+        if c
+    )
+    want = want[3:] if want[1] == "+" else "-" + want[3:]
+    assert run_cli_within(10, ["eval", "".join(terms)]) == (cli.EXIT_PASS, want + "\n", "")
 
 
 @pytest.mark.parametrize("text", [MANY_NOTS, LONG_SUM], ids=["not-chain", "long-sum"])
@@ -465,19 +496,53 @@ def test_one_far_generator_is_cheap(tmp_path, op):
         assert p["new_levels"] == []
 
 
+def test_a_long_generator_line_is_read_in_one_pass(tmp_path):
+    gens = tmp_path / "line.txt"
+    gens.write_text(LONG_LINE + "\n")
+    rc, _, err = run_cli_within(10, ["subspace", "--op", "s", "--gens", str(gens)])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+
+
 @pytest.mark.parametrize("op, count, levels", [("s", 200, 201), ("p", 400, 399)])
 def test_large_unit_spans(tmp_path, op, count, levels):
     # every index is a pivot, so each level adds one row to the running sum
     # that both images read, instead of re-solving from scratch
     gens = tmp_path / f"e{count}.txt"
     gens.write_text("".join(f"e{i}\n" for i in range(count)))
-    rc, out, err = run_cli(["subspace", "--op", op, "--gens", str(gens), "--json"])
+    rc, out, err = run_cli_within(30, ["subspace", "--op", op, "--gens", str(gens), "--json"])
     assert (rc, err) == (cli.EXIT_PASS, "")
     payload = json.loads(out)
     assert payload["levels"] == list(range(levels))
     apply = gamma.successor if op == "s" else gamma.predecessor
     for level, text in payload["witnesses"].items():
         assert apply(lang.parse_element(text)) == gamma.psi_element(int(level))
+
+
+def test_large_unit_span_growth(tmp_path):
+    gens, more = tmp_path / "e200.txt", tmp_path / "e400.txt"
+    gens.write_text("".join(f"e{i}\n" for i in range(200)))
+    more.write_text("".join(f"e{i}\n" for i in range(400)))
+    argv = ["subspace", "--op", "growth", "--gens", str(gens), "--extend", str(more)]
+    assert run_cli_within(30, argv)[0] == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("op", ["psi", "s"])
+def test_unit_span_order_does_not_change_the_output(tmp_path, op):
+    # e0..e1999 in forward, reversed and shuffled order span one subspace, whose
+    # echelon form is canonical, so the image prints the same bytes
+    units = [f"e{k}" for k in range(2000)]
+    shuffled = units[:]
+    random.Random(0).shuffle(shuffled)
+    outputs = []
+    for order, lines in (("fwd", units), ("rev", units[::-1]), ("shuf", shuffled)):
+        gens = tmp_path / f"units-{order}.txt"
+        gens.write_text("\n".join(lines) + "\n")
+        rc, out, err = run_cli_within(30, ["subspace", "--op", op, "--json", "--gens", str(gens)])
+        assert (rc, err) == (cli.EXIT_PASS, "")
+        outputs.append(out)
+    # a bool, so that a failure does not make pytest diff outputs of up to 14 MB
+    same_bytes = outputs[0] == outputs[1] == outputs[2]
+    assert same_bytes, f"--op {op} prints different bytes for different generator orders"
 
 
 def _run_child(argv, **kwargs):
@@ -603,7 +668,7 @@ def test_a_reader_closing_stdout_early_gets_one_error_line(tmp_path, command):
         argv = ["witness", "--epsilon", "e0", "--count", "1000"]
     else:
         gens = tmp_path / "line.txt"
-        gens.write_text(" + ".join(f"{k % 7 + 1}/{k % 5 + 1}*e{k}" for k in range(9000)) + "\n")
+        gens.write_text(LONG_LINE + "\n")
         argv = ["subspace", "--op", "s", "--gens", str(gens)]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.Popen(
@@ -612,7 +677,7 @@ def test_a_reader_closing_stdout_early_gets_one_error_line(tmp_path, command):
     try:
         proc.stdout.readline()
         proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
+        _, err = proc.communicate(timeout=10)
     finally:
         proc.kill()
     err = err.decode()
@@ -621,24 +686,29 @@ def test_a_reader_closing_stdout_early_gets_one_error_line(tmp_path, command):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-# The child runs one command through cli.main with stdout sent to devnull,
-# then prints the exit code and its own peak RSS (KiB on Linux).
+# The child runs one command through cli.main, then writes to stderr the exit
+# code and its own peak RSS in KiB.  That is VmHWM, the high-water mark of the
+# child's own memory map.  Linux's ru_maxrss also keeps, across exec, that of
+# the map the child was forked or vforked from, so a child of pytest would read
+# at least pytest's resident size.
 _PEAK_RSS = """
-import contextlib, os, resource, sys
+import sys
 from logcouple import cli
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-    code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
 """
 
 
-def _peak_rss_kib(argv):
+def _run_measured(argv, timeout=120):
+    """The stdout and the peak RSS in KiB of one command run in a child."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     argv = [sys.executable, "-c", _PEAK_RSS, *argv]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
-    code, kib = map(int, proc.stdout.split())
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=timeout)
+    code, kib = map(int, proc.stderr.splitlines()[-1].split())
     assert code == 0, proc.stderr
-    return kib
+    return proc.stdout, kib
 
 
 @pytest.mark.parametrize("shape", ["distinct", "repeated"])
@@ -651,8 +721,17 @@ def test_a_sum_keeps_one_running_total_not_its_operands(shape):
         dense = "+".join(f"e{k}" for k in range(10000))
         return ["eval", "+".join(["x"] * n), "--let", f"x={dense}"]
 
-    small, large = _peak_rss_kib(argv(50)), _peak_rss_kib(argv(200))
+    (_, small), (_, large) = _run_measured(argv(50)), _run_measured(argv(200))
     assert large - small < 10 * 1024, f"peak RSS {small} KiB at n = 50, {large} KiB at n = 200"
+    if shape == "distinct":
+        # psi(e9000) + ... + psi(e9999) (10,999 bytes) has about 9.5 million
+        # terms in its operands; coefficient i of the total is min(1000, 10000 - i)
+        out, kib = _run_measured(argv(1000), timeout=10)
+        coefficients = ((i, min(1000, 10000 - i)) for i in range(10000))
+        want = " + ".join(f"e{i}" if c == 1 else f"{c}*e{i}" for i, c in coefficients)
+        same_bytes = out == want + "\n"
+        assert same_bytes, "the 1000-operand sum prints a wrong total"
+        assert kib < 100 * 1024, f"peak RSS {kib} KiB for 1000 operands"
 
 
 def _record() -> None:

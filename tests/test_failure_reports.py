@@ -166,13 +166,20 @@ def test_a_trichotomy_failure_fails_its_own_check(monkeypatch, capsys):
     assert "trial_raised" not in out and "kind = random" in out and "e0 + e1" not in out
 
 
-def _record() -> None:
+def _render() -> str:
     cases = {}
     for name in CASES:
         with pytest.MonkeyPatch.context() as monkeypatch:
             cases[name] = run_case(name, monkeypatch)
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    return json.dumps(cases, indent=1) + "\n"
+
+
+def test_golden_file_is_what_the_recorder_writes():
+    # test_failure_report compares parsed dicts, which cannot see key order;
+    # the keys come in ``Record.__slots__`` order, as in ``--json``
+    same_bytes = GOLDEN.read_text(encoding="utf-8") == _render()
+    assert same_bytes, f"{GOLDEN.name} differs from what --record writes"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    _record()
+    GOLDEN.write_text(_render(), encoding="utf-8")
