@@ -7,6 +7,9 @@ given epsilon, and reformat an expression canonically.
 ``eval`` and ``fmt`` load only ``gamma`` and ``lang``: ``harness``,
 ``subspace`` and ``json`` load when a command first uses them.  A command
 line led by a subcommand's exact name goes straight to that subparser.
+``eval``, ``check``, ``subspace`` and ``witness`` print through ``_report``,
+the JSON of ``gamma.jsonable(payload)`` or the report's text; ``fmt --json``
+prints ``lang.to_json``'s tree.  ``lang.is_variable`` checks ``--let`` names.
 
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
@@ -23,7 +26,7 @@ import functools
 import os
 import stat
 import sys
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import gamma, lang
 from .gamma import ExtendedElement, GammaElement, Infinity
@@ -115,6 +118,14 @@ def _emit_json(payload: object) -> None:
     print("".join(out))
 
 
+def _report(as_json: bool, payload: Callable[[], object], text: Callable[[], str]) -> None:
+    """Print ``payload()`` through ``gamma.jsonable`` as JSON, or ``text()``: only one is built."""
+    if as_json:
+        _emit_json(gamma.jsonable(payload()))
+    else:
+        print(text())
+
+
 # --- report text ------------------------------------------------------------------
 
 
@@ -190,17 +201,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         name = name.strip()
         if not sep:
             raise CliError(f"malformed --let {binding!r}; expected NAME=ELEMENT")
-        # one var token spelling all of name ('(x)' parses to Var('x') but is not a name)
-        if lang._lex(name)[0][:2] != ("var", name):
+        if not lang.is_variable(name):  # '(x)' parses to Var('x') but is not a name
             raise CliError(f"--let name {name!r} is not a variable")
         env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     value = lang.evaluate(node, env)
-    if args.json:
-        kind = "formula" if isinstance(node, lang.FormulaNode) else "term"
-        _emit_json(gamma.jsonable({"kind": kind, "input": lang.format_any(node), "result": value}))
-    else:
-        print(_result_text(value))
+    _report(args.json, lambda: {"kind": "formula" if isinstance(node, lang.FormulaNode) else "term",
+                                "input": lang.format_any(node), "result": value},
+            lambda: _result_text(value))
     if args.fail_on_false and value is False:
         return EXIT_FAIL
     return EXIT_PASS
@@ -213,10 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials > harness.MAX_TRIALS:
         raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {harness.MAX_TRIALS}")
     report = harness.run_suite(args.suite, args.seed, args.trials)
-    if args.json:
-        _emit_json(gamma.jsonable(report))
-    else:
-        print(_suite_text(report))
+    _report(args.json, lambda: report, lambda: _suite_text(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -231,28 +236,20 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
             raise CliError(f"{args.extend}: growth needs at least one new generator")
         reports = subspace.growth_check(subspace.echelonize(generators), extra)
         ok = all(r.passed for r in reports)
-        if args.json:
-            _emit_json(gamma.jsonable({"passed": ok, "growth": reports}))
-        else:
-            print("\n\n".join(_growth_text(r) for r in reports))
+        _report(args.json, lambda: {"passed": ok, "growth": reports},
+                lambda: "\n\n".join(_growth_text(r) for r in reports))
         return EXIT_PASS if ok else EXIT_FAIL
     if args.extend is not None:
         generators += load_generators(args.extend)
     space = subspace.echelonize(generators)
     report = space.image(args.op)
-    if args.json:
-        _emit_json(gamma.jsonable(report))
-    else:
-        print(_image_text(space, report))
+    _report(args.json, lambda: report, lambda: _image_text(space, report))
     return EXIT_PASS
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     report = _package.harness.make_witness(lang.parse_element(args.epsilon), args.count)
-    if args.json:
-        _emit_json(gamma.jsonable(report))
-    else:
-        print(_witness_text(report))
+    _report(args.json, lambda: report, lambda: _witness_text(report))
     return EXIT_PASS
 
 

@@ -9,8 +9,10 @@ Formulas: ``t1 = t2``, ``t1 < t2``, ``!``, ``&``, ``|`` with precedence
 ``parse_any`` reads the formula grammar in one pass, and a bare term only
 as the whole input; a '(' the lexer marks opens a grouped formula, any
 other '(' a term.  ``parse_element`` reads element text, the literal sums
-``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``, from the same tokens.
-Both report an error at the first token that their one reading rejects.
+``0``, ``inf`` and ``[-][q*]e<k> (+|- [q*]e<k>)*``, from the same tokens
+with a cursor of its own, not a parser object.  Both report an error at
+the first token that their one reading rejects.  ``is_variable`` says
+whether a name is one variable token, so no other module reads tokens.
 
 The lexer is one compiled regex: each match skips leading whitespace and
 fills one numbered group, and ``_lex`` dispatches on that number.  A token
@@ -19,7 +21,7 @@ is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  When
 entry with one whose mark is 1.  Digits stay text, so a number too long
 for ``int`` is an error only where the parser reaches it, after any error
 to its left.  The token list ends in ``_EOF_PADDING`` eof tokens, so the
-parser looks ahead by plain indexing.
+parser reads ``self.tokens[self.i]`` and looks ahead by plain indexing.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
 parser runs in strict mode.  Quantifier tokens are recognized only to be
@@ -247,20 +249,12 @@ class _Parser:
         self.i = 0
         self.strict_llog = strict_llog
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.i]
-
-    def take(self) -> _Tok:
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
     def expect(self, kind: str, expected: FrozenSet[str]) -> _Tok:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] != kind:
             self.fail(tok, expected)
-        return self.take()
+        self.i += 1
+        return tok
 
     def fail(self, tok: _Tok, expected: FrozenSet[str]) -> NoReturn:
         if tok[0] == "quant":
@@ -364,57 +358,6 @@ class _Parser:
         index = int(basis[4])
         return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
 
-    # element text: 'inf', '0', or a sum of signed [q*]e<k> literals
-
-    def element(self) -> ExtendedElement:
-        tokens, i = self.tokens, self.i + 1  # a cursor past the token in kind, text, ...
-        kind, text, pos, _, digits = tokens[i - 1]
-        if kind == "eof":
-            raise ElementError("empty element text", pos)
-        if kind == "inf":
-            if tokens[i][0] != "eof":
-                raise ElementError("trailing input after 'inf'", tokens[i][2])
-            return INF
-        if text == "0" and tokens[i][0] == "eof":
-            return ZERO
-        if kind == "+":
-            raise ElementError("unexpected leading '+'", pos)
-        acc = gamma.Sum()
-        while True:
-            num = -1 if kind == "-" else 1
-            if kind in ("+", "-"):
-                kind, text, pos, _, digits = tokens[i]
-                i += 1
-            den = 1
-            if kind == "number":
-                num *= int(digits)
-                if tokens[i][0] == "/":
-                    kind, text, pos, _, digits = tokens[i + 1]
-                    i += 2
-                    if kind != "number":
-                        raise ElementError("expected denominator digits", pos)
-                    den = int(digits)
-                    if den == 0:
-                        raise ElementError("zero denominator", pos + len(text) - 1)
-                if tokens[i][0] != "*":
-                    raise ElementError("expected '*' after coefficient", tokens[i][2])
-                kind, text, pos, _, digits = tokens[i + 1]
-                i += 2
-            if kind != "basis":
-                if text.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
-                    run = len(text) - 1 - len(text[1:].lstrip("0123456789"))
-                    if run:
-                        raise ElementError("expected '+' or '-' between terms", pos + 1 + run)
-                    raise ElementError("expected basis index digits", pos + 1)
-                raise ElementError("expected basis vector 'e<index>'", pos)
-            acc.add_terms(((int(digits), num),), den)
-            kind, text, pos, _, digits = tokens[i]
-            i += 1
-            if kind == "eof":
-                return acc.total()
-            if kind not in ("+", "-"):
-                raise ElementError("expected '+' or '-' between terms", pos)
-
     # formulas
 
     def formula(self) -> Node:
@@ -439,7 +382,8 @@ class _Parser:
         return node
 
     def formula_atom(self) -> Node:
-        if self.peek()[0] == "(" and self.peek()[3]:  # a grouped formula, see _lex
+        tok = self.tokens[self.i]
+        if tok[0] == "(" and tok[3]:  # a grouped formula, see _lex
             self.i += 1
             inner = self.formula()
             self.expect(")", frozenset({"')'"}))
@@ -460,23 +404,70 @@ class _Parser:
             return left  # the whole input is one term
         self.fail(tok, frozenset({"'='", "'<'"}))
 
-    def done(self) -> None:
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.fail(tok, frozenset({"end of input"}))
-
 
 def parse_any(text: str, strict_llog: bool = False) -> Node:
     """Parse a formula, or a term when the whole text is one term."""
     parser = _Parser(_lex(text), strict_llog)
     node = parser.formula()
-    parser.done()
+    parser.expect("eof", frozenset({"end of input"}))
     return node
 
 
 def parse_element(text: str) -> ExtendedElement:
-    """Read element text with the term language's lexer; raises ElementError."""
-    return _Parser(_lex(text), False).element()
+    """Read element text, 'inf', '0' or a sum of signed ``[q*]e<k>`` literals,
+    with the term language's lexer; raises ElementError."""
+    tokens, i = _lex(text), 1  # i is one past the token in kind, lexeme, ...
+    kind, lexeme, pos, _, digits = tokens[i - 1]
+    if kind == "eof":
+        raise ElementError("empty element text", pos)
+    if kind == "inf":
+        if tokens[i][0] != "eof":
+            raise ElementError("trailing input after 'inf'", tokens[i][2])
+        return INF
+    if lexeme == "0" and tokens[i][0] == "eof":
+        return ZERO
+    if kind == "+":
+        raise ElementError("unexpected leading '+'", pos)
+    acc = gamma.Sum()
+    while True:
+        num = -1 if kind == "-" else 1
+        if kind in ("+", "-"):
+            kind, lexeme, pos, _, digits = tokens[i]
+            i += 1
+        den = 1
+        if kind == "number":
+            num *= int(digits)
+            if tokens[i][0] == "/":
+                kind, lexeme, pos, _, digits = tokens[i + 1]
+                i += 2
+                if kind != "number":
+                    raise ElementError("expected denominator digits", pos)
+                den = int(digits)
+                if den == 0:
+                    raise ElementError("zero denominator", pos + len(lexeme) - 1)
+            if tokens[i][0] != "*":
+                raise ElementError("expected '*' after coefficient", tokens[i][2])
+            kind, lexeme, pos, _, digits = tokens[i + 1]
+            i += 2
+        if kind != "basis":
+            if lexeme.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
+                run = len(lexeme) - 1 - len(lexeme[1:].lstrip("0123456789"))
+                if run:
+                    raise ElementError("expected '+' or '-' between terms", pos + 1 + run)
+                raise ElementError("expected basis index digits", pos + 1)
+            raise ElementError("expected basis vector 'e<index>'", pos)
+        acc.add_terms(((int(digits), num),), den)
+        kind, lexeme, pos, _, digits = tokens[i]
+        i += 1
+        if kind == "eof":
+            return acc.total()
+        if kind not in ("+", "-"):
+            raise ElementError("expected '+' or '-' between terms", pos)
+
+
+def is_variable(name: str) -> bool:
+    """Whether ``name`` is exactly one variable token, as ``--let`` names must be."""
+    return _lex(name)[0][:2] == ("var", name)
 
 
 # --- one walk for every job ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Term/formula parsing, canonical formatting, and evaluation."""
 
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -11,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import oracle
 import pytest
@@ -135,7 +137,25 @@ def test_parse_any_picks_formula_when_present():
     assert isinstance(lang.parse_any("x + y"), Add)
 
 
-class _TwoPassParser(lang._Parser):
+class _ReferenceParser(lang._Parser):
+    """``lang._Parser`` with the token cursor of the reference parsers below."""
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
+        return tok
+
+    def done(self):
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.fail(tok, frozenset({"end of input"}))
+
+
+class _TwoPassParser(_ReferenceParser):
     """The parser before ``parse_any`` took one pass: a comparison needs a relation."""
 
     def comparison(self):
@@ -222,7 +242,7 @@ def test_one_pass_parse_any_matches_two_pass_reference():
             assert _parse_outcome(lang.parse_any, text, strict_llog) == expected, text
 
 
-class _BacktrackingParser(lang._Parser):
+class _BacktrackingParser(_ReferenceParser):
     """The parser before the lexer marked grouped formulas: it tries each '('
     as a grouped formula and, when that fails, parses again from the '(' as a
     term."""
@@ -357,6 +377,19 @@ def test_lexer_matches_the_reference_lexer():
                 assert (mark, digits, int(digits)) == (0, lexeme.removeprefix("e"), old.value), text
             else:
                 assert (mark, digits) == (old.value, ""), text
+
+
+def test_only_lang_reads_tokens():
+    # The layout of a token tuple is lang's own: no other module in src/ names the
+    # lexer or the parser, in code or in a string (cli asks lang.is_variable).
+    for path in sorted(Path(lang.__file__).parent.glob("*.py")):
+        if path.name == "lang.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            assert not names & {"_lex", "_Parser"}, f"{path.name}:{getattr(node, 'lineno', '?')}"
 
 
 def _element_texts():
