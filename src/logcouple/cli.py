@@ -13,10 +13,10 @@ prints ``lang.to_json``'s tree.  ``lang.is_variable`` checks ``--let`` names.
 
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
-passed; 1 = a suite or growth bound failed, or a formula evaluated to
-false under --fail-on-false; 2 = usage, parse, or input errors, or a
-stdout closed before all output was written, which are reported on
-stderr as one-line diagnostics.
+passed; 1 = a suite failed, a growth report failed its bound (a program
+fault: the bounds are theorems), or a formula evaluated to false under
+--fail-on-false; 2 = usage, parse, or input errors, or a stdout closed
+before all output was written, each a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations

@@ -662,26 +662,23 @@ def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Image growth over random generator extensions.
 
     Every trial extends a base subspace by fresh generators, takes the
-    psi, s and p reports from one ``growth_check`` call, and compares
-    each image's level-set growth against a bound that is a theorem for
-    the sampled instances, with m counting the generators genuinely
-    outside the base:
+    psi, s and p reports from one ``growth_check`` call, and reads each
+    base deficit off its report's bound, which is the closed-subgroup
+    bound (m, m+1, m) plus that deficit, with m counting the generators
+    genuinely outside the base:
 
-    * psi growth <= m, unconditional (image levels are pivot levels and
-      rank grows by at most m).
+    * psi growth <= m, unconditional.
     * s growth <= m + deficit, where deficit = dim(base) + 1 -
-      |s-image(base)| measures how early the base's unit-prefix chain
-      stalls.  A stalled base (common for sparse generators with no
-      support at low coordinates) leaves levels a later extension can
-      unlock, so the tight m + 1 bound is asserted only when
-      deficit <= 1; the unit-pivot stratum builds deficit-0 bases by
-      construction so the tight regime stays exercised.
-    * p growth <= m + deficit, where deficit = dim(base) - |psi-set
-      members of the base| counts base dimensions not witnessed by
-      psi-set members.  Elimination routinely leaves unit vectors
-      (differences of consecutive psi-set members) in a sampled span,
-      and one new generator can then complete several members at once,
-      so the tight m bound is asserted only at deficit 0; the
+      |s-image(base)|.  A stalled base (common for sparse generators
+      with no support at low coordinates) leaves levels a later
+      extension can unlock, so the tight m + 1 bound is asserted only
+      when deficit <= 1; the unit-pivot stratum builds deficit-0 bases
+      by construction so the tight regime stays exercised.
+    * p growth <= m + deficit, where deficit counts base dimensions not
+      witnessed by psi-set members.  Elimination routinely leaves unit
+      vectors (differences of consecutive psi-set members) in a sampled
+      span, and one new generator can then complete several members at
+      once, so the tight m bound is asserted only at deficit 0; the
       psi-spanned stratum has deficit 0 by construction.
 
     The extended s-image size is capped at dim + 1 on every trial.
@@ -717,7 +714,7 @@ def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     )
 
     growth = len(s.added_levels)
-    deficit = space.dim + 1 - len(s.old_levels)
+    deficit = s.bound - m - 1
     rec.bump(f"s_deficit_{deficit if deficit <= 1 else '2plus'}")
     rec.check(
         growth <= m + deficit,
@@ -734,10 +731,10 @@ def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
         )
     if deficit <= 1:
         rec.check(
-            s.passed,
+            growth <= m + 1,
             "growth_s",
             inputs,
-            f"growth {growth} exceeds bound {s.bound}",
+            f"growth {growth} exceeds bound {m + 1}",
         )
     dim_plus_1 = len(psi.new_levels) + 1  # the psi levels are the extended pivots
     rec.check(
@@ -748,8 +745,7 @@ def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     )
 
     growth = len(p.added_levels)
-    members = len(p.old_levels) + (1 if space.contains(gamma.unit(0)) else 0)
-    deficit = space.dim - members
+    deficit = p.bound - m
     rec.bump(f"p_deficit_{deficit if deficit <= 1 else '2plus'}")
     rec.check(
         growth <= m + deficit,

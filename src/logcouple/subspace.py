@@ -24,9 +24,9 @@ off its pivots and the successor- and predecessor-images off one walk:
   sum above, so the same walk reads both images.
 
 No closure assumptions are made about the subspace.  ``growth_check``
-extends it once and reports the psi, s and p growth together; bounds
-that hold for suitably closed subgroups can fail here for crafted
-generators (e.g. spans of differences of consecutive psi-set members).
+extends it once and judges the psi, s and p growth together, each
+against the bound for subgroups closed under the successor map plus the
+base's deficit, a bound that holds for every span.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class ImageReport(Record):
 class GrowthReport(Record):
     """Image growth under a generator extension, checked against a bound.
 
-    ``counterexample`` is None when the bound holds, and otherwise a
-    JSON-ready bundle of the bases, levels and witnesses.
+    ``counterexample`` is None when the growth stays within the bound for
+    closed subgroups, and otherwise a JSON-ready bundle of the bases and
+    the witnesses of the added levels.
     """
 
     __slots__ = (
@@ -183,50 +184,48 @@ def growth_check(
 
     Reduces each new generator once: m counts those outside the base,
     and their residues extend the base's echelon form.  Returns the
-    (psi, s, p) reports with bounds m, m+1 and m.  The psi bound is
-    unconditional: image levels are pivot levels, so
-    ``len(psi.new_levels)`` is the extended dimension and rank grows by
-    at most m.  The s and p bounds mirror statements about subgroups
-    closed under the successor map, which a finite-dimensional span
-    need not be:
+    (psi, s, p) reports.  Each bound is the one for subgroups closed
+    under the successor map (m, m+1, m) plus the base's deficit, and
+    each is a theorem for finite-dimensional spans:
 
-    * the s bound fails when the base's unit-prefix chain stalls early
-      (deficit = dim + 1 - |s-image| above 1, e.g. no support at
-      coordinate 0) and the new generators unlock the stalled levels;
-      growth <= m + deficit is the provable replacement;
-    * the p bound fails when the base span contains differences of
-      psi-set members without the members themselves and a new
-      generator completes them.
+    * psi: no deficit.  Image levels are pivot levels, so
+      ``len(psi.new_levels)`` is the extended dimension, and rank grows
+      by at most m.
+    * s: deficit = dim + 1 - |s-image(base)|, how early the base's
+      unit-prefix chain stalls.  The base's image lies in the extended
+      one, which has at most dim + m + 1 levels.
+    * p: deficit = dim - the psi-set members in the base (``e0``
+      counted).  The members are independent, and each member of the
+      base stays one of the extension.
 
-    A failed bound carries a counterexample bundle instead of raising.
-    Deficits stay with the caller (the subspace-growth suite) because
-    ``GrowthReport``'s fields are the ``subspace --op growth --json``
-    output.
+    A base spanned by psi-set members has both deficits 0.  Growth past
+    the closed-subgroup bound (a base of differences of psi-set members
+    completed by one generator) passes with a counterexample bundle.
     """
     if not new_generators:
         raise ValueError("at least one new generator required")
     residues = [r for r in map(space.reduce, new_generators) if r]
     m = len(residues)
     extended = _extend(space._rows, residues)
+    old_s, old_p = space._walk()
+    s_deficit = space.dim + 1 - len(old_s.levels)
+    p_deficit = space.dim - len(old_p.levels) - space.contains(gamma.unit(0))  # e0 is the member psi_0
     reports = []
-    images = zip((space.image("psi"), *space._walk()), (extended.image("psi"), *extended._walk()))
-    for (function, bound), (old, new) in zip((("psi", m), ("s", m + 1), ("p", m)), images):
+    images = zip((space.image("psi"), old_s, old_p), (extended.image("psi"), *extended._walk()))
+    for (old, new), closed_bound, deficit in zip(images, (m, m + 1, m), (0, s_deficit, p_deficit)):
         added = tuple(sorted(set(new.levels) - set(old.levels)))
-        passed = len(added) <= bound
         counterexample = None
-        if not passed:
+        if len(added) > closed_bound:
             counterexample = gamma.jsonable(
                 {
                     "old_basis": space.basis,
                     "new_generators": new_generators,
                     "extended_basis": extended.basis,
-                    "old_levels": old.levels,
-                    "new_levels": new.levels,
-                    "added_levels": added,
                     "witnesses": {level: new.witnesses[level] for level in added},
                 }
             )
+        bound = closed_bound + deficit
         reports.append(
-            GrowthReport(function, old.levels, new.levels, added, m, bound, passed, counterexample)
+            GrowthReport(old.function, old.levels, new.levels, added, m, bound, len(added) <= bound, counterexample)
         )
     return reports[0], reports[1], reports[2]

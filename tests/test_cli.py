@@ -20,6 +20,7 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logcouple import cli, gamma, harness, lang
+from logcouple import cli, gamma, harness, lang, subspace
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
@@ -129,7 +130,7 @@ CORPUS = [
     ["subspace", "--op", "s", "--gens", "mixed.txt", "--json"],
     ["subspace", "--op", "psi", "--gens", "empty.txt"],
     ["subspace", "--op", "s", "--gens", "empty.txt", "--json"],
-    # subspace growth: passes, and a failure with a counterexample
+    # subspace growth: passes, and passes past the closed-subgroup bounds with a counterexample
     ["subspace", "--op", "growth", "--gens", "gens.txt", "--extend", "more.txt", "--json"],
     ["subspace", "--op", "growth", "--gens", "psi_members.txt", "--extend", "mixed.txt"],
     ["subspace", "--op", "growth", "--gens", "units.txt", "--extend", "low.txt"],
@@ -230,7 +231,7 @@ def test_golden_output(in_data, index):
     [
         (["eval", "e0 < e1"], 0),
         (["eval", "e0 < e1", "--fail-on-false"], 1),
-        (["subspace", "--op", "growth", "--gens", "units.txt", "--extend", "low.txt"], 1),
+        (["subspace", "--op", "growth", "--gens", "units.txt", "--extend", "low.txt"], 0),
         (["check", "lemma41", "--trials", "5"], 0),
         (["eval", "x"], 2),
         (["fmt", "psi("], 2),
@@ -241,6 +242,63 @@ def test_golden_output(in_data, index):
 )
 def test_exit_codes(in_data, argv, code):
     assert run_cli(argv)[0] == code
+
+
+def test_a_failed_growth_bound_exits_1_with_its_bundle(in_data, monkeypatch):
+    # every span meets its growth bounds, so judge s by the closed-subgroup bound m + 1 alone
+    real = subspace.growth_check
+
+    def closed_s_bound(space, new_generators):
+        psi, s, p = real(space, new_generators)
+        bound = s.new_generator_count + 1
+        s = subspace.GrowthReport(*s._fields()[:5], bound, len(s.added_levels) <= bound, s.counterexample)
+        return psi, s, p
+
+    monkeypatch.setattr(subspace, "growth_check", closed_s_bound)
+    argv = ["subspace", "--op", "growth", "--gens", "units.txt", "--extend", "low.txt"]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (cli.EXIT_FAIL, "")
+    assert "added levels: 1, 2, 3, 4\nnew generators outside the base: 1\nbound: 2\npassed: NO\n" in out
+    assert "counterexample:\n  old_basis: ['e1', 'e2', 'e3']\n  new_generators: ['e0']\n" in out
+    rc, out, err = run_cli(argv + ["--json"])
+    payload = json.loads(out)
+    assert (rc, err, payload["passed"]) == (cli.EXIT_FAIL, "", False)
+    assert list(payload["growth"][1]["counterexample"]) == ["old_basis", "new_generators", "extended_basis", "witnesses"]
+
+
+_COEFFICIENTS = ("1", "2", "1/3", "-5/2")
+_NOT_GENERATORS = ("inf", "e", "e0 +", "1/0*e1", "psi(e0)", "e-1", "e0 + -e1")
+
+
+@st.composite
+def generator_files(draw, most):
+    """Text of 1 to ``most`` generators over e0..e5, and whether every line is one;
+    one file in five gets a line that is not."""
+    lines = []
+    for _ in range(draw(st.integers(1, most))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(_COEFFICIENTS), st.integers(0, 5)), min_size=1, max_size=3))
+        text = " + ".join(f"{c}*e{i}" for c, i in terms)
+        lines.append(text.replace("+ -", "- "))
+    valid = draw(st.integers(0, 4)) > 0
+    if not valid:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_NOT_GENERATORS)))
+    return "\n".join(lines) + "\n", valid
+
+
+@given(generator_files(3), generator_files(2), st.booleans())
+def test_random_spans_keep_the_exit_code_contract(base, new, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        gens, more = Path(tmp, "gens.txt"), Path(tmp, "more.txt")
+        gens.write_text(base[0])
+        more.write_text(new[0])
+        for op in ("psi", "s", "p", "growth"):
+            argv = ["subspace", "--op", op, "--gens", str(gens), "--extend", str(more)] + ["--json"] * as_json
+            rc, out, err = run_cli(argv)
+            if base[1] and new[1]:
+                assert (rc, err) == (cli.EXIT_PASS, ""), (op, out)
+            else:
+                assert (rc, out) == (cli.EXIT_USAGE, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

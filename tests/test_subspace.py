@@ -458,51 +458,49 @@ def test_growth_check_reports_all_three_maps_in_one_call(gens, extra):
     space = echelonize(gens)
     extended = echelonize(space.basis + tuple(extra))
     m = sum(1 for g in extra if not space.contains(g))
+    s_deficit = space.dim + 1 - len(space.image("s").levels)
+    p_deficit = space.dim - len(space.image("p").levels) - space.contains(unit(0))
     reports = growth_check(space, extra)
     assert [r.function for r in reports] == ["psi", "s", "p"]
-    assert [r.bound for r in reports] == [m, m + 1, m]
-    for report in reports:
+    assert [r.bound for r in reports] == [m, m + 1 + s_deficit, m + p_deficit]
+    for report, closed_bound in zip(reports, (m, m + 1, m)):
         assert report.new_generator_count == m
         assert report.old_levels == space.image(report.function).levels
         assert report.new_levels == extended.image(report.function).levels
-        assert report.passed == (len(report.added_levels) <= report.bound)
+        assert report.passed and len(report.added_levels) <= report.bound
+        assert (report.counterexample is None) == (len(report.added_levels) <= closed_bound)
     assert len(reports[0].new_levels) == extended.dim
 
 
 def test_growth_bounds_fail_on_psi_difference_spans():
     # the span of differences of consecutive psi-set members hides many
     # members behind one missing generator; adjoining it unlocks them
-    # all at once, exceeding the advertised s and p bounds
+    # all at once: the closed-subgroup s and p bounds fail, and the
+    # reports pass on the base's deficits
     base = echelonize([ones(2) - ones(3), ones(3) - ones(4)])
     report_psi, report_s, report_p = growth_check(base, [ones(4)])
-    assert not report_p.passed
+    assert report_p.passed
     assert report_p.added_levels == (0, 1, 2)
-    assert report_p.bound == 1
+    assert report_p.bound == 1 + 2
     bundle = report_p.counterexample
     assert bundle is not None
-    assert set(bundle) == {
-        "old_basis",
-        "new_generators",
-        "extended_basis",
-        "old_levels",
-        "new_levels",
-        "added_levels",
-        "witnesses",
-    }
+    assert set(bundle) == {"old_basis", "new_generators", "extended_basis", "witnesses"}
     assert bundle["new_generators"] == ["e0 + e1 + e2 + e3"]
-    assert not report_s.passed
-    assert len(report_s.added_levels) == 3 > report_s.bound
-    assert report_psi.passed
+    assert list(bundle["witnesses"]) == ["0", "1", "2"]
+    assert report_s.passed and report_s.counterexample is not None
+    assert len(report_s.added_levels) == 3 > 1 + 1
+    assert report_psi.passed and report_psi.counterexample is None
 
 
 def test_growth_s_fails_on_stalled_chain_bases():
-    # no support at coordinate 0: the base attains only level 0, and a
-    # single low generator unlocks a chain worth more than m + 1
+    # no support at coordinate 0: the base attains only level 0 (deficit
+    # 3), and a single low generator unlocks a chain worth more than the
+    # closed-subgroup bound m + 1; the report passes on the deficit
     base = span("e1", "e2", "e3")
     _, report, _ = growth_check(base, [unit(0)])
     assert report.old_levels == (0,)
-    assert not report.passed
-    assert len(report.added_levels) == 4 > report.bound == 2
+    assert report.passed and report.counterexample is not None
+    assert len(report.added_levels) == 4 <= report.bound == 1 + 1 + 3
 
 
 def test_growth_report_json_shape():
