@@ -176,7 +176,7 @@ def _growth_text(report: subspace.GrowthReport) -> str:
     if report.counterexample is not None:
         lines.append("counterexample:")
         for key, value in report.counterexample.items():
-            lines.append(f"  {key}: {value}")
+            lines.append(f"  {key}: {gamma.jsonable(value)}")
     return "\n".join(lines)
 
 
@@ -214,13 +214,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+# Most trials one ``check`` runs: minutes of work per suite, not days.
+MAX_TRIALS = 10**6
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    harness = _package.harness
     if args.trials < 0:
         raise CliError("--trials must be nonnegative")
-    if args.trials > harness.MAX_TRIALS:
-        raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {harness.MAX_TRIALS}")
-    report = harness.run_suite(args.suite, args.seed, args.trials)
+    if args.trials > MAX_TRIALS:
+        raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+    report = _package.harness.run_suite(args.suite, args.seed, args.trials)
     _report(args.json, lambda: report, lambda: _suite_text(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 

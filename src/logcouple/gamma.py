@@ -21,7 +21,10 @@ The operators are the arithmetic: ``+``, ``-``, and ``*``, ``/`` by an
 int or Fraction, with ``+`` for two operands and a running ``Sum`` for many;
 the comparisons are the order, with ``inf`` on top.  ``inf`` absorbs every map,
 sum, negation and scaling, so partial operations never raise; ``/ 0`` raises
-``ZeroDivisionError``, on ``inf`` as on elements.  Two elements over one
+``ZeroDivisionError``, on ``inf`` as on elements.  Where ``inf`` sits and that
+it absorbs ``+`` are ``Infinity``'s rules alone: an element's operators return
+``NotImplemented`` for it, so Python hands ``x < inf`` to ``inf > x`` and
+``x + inf`` to ``inf + x``.  Two elements over one
 denominator whose first terms agree are compared first on the shorter term
 tuple against the same-length prefix of the longer, one tuple compare that
 runs in C: along a chain of partial sums, where each element extends the one
@@ -66,6 +69,8 @@ class Infinity:
 
     def __add__(self, other: object) -> "Infinity":
         return self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
+
+    __radd__ = __add__
 
     def __mul__(self, q: object) -> "Infinity":
         return self if isinstance(q, (int, Fraction)) else NotImplemented
@@ -160,7 +165,7 @@ class GammaElement:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._num == other._num and self._den == other._den
-        return False if isinstance(other, Infinity) else NotImplemented
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
@@ -169,11 +174,9 @@ class GammaElement:
             _set_hash(self, h)
         return h
 
-    def __add__(self, other: object) -> "ExtendedElement":
+    def __add__(self, other: object) -> "GammaElement":
         if isinstance(other, GammaElement):
             return _merge(self, other, 1)
-        if isinstance(other, Infinity):
-            return INF
         return NotImplemented
 
     def __sub__(self, other: object) -> "GammaElement":
@@ -237,22 +240,22 @@ class GammaElement:
     def __lt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) == LT
-        return True if isinstance(other, Infinity) else NotImplemented
+        return NotImplemented
 
     def __le__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) != GT
-        return True if isinstance(other, Infinity) else NotImplemented
+        return NotImplemented
 
     def __gt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) == GT
-        return False if isinstance(other, Infinity) else NotImplemented
+        return NotImplemented
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) != LT
-        return False if isinstance(other, Infinity) else NotImplemented
+        return NotImplemented
 
     def __repr__(self) -> str:
         return format_element(self)

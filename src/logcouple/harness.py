@@ -661,27 +661,17 @@ def _affine_image_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
 def _growth_trial(rec: _Recorder, bits: Callable[[int], int]) -> None:
     """Image growth over random generator extensions.
 
-    Every trial extends a base subspace by fresh generators, takes the
-    psi, s and p reports from one ``growth_check`` call, and reads each
-    base deficit off its report's bound, which is the closed-subgroup
-    bound (m, m+1, m) plus that deficit, with m counting the generators
-    genuinely outside the base:
+    Every trial extends a base subspace by fresh generators, takes the psi,
+    s and p reports from one ``growth_check`` call, and reads each base
+    deficit off its report's bound, the closed-subgroup bound (m, m+1, m)
+    plus the deficit that ``growth_check`` computes.  It asserts:
 
-    * psi growth <= m, unconditional.
-    * s growth <= m + deficit, where deficit = dim(base) + 1 -
-      |s-image(base)|.  A stalled base (common for sparse generators
-      with no support at low coordinates) leaves levels a later
-      extension can unlock, so the tight m + 1 bound is asserted only
-      when deficit <= 1; the unit-pivot stratum builds deficit-0 bases
-      by construction so the tight regime stays exercised.
-    * p growth <= m + deficit, where deficit counts base dimensions not
-      witnessed by psi-set members.  Elimination routinely leaves unit
-      vectors (differences of consecutive psi-set members) in a sampled
-      span, and one new generator can then complete several members at
-      once, so the tight m bound is asserted only at deficit 0; the
-      psi-spanned stratum has deficit 0 by construction.
-
-    The extended s-image size is capped at dim + 1 on every trial.
+    * psi: the report passes.
+    * s: growth <= m + deficit, and the tight m + 1 wherever deficit <= 1;
+      the unit-pivot stratum has deficit 0, which keeps that regime
+      exercised; the extended s-image has at most dim + 1 levels.
+    * p: growth <= m + deficit, and the report passes (the tight m) at
+      deficit 0; the psi-spanned stratum has deficit 0.
     """
     dim = _below(bits, 4)
     stratum = ("unit", "sparse", "psi")[_below(bits, 3)]
@@ -817,8 +807,6 @@ class WitnessReport(Record):
 
 # Largest witness prefix: element k has k coordinates, so output grows as count**2.
 MAX_WITNESS_COUNT = 1000
-# Most trials one ``check`` runs: minutes of work per suite, not days.
-MAX_TRIALS = 10**6
 
 
 def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:

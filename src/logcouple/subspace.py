@@ -48,8 +48,9 @@ class GrowthReport(Record):
     """Image growth under a generator extension, checked against a bound.
 
     ``counterexample`` is None when the growth stays within the bound for
-    closed subgroups, and otherwise a JSON-ready bundle of the bases and
-    the witnesses of the added levels.
+    closed subgroups, and otherwise a bundle of values: the old basis, the
+    new generators and the extended basis as element tuples, and the
+    witnesses of the added levels as ``{level: element}``.
     """
 
     __slots__ = (
@@ -184,7 +185,8 @@ def growth_check(
 
     Reduces each new generator once: m counts those outside the base,
     and their residues extend the base's echelon form.  Returns the
-    (psi, s, p) reports.  Each bound is the one for subgroups closed
+    (psi, s, p) reports; no new generator gives m = 0, no added level,
+    and three passing reports.  Each bound is the one for subgroups closed
     under the successor map (m, m+1, m) plus the base's deficit, and
     each is a theorem for finite-dimensional spans:
 
@@ -200,10 +202,9 @@ def growth_check(
 
     A base spanned by psi-set members has both deficits 0.  Growth past
     the closed-subgroup bound (a base of differences of psi-set members
-    completed by one generator) passes with a counterexample bundle.
+    completed by one generator) passes with a counterexample bundle,
+    which holds elements: the CLI renders it.
     """
-    if not new_generators:
-        raise ValueError("at least one new generator required")
     residues = [r for r in map(space.reduce, new_generators) if r]
     m = len(residues)
     extended = _extend(space._rows, residues)
@@ -216,14 +217,12 @@ def growth_check(
         added = tuple(sorted(set(new.levels) - set(old.levels)))
         counterexample = None
         if len(added) > closed_bound:
-            counterexample = gamma.jsonable(
-                {
-                    "old_basis": space.basis,
-                    "new_generators": new_generators,
-                    "extended_basis": extended.basis,
-                    "witnesses": {level: new.witnesses[level] for level in added},
-                }
-            )
+            counterexample = {
+                "old_basis": space.basis,
+                "new_generators": tuple(new_generators),
+                "extended_basis": extended.basis,
+                "witnesses": {level: new.witnesses[level] for level in added},
+            }
         bound = closed_bound + deficit
         reports.append(
             GrowthReport(old.function, old.levels, new.levels, added, m, bound, len(added) <= bound, counterexample)

@@ -208,8 +208,16 @@ def _golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _render(cases) -> str:
+    """The golden file's text, as ``--record`` writes it."""
+    return json.dumps(cases, indent=1) + "\n"
+
+
 def test_golden_file_matches_corpus():
     assert [case["argv"] for case in _golden()] == CORPUS
+    # byte for byte in the recorder's format: only --record writes the file
+    same_bytes = GOLDEN.read_text(encoding="utf-8") == _render(_golden())
+    assert same_bytes, f"{GOLDEN.name} differs from what --record writes"
 
 
 def _case_id(index: int) -> str:
@@ -299,6 +307,71 @@ def test_random_spans_keep_the_exit_code_contract(base, new, as_json):
             else:
                 assert (rc, out) == (cli.EXIT_USAGE, "")
                 assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Token soup: the grammar's tokens, the edges of MAX_LEVEL and MAX_NESTING, a
+# number past Python's 4300-digit limit on int text, quantifier words, non-ASCII
+# letters and digits, and NUL.
+_SOUP_TOKENS = st.sampled_from([
+    *"()+-*/!&|=<", "0", "1", "2", "3", "e0", "e1", "e3", "x", "y", "inf", *lang.FUNCTIONS,
+    "e9999", "e10000", "(" * 128, "(" * 129, "9" * 4301, "forall", "exists", "é", "٣", "😀", "\x00",
+])
+_SOUP = st.lists(st.tuples(_SOUP_TOKENS, st.sampled_from(["", " "])), max_size=30).map(
+    lambda pairs: "".join(token + sep for token, sep in pairs)
+)
+# Grammar-shaped text, which reaches the maps and the kernel past the parser:
+# psi(e10000) has 10001 terms, and e10001 is one level past MAX_LEVEL.
+_ATOMS = st.sampled_from(["e0", "0", "inf", "x", "e3", "2*e1", "1/3*e2"]) | st.sampled_from(
+    ["e9999", "e10000", "e10001", "psi(e10000)"]
+)
+_TERMS = st.recursive(
+    _ATOMS,
+    lambda term: st.one_of(
+        st.tuples(st.sampled_from(lang.FUNCTIONS), term).map(lambda pair: "{}({})".format(*pair)),
+        st.tuples(term, st.sampled_from([" + ", " - "]), term).map("".join),
+        st.tuples(term, st.sampled_from(["0", "1", "2"])).map(lambda pair: "({}) / {}".format(*pair)),
+        term.map("-{}".format),
+    ),
+    max_leaves=6,
+)
+_FORMULAS = st.recursive(
+    st.tuples(_TERMS, st.sampled_from([" = ", " < "]), _TERMS).map("".join),
+    lambda formula: formula.map("!({})".format)
+    | st.tuples(formula, st.sampled_from([" & ", " | "]), formula).map(lambda t: "({}){}({})".format(*t)),
+    max_leaves=3,
+)
+_TEXTS = _SOUP | _TERMS | _FORMULAS
+# Element text (--epsilon, --let) is an atom as often as not, so that some of it reads.
+_ELEMENT_TEXTS = _ATOMS | _TEXTS
+
+
+@st.composite
+def text_commands(draw):
+    """argv of ``eval``, ``fmt`` or ``witness`` over a drawn text."""
+    command = draw(st.sampled_from(["eval", "fmt", "witness"]))
+    if command == "witness":  # never a count of 1000, whose prefix prints about 500k terms
+        epsilon, count = draw(_ELEMENT_TEXTS), draw(st.sampled_from([-1, 0, 1, 3, 1001]))
+        return ["witness", "--epsilon", epsilon, "--count", str(count)] + ["--json"] * draw(st.booleans())
+    argv = [command, draw(_TEXTS)] + ["--json"] * draw(st.booleans())
+    if command == "eval":
+        argv += ["--let", "x=" + draw(_ELEMENT_TEXTS)] * draw(st.booleans())
+        argv += ["--fail-on-false"] * draw(st.booleans())
+    return argv
+
+
+@given(text_commands())
+@example(["eval", "s(psi(e10000))"])
+@example(["witness", "--epsilon", "e10000", "--count", "1"])
+@example(["eval", "(" * 129 + "e0" + ")" * 129])
+def test_text_commands_keep_the_exit_code_contract(argv):
+    rc, out, err = run_cli(argv)
+    assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_USAGE)
+    if rc == cli.EXIT_USAGE:
+        assert out == ""
+        # one diagnostic line, or argparse's usage text (a text led by '-' reads as an option)
+        assert (err.startswith("error: ") and err.count("\n") == 1) or err.startswith("usage: ")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -506,7 +579,7 @@ def test_psi_up_to_max_level_evaluates():
         (["witness", "--epsilon", "e9999999", "--count", "1"], "MAX_LEVEL"),
         (["witness", "--epsilon", "e0", "--count", str(harness.MAX_WITNESS_COUNT + 1)], "MAX_WITNESS_COUNT"),
         (["witness", "--epsilon", "e0", "--count", "100000000"], "MAX_WITNESS_COUNT"),
-        (["check", "axioms", "--trials", str(harness.MAX_TRIALS + 1)], "MAX_TRIALS"),
+        (["check", "axioms", "--trials", str(cli.MAX_TRIALS + 1)], "MAX_TRIALS"),
         # Python's limit on int text (4300 digits by default) caps a coefficient's size
         (["eval", "e0" + " / 99999999999999999999" * 230], "Exceeds the limit (4300 digits)"),
     ],
@@ -806,7 +879,7 @@ def _record() -> None:
     for argv in CORPUS:
         rc, out, err = run_cli(argv)
         cases.append({"argv": argv, "rc": rc, "stdout": out, "stderr": err})
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    GOLDEN.write_text(_render(cases), encoding="utf-8")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

@@ -6,9 +6,11 @@ are cross-checked against ``perfbench/oracle.py``, which computes on
 ``{index: Fraction}`` dicts (``None`` for ``inf``) without the package's code.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import oracle
 import pytest
@@ -279,6 +281,21 @@ def test_operators_match_reference_functions(a, b, n, q):
     cmp = oracle.compare(x, y)
     assert (a < b, a == b, a > b) == (cmp < 0, cmp == 0, cmp > 0)
     assert (a <= b, a >= b) == (cmp <= 0, cmp >= 0)
+
+
+def test_each_rule_has_one_owner():
+    # Where inf sits and that it absorbs + are Infinity's rules: no GammaElement method
+    # names Infinity, and Python's reflected operators hand it the work.  Reports hold
+    # values, which the renderers turn into text: subspace never names jsonable.
+    src = Path(gamma.__file__).parent
+    trees = {name: ast.parse((src / name).read_text(encoding="utf-8")) for name in ("gamma.py", "subspace.py")}
+    element = next(n for n in trees["gamma.py"].body if isinstance(n, ast.ClassDef) and n.name == "GammaElement")
+    for tree, where, banned in ((element, "GammaElement", "Infinity"), (trees["subspace.py"], "subspace.py", "jsonable")):
+        for node in ast.walk(tree):
+            names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            assert banned not in names, f"{where}:{getattr(node, 'lineno', '?')} names {banned}"
 
 
 @given(elements, elements, elements)

@@ -436,8 +436,9 @@ def test_growth_with_dependent_generator():
 
 
 def test_growth_rejects_bad_input():
-    with pytest.raises(ValueError):
-        growth_check(span("e0"), [])
+    # extending by nothing is well defined: m = 0, and nothing grows
+    reports = growth_check(span("e0"), [])
+    assert [(r.passed, r.new_generator_count, r.added_levels) for r in reports] == [(True, 0, ())] * 3
     for base in (span(), span("e0")):
         with pytest.raises(TypeError):
             growth_check(base, [0])
@@ -472,11 +473,11 @@ def test_growth_check_reports_all_three_maps_in_one_call(gens, extra):
     assert len(reports[0].new_levels) == extended.dim
 
 
-def test_growth_bounds_fail_on_psi_difference_spans():
+def test_growth_past_the_closed_bounds_on_psi_difference_spans():
     # the span of differences of consecutive psi-set members hides many
     # members behind one missing generator; adjoining it unlocks them
-    # all at once: the closed-subgroup s and p bounds fail, and the
-    # reports pass on the base's deficits
+    # all at once: growth passes the closed-subgroup s and p bounds, and
+    # the reports pass on the base's deficits, each with a bundle of values
     base = echelonize([ones(2) - ones(3), ones(3) - ones(4)])
     report_psi, report_s, report_p = growth_check(base, [ones(4)])
     assert report_p.passed
@@ -485,14 +486,16 @@ def test_growth_bounds_fail_on_psi_difference_spans():
     bundle = report_p.counterexample
     assert bundle is not None
     assert set(bundle) == {"old_basis", "new_generators", "extended_basis", "witnesses"}
-    assert bundle["new_generators"] == ["e0 + e1 + e2 + e3"]
-    assert list(bundle["witnesses"]) == ["0", "1", "2"]
+    assert (bundle["old_basis"], bundle["new_generators"]) == (base.basis, (ones(4),))
+    assert bundle["extended_basis"] == echelonize(base.basis + (ones(4),)).basis
+    assert list(bundle["witnesses"]) == [0, 1, 2]
+    assert all(gamma.predecessor(w) == gamma.psi_element(k) for k, w in bundle["witnesses"].items())
     assert report_s.passed and report_s.counterexample is not None
     assert len(report_s.added_levels) == 3 > 1 + 1
     assert report_psi.passed and report_psi.counterexample is None
 
 
-def test_growth_s_fails_on_stalled_chain_bases():
+def test_growth_past_the_closed_s_bound_on_stalled_chain_bases():
     # no support at coordinate 0: the base attains only level 0 (deficit
     # 3), and a single low generator unlocks a chain worth more than the
     # closed-subgroup bound m + 1; the report passes on the deficit
