@@ -16,7 +16,11 @@ whether a name is one variable token, so no other module reads tokens.
 
 The lexer is one compiled regex: each match skips leading whitespace and
 fills one numbered group, and ``_lex`` dispatches on that number.  A token
-is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  When
+is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  A
+coefficient literal ``n[/d]*e<k>`` is one ``literal`` token: a number
+token for n that also holds d's digits and position and k's digits.  Its
+regex alternative is tried first, but not after a '/', because there the
+digits are a divisor (``x / 2*e1`` fails at the '*').  When
 ``= < ! & |`` shows a '(' to open a grouped formula, ``_lex`` replaces its
 entry with one whose mark is 1.  Digits stay text, so a number too long
 for ``int`` is an error only where the parser reaches it, after any error
@@ -166,21 +170,26 @@ class EvalError(ValueError):
 # --- lexer ------------------------------------------------------------------
 
 # One match per token: leading whitespace, then one numbered group.  The
+# first alternative reads a whole coefficient literal ``n[/d]*e<k>``; its
+# lookbehind sees the last character of the token before, and a '/' there
+# makes the digits a divisor, so ``x / 2*e1`` still fails at the '*'.  The
 # empty ``\Z`` alternative matches only at the end, with no group, so
 # trailing whitespace ends the scan in one match instead of one failed
 # match per character.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        ([()+\-*/!&|=<])                    # 1 symbol
-      | ([0-9]+)                            # 2 number
-      | (e([0-9]+))(?![A-Za-z0-9_])         # 3 basis vector, 4 its index digits
-      | ([A-Za-z_][A-Za-z0-9_]*)            # 5 name
-      | (\S)                                # 6 any other character
+    r"""(?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*e([0-9]+)(?![A-Za-z0-9_])
+                                            # 1 numerator, 2 denominator, 3 index of a literal
+      | \s*(?:
+        ([()+\-*/!&|=<])                    # 4 symbol
+      | ([0-9]+)                            # 5 number
+      | (e([0-9]+))(?![A-Za-z0-9_])         # 6 basis vector, 7 its index digits
+      | ([A-Za-z_][A-Za-z0-9_]*)            # 8 name
+      | (\S)                                # 9 any other character
       | \Z
     )""",
     re.VERBOSE,
 )
-_SYMBOL, _NUMBER, _BASIS, _NAME = 1, 2, 3, 5
+_LITERAL, _SYMBOL, _NUMBER, _BASIS, _NAME = 3, 4, 5, 6, 8
 
 _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
 
@@ -189,8 +198,12 @@ _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys
 # so it indexes the list without a bounds check.
 _EOF_PADDING = 3
 
-# kind: number basis var func inf quant char deep ( ) + - * / ! & | = < eof
-_Tok = Tuple[str, str, int, int, str]  # (kind, text, pos, mark, digits)
+# kind: literal number basis var func inf quant char deep ( ) + - * / ! & | = < eof
+# Each token is (kind, text, pos, mark, digits).  A literal ``n[/d]*e<k>``
+# has these five fields as n's number token would, kind aside, so an error
+# at it is reported at n; then (den, den_pos, index): d's digits and
+# position (None and -1 without a '/d') and k's digits.
+_Tok = Tuple[Union[str, int, None], ...]
 
 
 def _lex(text: str) -> List[_Tok]:
@@ -211,8 +224,11 @@ def _lex(text: str) -> List[_Tok]:
     opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
         which = m.lastindex
-        if which == _SYMBOL:
+        if which == _LITERAL:
             lexeme = m[1]
+            append(("literal", lexeme, m.start(1), 0, lexeme, m[2], m.start(2), m[3]))
+        elif which == _SYMBOL:
+            lexeme = m[4]
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
@@ -223,17 +239,17 @@ def _lex(text: str) -> List[_Tok]:
                 tokens[opened[-1]] = tokens[opened[-1]][:3] + (1, "")
             append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0, ""))
         elif which == _NUMBER:
-            lexeme = m[2]
-            append(("number", lexeme, m.start(2), 0, lexeme))
-        elif which == _BASIS:
-            append(("basis", m[3], m.start(3), 0, m[4]))
-        elif which == _NAME:
             lexeme = m[5]
-            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(5), 0, ""))
+            append(("number", lexeme, m.start(5), 0, lexeme))
+        elif which == _BASIS:
+            append(("basis", m[6], m.start(6), 0, m[7]))
+        elif which == _NAME:
+            lexeme = m[8]
+            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(8), 0, ""))
         elif which is None:
             break
         else:
-            append(("char", m[6], m.end() - 1, 0, ""))
+            append(("char", m[9], m.end() - 1, 0, ""))
     tokens += [("eof", "", len(text), 0, "")] * _EOF_PADDING
     return tokens
 
@@ -308,8 +324,16 @@ class _Parser:
     def atom(self) -> TermNode:
         tok = self.tokens[self.i]
         kind = tok[0]
+        if kind == "literal":
+            num = int(tok[4])
+            den = int(tok[5]) if tok[5] else 1
+            if den == 0:
+                raise ParseError("zero denominator in coefficient", tok[6])
+            self.i += 1
+            index = int(tok[7])
+            return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
         if kind == "number":
-            return self.literal_from_number()
+            return self.bare_zero()
         if kind == "basis":
             self.i += 1
             return Literal(gamma.unit(int(tok[4])))
@@ -336,27 +360,21 @@ class _Parser:
             return inner
         self.fail(tok, _TERM_START)
 
-    def literal_from_number(self) -> TermNode:
-        """``n[/d]*e<k>``, or a bare ``0``, read by index from the number token."""
+    def bare_zero(self) -> TermNode:
+        """A number that starts no literal: a bare ``0``, or the error at the
+        first token that keeps it from being ``n[/d]*e<k>``."""
         tokens, i = self.tokens, self.i
-        num, den = int(tokens[i][4]), 1
+        num = int(tokens[i][4])
         if tokens[i + 1][0] == "/" and tokens[i + 2][0] == "number" and tokens[i + 3][0] == "*":
-            den_tok = tokens[i + 2]
-            den = int(den_tok[4])
-            if den == 0:
-                raise ParseError("zero denominator in coefficient", den_tok[2])
-            i += 2
-        if tokens[i + 1][0] != "*":
-            self.i = i + 1
-            if num == 0:
-                return Literal(ZERO)
-            self.fail(tokens[i + 1], frozenset({"'*'"}))
-        basis = tokens[i + 2]
-        if basis[0] != "basis":
-            self.fail(basis, frozenset({"'e<k>'"}))
-        self.i = i + 3
-        index = int(basis[4])
-        return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
+            if int(tokens[i + 2][4]) == 0:
+                raise ParseError("zero denominator in coefficient", tokens[i + 2][2])
+            self.fail(tokens[i + 4], frozenset({"'e<k>'"}))
+        if tokens[i + 1][0] == "*":
+            self.fail(tokens[i + 2], frozenset({"'e<k>'"}))
+        self.i = i + 1
+        if num == 0:
+            return Literal(ZERO)
+        self.fail(tokens[i + 1], frozenset({"'*'"}))
 
     # formulas
 
@@ -416,53 +434,67 @@ def parse_any(text: str, strict_llog: bool = False) -> Node:
 def parse_element(text: str) -> ExtendedElement:
     """Read element text, 'inf', '0' or a sum of signed ``[q*]e<k>`` literals,
     with the term language's lexer; raises ElementError."""
-    tokens, i = _lex(text), 1  # i is one past the token in kind, lexeme, ...
-    kind, lexeme, pos, _, digits = tokens[i - 1]
+    tokens, i = _lex(text), 1  # i is one past tok
+    tok = tokens[0]
+    kind = tok[0]
     if kind == "eof":
-        raise ElementError("empty element text", pos)
+        raise ElementError("empty element text", tok[2])
     if kind == "inf":
-        if tokens[i][0] != "eof":
-            raise ElementError("trailing input after 'inf'", tokens[i][2])
+        if tokens[1][0] != "eof":
+            raise ElementError("trailing input after 'inf'", tokens[1][2])
         return INF
-    if lexeme == "0" and tokens[i][0] == "eof":
+    if tok[:2] == ("number", "0") and tokens[1][0] == "eof":
         return ZERO
     if kind == "+":
-        raise ElementError("unexpected leading '+'", pos)
+        raise ElementError("unexpected leading '+'", tok[2])
     acc = gamma.Sum()
     while True:
-        num = -1 if kind == "-" else 1
+        sign = -1 if kind == "-" else 1
         if kind in ("+", "-"):
-            kind, lexeme, pos, _, digits = tokens[i]
+            tok = tokens[i]
+            kind = tok[0]
             i += 1
-        den = 1
-        if kind == "number":
-            num *= int(digits)
-            if tokens[i][0] == "/":
-                kind, lexeme, pos, _, digits = tokens[i + 1]
-                i += 2
-                if kind != "number":
-                    raise ElementError("expected denominator digits", pos)
-                den = int(digits)
-                if den == 0:
-                    raise ElementError("zero denominator", pos + len(lexeme) - 1)
-            if tokens[i][0] != "*":
-                raise ElementError("expected '*' after coefficient", tokens[i][2])
-            kind, lexeme, pos, _, digits = tokens[i + 1]
-            i += 2
-        if kind != "basis":
-            if lexeme.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
-                run = len(lexeme) - 1 - len(lexeme[1:].lstrip("0123456789"))
-                if run:
-                    raise ElementError("expected '+' or '-' between terms", pos + 1 + run)
-                raise ElementError("expected basis index digits", pos + 1)
-            raise ElementError("expected basis vector 'e<index>'", pos)
-        acc.add_terms(((int(digits), num),), den)
-        kind, lexeme, pos, _, digits = tokens[i]
+        if kind == "literal":
+            num = sign * int(tok[4])
+            den = int(tok[5]) if tok[5] else 1
+            if den == 0:
+                raise ElementError("zero denominator", tok[6] + len(tok[5]) - 1)
+            acc.add_terms(((int(tok[7]), num),), den)
+        elif kind == "basis":
+            acc.add_terms(((int(tok[4]), sign),), 1)
+        else:
+            _term_error(tokens, i - 1)
+        tok = tokens[i]
         i += 1
-        if kind == "eof":
+        if tok[0] == "eof":
             return acc.total()
-        if kind not in ("+", "-"):
-            raise ElementError("expected '+' or '-' between terms", pos)
+        if tok[0] not in ("+", "-"):
+            raise ElementError("expected '+' or '-' between terms", tok[2])
+        kind = tok[0]
+
+
+def _term_error(tokens: List[_Tok], i: int) -> NoReturn:
+    """The ElementError of a term of element text that is neither a literal
+    nor a basis vector, at its first token that does not fit ``[n[/d]*]e<k>``."""
+    kind, lexeme, pos = tokens[i][:3]
+    if kind == "number":
+        int(lexeme)  # a coefficient too long for int text fails first
+        if tokens[i + 1][0] == "/":
+            kind, lexeme, pos = tokens[i + 2][:3]
+            i += 2
+            if kind != "number":
+                raise ElementError("expected denominator digits", pos)
+            if int(lexeme) == 0:
+                raise ElementError("zero denominator", pos + len(lexeme) - 1)
+        if tokens[i + 1][0] != "*":
+            raise ElementError("expected '*' after coefficient", tokens[i + 1][2])
+        kind, lexeme, pos = tokens[i + 2][:3]
+    if lexeme.startswith("e"):  # a name such as 'e', 'exists' or 'e1e2'
+        run = len(lexeme) - 1 - len(lexeme[1:].lstrip("0123456789"))
+        if run:
+            raise ElementError("expected '+' or '-' between terms", pos + 1 + run)
+        raise ElementError("expected basis index digits", pos + 1)
+    raise ElementError("expected basis vector 'e<index>'", pos)
 
 
 def is_variable(name: str) -> bool:

@@ -320,9 +320,10 @@ _SOUP = st.lists(st.tuples(_SOUP_TOKENS, st.sampled_from(["", " "])), max_size=3
     lambda pairs: "".join(token + sep for token, sep in pairs)
 )
 # Grammar-shaped text, which reaches the maps and the kernel past the parser:
-# psi(e10000) has 10001 terms, and e10001 is one level past MAX_LEVEL.
+# psi(e10000) has 10001 terms, and e10001 is one level past MAX_LEVEL.  The
+# cap's edges also come as coefficient literals, which lex as one token.
 _ATOMS = st.sampled_from(["e0", "0", "inf", "x", "e3", "2*e1", "1/3*e2"]) | st.sampled_from(
-    ["e9999", "e10000", "e10001", "psi(e10000)"]
+    ["e9999", "e10000", "e10001", "psi(e10000)", "2*e10000", "1/2*e10001", "psi(3*e10000)"]
 )
 _TERMS = st.recursive(
     _ATOMS,
