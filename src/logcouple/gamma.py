@@ -113,22 +113,22 @@ class GammaElement:
     with ``gcd(_den, *numerators) == 1``; the coefficient at index i is
     ``Fraction(n, _den)``, which ``coords`` builds on each access.  The
     form is canonical, so ``==`` and the hash compare tuples.
-    ``__init__`` establishes it from any input by adding the coordinates
-    into a ``Sum``, as ``lang.parse_element`` adds its terms; the private
-    ``_make`` stores a form that already satisfies it without checking,
-    and is used only by the operations here that preserve it.
+    ``__init__`` establishes it from any input with ``_summed``, as
+    ``lang.parse_element`` builds its terms; the private ``_make`` stores a
+    form that already satisfies it without checking, and is used only by
+    the operations here that preserve it.
     """
 
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coords: Iterable[Tuple[int, Rational]] = ()):
-        acc = Sum()
+        terms = []
         for index, q in coords:
             _check_index(index)
             if not isinstance(q, (int, Fraction)):
                 raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
-            acc.add_terms(((index, q.numerator),), q.denominator)
-        x = acc.total()
+            terms.append((index, q.numerator, q.denominator))
+        x = _summed(terms)
         _set_num(self, x._num)
         _set_den(self, x._den)
         _set_hash(self, None)
@@ -293,6 +293,24 @@ def _from_terms(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
     return _reduced([(i, n * (den // d)) for i, n, d in terms], den)
 
 
+def _summed(terms: Sequence[Tuple[int, int, int]]) -> GammaElement:
+    """The element ``sum(n/d * e<i>)`` of ``(i, n, d)`` int terms, ``d > 0``, in
+    any order and indices repeating: one numerator per index over the lcm of the d."""
+    den = lcm(*[d for _, _, d in terms])
+    acc: Dict[int, int] = {}
+    for i, n, d in terms:
+        acc[i] = acc.get(i, 0) + n * (den // d)
+    return _reduced([(i, n) for i, n in sorted(acc.items()) if n], den)
+
+
+def _monomial(index: int, num: int, den: int) -> GammaElement:
+    """The one-term element ``num/den * e<index>`` for ints ``den > 0``, with one gcd."""
+    if not num:
+        return ZERO
+    g = gcd(num, den)
+    return _make(((index, num // g),), den // g)
+
+
 def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
     """``x + y`` (``x - y`` if ``sign`` is -1) over the lcm of the denominators."""
     b = y._num
@@ -339,7 +357,8 @@ def _merge(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
 
 class Sum:
     """Adds many operands into one int numerator per index over a running
-    denominator, raised to the lcm as needed, and keeps none of them."""
+    denominator, raised to the lcm as needed, and keeps none of them: for
+    operands that arrive one at a time, where ``_summed`` takes known terms."""
 
     __slots__ = ("_num", "_den", "_inf")
 
@@ -353,22 +372,19 @@ class Sum:
         if not isinstance(q, (int, Fraction)):
             raise TypeError(f"coefficient must be an int or Fraction, got {q!r}")
         if isinstance(x, GammaElement) and q and not self._inf:
-            self.add_terms(x._num, x._den * q.denominator, q.numerator)
+            den = x._den * q.denominator
+            if self._den % den:
+                f = den // gcd(self._den, den)
+                self._num = {i: n * f for i, n in self._num.items()}
+                self._den *= f
+            mul = q.numerator * (self._den // den)
+            acc = self._num
+            for i, n in x._num:
+                acc[i] = acc.get(i, 0) + n * mul
         elif isinstance(x, Infinity):
             self._inf = self._inf or q != 0
         elif not isinstance(x, GammaElement):
             raise TypeError(f"expected a group element or inf, got {x!r}")
-
-    def add_terms(self, num: Iterable[Tuple[int, int]], den: int, mul: int = 1) -> None:
-        """Add ``mul * n/den * e<i>`` for int pairs ``(i, n)`` in any order, ``den > 0``."""
-        if self._den % den:
-            f = den // gcd(self._den, den)
-            self._num = {i: n * f for i, n in self._num.items()}
-            self._den *= f
-        mul *= self._den // den
-        acc = self._num
-        for i, n in num:
-            acc[i] = acc.get(i, 0) + n * mul
 
     def total(self) -> ExtendedElement:
         """``inf``, or the sum reduced once to canonical form (``ZERO`` for none)."""
@@ -619,17 +635,18 @@ class Record:
     positionally; a wrong number of them is a TypeError.  ``==``, ``hash``,
     ``repr`` (``Name(field=value, ...)``) and ``jsonable`` read the fields
     in that order.  A class that checks or normalizes its fields does so in
-    its own ``__init__``, which passes them on to ``Record.__init__``.
+    its own ``__init__``, which then sets them with ``self._set_fields``
+    (one or two fields) or ``Record.__init__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # A class of one or two fields and no __init__ of its own, as most AST
-        # nodes are, sets them through its slot descriptors: about 0.35 µs a
-        # record less than the loop of the generic __init__ below.
+        # A class of one or two fields sets them through its slot descriptors
+        # with the function made here, its _set_fields and, unless it has its
+        # own, its __init__: 0.35 µs a record less than the generic loop below.
         super().__init_subclass__()
-        if "__init__" in cls.__dict__ or len(cls.__slots__) not in (1, 2):
+        if len(cls.__slots__) not in (1, 2):
             return
         setters = [getattr(cls, name).__set__ for name in cls.__slots__]
         if len(setters) == 1:
@@ -645,8 +662,10 @@ class Record:
                 set_a(self, a)
                 set_b(self, b)
 
-        __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
-        cls.__init__ = __init__
+        cls._set_fields = __init__
+        if "__init__" not in cls.__dict__:
+            __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
+            cls.__init__ = __init__
 
     def __init__(self, *fields: object) -> None:
         names = self.__slots__

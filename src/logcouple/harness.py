@@ -434,7 +434,7 @@ class AffineMap(Record):
     def __init__(self, coefficients: Sequence[Union[int, Fraction]], constant: ExtendedElement) -> None:
         if not all(isinstance(c, (int, Fraction)) for c in coefficients):
             raise TypeError(f"coefficients must be ints or Fractions, got {coefficients!r}")
-        super().__init__(tuple(Fraction(c) for c in coefficients), constant)
+        self._set_fields(tuple(Fraction(c) for c in coefficients), constant)
 
     @property
     def arity(self) -> int:

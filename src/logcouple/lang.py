@@ -17,10 +17,14 @@ whether a name is one variable token, so no other module reads tokens.
 The lexer is one compiled regex: each match skips leading whitespace and
 fills one numbered group, and ``_lex`` dispatches on that number.  A token
 is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  A
-coefficient literal ``n[/d]*e<k>`` is one ``literal`` token: a number
-token for n that also holds d's digits and position and k's digits.  Its
-regex alternative is tried first, but not after a '/', because there the
-digits are a divisor (``x / 2*e1`` fails at the '*').  When
+coefficient literal ``n[/d]*e<k>`` is one ``literal`` token, but not after
+a '/', where its digits are a divisor (``x / 2*e1`` fails at the '*').  A
+run of signed terms ``(+|-) [n[/d]*]e<k>`` is one ``run`` token at its
+first sign that holds each term's sign and digits.  It is lexed only where
+a binary sign can stand, after a token that ends in a letter, digit, '_'
+or ')'.  A term that a '/' follows is left out of it, as the division binds
+tighter than the sign (``e1 + e2 / 3`` is ``e1 + (e2 / 3)``), and so is a
+term with a zero denominator, which its literal token reports.  When
 ``= < ! & |`` shows a '(' to open a grouped formula, ``_lex`` replaces its
 entry with one whose mark is 1.  Digits stay text, so a number too long
 for ``int`` is an error only where the parser reaches it, after any error
@@ -43,7 +47,8 @@ names.
 walk that keeps its own stack, so a long sum or a long run of ``!`` is no
 deeper for them than a short one.  ``evaluate`` walks the left spine of a
 sum ``t0 + t1 + ... + tn`` with a loop, evaluates the operands from left
-to right, and adds each value into one ``gamma.Sum`` as the walk returns it.
+to right, and adds each value into one ``gamma.Sum`` as the walk returns
+it, a literal or negated literal operand with no walk step.
 
 Grammar (terms):
 
@@ -104,7 +109,7 @@ class Div(Record):
     def __init__(self, operand: TermNode, divisor: int) -> None:
         if type(divisor) is not int or divisor < 1:
             raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
-        super().__init__(operand, divisor)
+        self._set_fields(operand, divisor)
 
 
 class Apply(Record):
@@ -113,7 +118,7 @@ class Apply(Record):
     def __init__(self, func: str, operand: TermNode) -> None:
         if func not in FUNCTIONS:
             raise ValueError(f"unknown function {func!r}")
-        super().__init__(func, operand)
+        self._set_fields(func, operand)
 
 
 TermNode = Union[Literal, Var, Add, Neg, Div, Apply]
@@ -170,26 +175,28 @@ class EvalError(ValueError):
 # --- lexer ------------------------------------------------------------------
 
 # One match per token: leading whitespace, then one numbered group.  The
-# first alternative reads a whole coefficient literal ``n[/d]*e<k>``; its
-# lookbehind sees the last character of the token before, and a '/' there
-# makes the digits a divisor, so ``x / 2*e1`` still fails at the '*'.  The
-# empty ``\Z`` alternative matches only at the end, with no group, so
-# trailing whitespace ends the scan in one match instead of one failed
-# match per character.
+# lookbehinds of a run and of a literal see the last character of the token
+# before (see the module docstring).  The empty ``\Z`` alternative matches
+# only at the end, with no group, so trailing whitespace ends the scan in one
+# match instead of one failed match per character.
 _TOKEN_RE = re.compile(
-    r"""(?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*e([0-9]+)(?![A-Za-z0-9_])
-                                            # 1 numerator, 2 denominator, 3 index of a literal
+    r"""(?<=[0-9A-Za-z_)])\s*(?=[+\-])((?:\s*[+\-]\s*(?:[0-9]+\s*(?:/\s*0*[1-9][0-9]*\s*)?\*\s*)?e[0-9]+(?![A-Za-z0-9_])(?!\s*/))+)
+                                            # 1 run of signed terms
+      | (?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*e([0-9]+)(?![A-Za-z0-9_])
+                                            # 2 numerator, 3 denominator, 4 index of a literal
       | \s*(?:
-        ([()+\-*/!&|=<])                    # 4 symbol
-      | ([0-9]+)                            # 5 number
-      | (e([0-9]+))(?![A-Za-z0-9_])         # 6 basis vector, 7 its index digits
-      | ([A-Za-z_][A-Za-z0-9_]*)            # 8 name
-      | (\S)                                # 9 any other character
+        ([()+\-*/!&|=<])                    # 5 symbol
+      | ([0-9]+)                            # 6 number
+      | (e([0-9]+))(?![A-Za-z0-9_])         # 7 basis vector, 8 its index digits
+      | ([A-Za-z_][A-Za-z0-9_]*)            # 9 name
+      | (\S)                                # 10 any other character
       | \Z
     )""",
     re.VERBOSE,
 )
-_LITERAL, _SYMBOL, _NUMBER, _BASIS, _NAME = 3, 4, 5, 6, 8
+_RUN, _LITERAL, _SYMBOL, _NUMBER, _BASIS, _NAME = 1, 4, 5, 6, 7, 9
+# One term of a run: its sign, numerator, denominator and index digits.
+_RUN_TERM_RE = re.compile(r"\s*([+\-])\s*(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*)?e([0-9]+)")
 
 _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
 
@@ -198,11 +205,15 @@ _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys
 # so it indexes the list without a bounds check.
 _EOF_PADDING = 3
 
-# kind: literal number basis var func inf quant char deep ( ) + - * / ! & | = < eof
+# kind: run literal number basis var func inf quant char deep ( ) + - * / ! & | = < eof
 # Each token is (kind, text, pos, mark, digits).  A literal ``n[/d]*e<k>``
 # has these five fields as n's number token would, kind aside, so an error
 # at it is reported at n; then (den, den_pos, index): d's digits and
-# position (None and -1 without a '/d') and k's digits.
+# position (None and -1 without a '/d') and k's digits.  A run, lexed after
+# a token ending in [0-9A-Za-z_)] and ended before a term that a '/' divides
+# or whose d is zero, has them as its first sign's token would, so an error
+# at it is reported at that sign; then a list of (sign, n, d, k) digit
+# strings per term, '' for an absent n or d.
 _Tok = Tuple[Union[str, int, None], ...]
 
 
@@ -224,11 +235,14 @@ def _lex(text: str) -> List[_Tok]:
     opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
         which = m.lastindex
-        if which == _LITERAL:
-            lexeme = m[1]
-            append(("literal", lexeme, m.start(1), 0, lexeme, m[2], m.start(2), m[3]))
+        if which == _RUN:
+            run = m[1]
+            append(("run", run[0], m.start(1), 0, "", _RUN_TERM_RE.findall(run)))
+        elif which == _LITERAL:
+            lexeme = m[2]
+            append(("literal", lexeme, m.start(2), 0, lexeme, m[3], m.start(3), m[4]))
         elif which == _SYMBOL:
-            lexeme = m[4]
+            lexeme = m[5]
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
@@ -239,17 +253,17 @@ def _lex(text: str) -> List[_Tok]:
                 tokens[opened[-1]] = tokens[opened[-1]][:3] + (1, "")
             append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0, ""))
         elif which == _NUMBER:
-            lexeme = m[5]
-            append(("number", lexeme, m.start(5), 0, lexeme))
+            lexeme = m[6]
+            append(("number", lexeme, m.start(6), 0, lexeme))
         elif which == _BASIS:
-            append(("basis", m[6], m.start(6), 0, m[7]))
+            append(("basis", m[7], m.start(7), 0, m[8]))
         elif which == _NAME:
-            lexeme = m[8]
-            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(8), 0, ""))
+            lexeme = m[9]
+            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(9), 0, ""))
         elif which is None:
             break
         else:
-            append(("char", m[9], m.end() - 1, 0, ""))
+            append(("char", m[10], m.end() - 1, 0, ""))
     tokens += [("eof", "", len(text), 0, "")] * _EOF_PADDING
     return tokens
 
@@ -290,10 +304,15 @@ class _Parser:
 
     def term(self) -> TermNode:
         node = self.product()
-        while (op := self.tokens[self.i][0]) in ("+", "-"):
+        while (tok := self.tokens[self.i])[0] in ("+", "-", "run"):
             self.i += 1
-            rhs = self.product()
-            node = Add(node, Neg(rhs)) if op == "-" else Add(node, rhs)
+            if tok[0] == "run":  # each term as a sign token and its product
+                for sign, num, den, index in tok[5]:
+                    rhs = Literal(gamma._monomial(*_read_term(num, den, index)))
+                    node = Add(node, Neg(rhs)) if sign == "-" else Add(node, rhs)
+            else:
+                rhs = self.product()
+                node = Add(node, Neg(rhs)) if tok[0] == "-" else Add(node, rhs)
         return node
 
     def product(self) -> TermNode:
@@ -325,13 +344,11 @@ class _Parser:
         tok = self.tokens[self.i]
         kind = tok[0]
         if kind == "literal":
-            num = int(tok[4])
-            den = int(tok[5]) if tok[5] else 1
-            if den == 0:
+            term = _read_term(tok[4], tok[5], tok[7])
+            if term is None:
                 raise ParseError("zero denominator in coefficient", tok[6])
             self.i += 1
-            index = int(tok[7])
-            return Literal(gamma._from_terms(((index, num, den),)) if num else ZERO)
+            return Literal(gamma._monomial(*term))
         if kind == "number":
             return self.bare_zero()
         if kind == "basis":
@@ -431,6 +448,14 @@ def parse_any(text: str, strict_llog: bool = False) -> Node:
     return node
 
 
+def _read_term(num: Optional[str], den: Optional[str], index: str) -> Optional[Tuple[int, int, int]]:
+    """``(k, n, d)`` of ``n/d*e<k>`` from its digits, n or d 1 where absent, or
+    None for a zero d; both readers convert n, d, k in this order."""
+    n = int(num) if num else 1
+    d = int(den) if den else 1
+    return (int(index), n, d) if d else None
+
+
 def parse_element(text: str) -> ExtendedElement:
     """Read element text, 'inf', '0' or a sum of signed ``[q*]e<k>`` literals,
     with the term language's lexer; raises ElementError."""
@@ -447,7 +472,7 @@ def parse_element(text: str) -> ExtendedElement:
         return ZERO
     if kind == "+":
         raise ElementError("unexpected leading '+'", tok[2])
-    acc = gamma.Sum()
+    terms: List[Tuple[int, int, int]] = []
     while True:
         sign = -1 if kind == "-" else 1
         if kind in ("+", "-"):
@@ -455,19 +480,25 @@ def parse_element(text: str) -> ExtendedElement:
             kind = tok[0]
             i += 1
         if kind == "literal":
-            num = sign * int(tok[4])
-            den = int(tok[5]) if tok[5] else 1
-            if den == 0:
+            term = _read_term(tok[4], tok[5], tok[7])
+            if term is None:
                 raise ElementError("zero denominator", tok[6] + len(tok[5]) - 1)
-            acc.add_terms(((int(tok[7]), num),), den)
+            index, num, den = term
+            terms.append((index, sign * num, den))
         elif kind == "basis":
-            acc.add_terms(((int(tok[4]), sign),), 1)
+            terms.append((int(tok[4]), sign, 1))
         else:
             _term_error(tokens, i - 1)
         tok = tokens[i]
         i += 1
+        if tok[0] == "run":
+            for run_sign, num, den, index in tok[5]:
+                index, num, den = _read_term(num, den, index)
+                terms.append((index, -num if run_sign == "-" else num, den))
+            tok = tokens[i]
+            i += 1
         if tok[0] == "eof":
-            return acc.total()
+            return gamma._summed(terms)
         if tok[0] not in ("+", "-"):
             raise ElementError("expected '+' or '-' between terms", tok[2])
         kind = tok[0]
@@ -574,14 +605,20 @@ def _lookup(node: Var, env: Env) -> ExtendedElement:
 
 def _sum(node: Add, env: Env) -> Generator:
     """A chain ``t0 + t1 + ... + tn``: walk its left spine with a loop, the
-    operands from left to right, and add each value as the walk returns it."""
+    operands from left to right, and add each value as the walk returns it;
+    a literal or negated literal, as a run parses to, needs no walk step."""
     rights = []
     while type(node) is Add:
         rights.append(node.right)
         node = node.left
     acc = gamma.Sum()
     for operand in (node, *reversed(rights)):
-        acc.add((yield operand, env))
+        if type(operand) is Literal:
+            acc.add(operand.value)
+        elif type(operand) is Neg and type(operand.operand) is Literal:
+            acc.add(operand.operand.value, -1)
+        else:
+            acc.add((yield operand, env))
     return acc.total()
 
 

@@ -341,9 +341,23 @@ _FORMULAS = st.recursive(
     | st.tuples(formula, st.sampled_from([" & ", " | "]), formula).map(lambda t: "({}){}({})".format(*t)),
     max_leaves=3,
 )
-_TEXTS = _SOUP | _TERMS | _FORMULAS
-# Element text (--epsilon, --let) is an atom as often as not, so that some of it reads.
-_ELEMENT_TEXTS = _ATOMS | _TEXTS
+
+
+# A run of 2-6 signed literals and basis vectors, which lex as one token: low
+# terms, or terms at the cap's edge, where s(psi(run)) and an epsilon run reach
+# it; a bare run may hold a zero denominator.
+def _runs(*terms):
+    signed = st.tuples(st.sampled_from(["", "-"]), st.sampled_from(terms))
+    return st.lists(signed, min_size=2, max_size=6).map(
+        lambda run: " + ".join(sign + term for sign, term in run).replace("+ -", "- ")
+    )
+
+
+_CAP_RUNS = _runs("e10001", "2*e10000", "1/2*e10001")
+_RUNS = _runs("e0", "e3", "2*e1", "1/3*e2", "1/0*e3") | _runs("e10000", "e10001", "2*e10000", "1/2*e10001", "1/0*e3")
+_TEXTS = _SOUP | _TERMS | _FORMULAS | _RUNS | _CAP_RUNS.map("psi({})".format) | _CAP_RUNS.map("s(psi({}))".format)
+# Element text (--epsilon, --let) is an atom or a run as often as not, so that some of it reads.
+_ELEMENT_TEXTS = _ATOMS | _RUNS | _CAP_RUNS | _TEXTS
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import functools
 import dataclasses
 import hashlib
 import io
@@ -325,6 +326,8 @@ class _ReferenceToken:
     den: str = None  # a literal's denominator digits, its position, and its index digits
     den_pos: int = -1
     index: str = None
+    end: int = -1  # one past the token's last character in the text
+    terms: list = None  # a run's (sign, numerator, denominator, index) digits per term
 
 
 def _merge_literals(tokens):
@@ -338,8 +341,9 @@ def _merge_literals(tokens):
         size = 5 if kinds == ["/", "number", "*", "basis"] else 3 if kinds[:2] == ["*", "basis"] else 0
         if tok.kind == "number" and size and not (merged and merged[-1].kind == "/"):
             den, den_pos = (tokens[i + 2].text, tokens[i + 2].pos) if size == 5 else (None, -1)
-            index = tokens[i + size - 1].text.removeprefix("e")
-            tok = _ReferenceToken("literal", tok.text, tok.pos, tok.value, den, den_pos, index)
+            basis = tokens[i + size - 1]
+            index = basis.text.removeprefix("e")
+            tok = _ReferenceToken("literal", tok.text, tok.pos, tok.value, den, den_pos, index, basis.end)
             i += size
         else:
             i += 1
@@ -347,10 +351,41 @@ def _merge_literals(tokens):
     return merged
 
 
-def _reference_lex(text):
+def _merge_runs(tokens, text):
+    """Each maximal sequence of ``(+|-) term`` after a token that ends in
+    ``[0-9A-Za-z_)]`` as one run token, where a term is a literal with a
+    nonzero denominator or a basis vector, and no '/' follows it."""
+
+    def is_term(tok):
+        return tok.kind == "basis" or tok.kind == "literal" and int(tok.den or 1) != 0
+
+    merged = []
+    i = 0
+    while i < len(tokens):
+        j, terms = i, []
+        if merged and re.fullmatch(r"[0-9A-Za-z_)]", text[merged[-1].end - 1]):
+            while tokens[j].kind in ("+", "-") and is_term(tokens[j + 1]) and tokens[j + 2].kind != "/":
+                sign, term = tokens[j].text, tokens[j + 1]
+                if term.kind == "literal":
+                    terms.append((sign, term.text, term.den or "", term.index))
+                else:
+                    terms.append((sign, "", "", term.text[1:]))
+                j += 2
+        if terms:
+            first = tokens[i]
+            merged.append(_ReferenceToken("run", first.text, first.pos, end=tokens[j - 1].end, terms=terms))
+            i = j
+        else:
+            merged.append(tokens[i])
+            i += 1
+    return merged
+
+
+def _reference_lex(text, runs=True):
     """The lexer before it skipped whitespace inside each match: named groups
     dispatched by name, digits made ints on the spot, one eof token; then each
-    coefficient literal merged into one token."""
+    coefficient literal merged into one token, and then, with ``runs``, each
+    run of signed terms."""
     tokens = []
     opened = []  # indices of the unclosed '(' tokens, innermost last
     for m in _REFERENCE_TOKEN_RE.finditer(text):
@@ -359,9 +394,9 @@ def _reference_lex(text):
             continue
         lexeme, pos = m[0], m.start()
         if kind in ("number", "basis"):
-            tokens.append(_ReferenceToken(kind, lexeme, pos, int(lexeme.lstrip("e"))))
+            tokens.append(_ReferenceToken(kind, lexeme, pos, int(lexeme.lstrip("e")), end=m.end()))
         elif kind == "name":
-            tokens.append(_ReferenceToken(lang._NAME_KINDS.get(lexeme, "var"), lexeme, pos))
+            tokens.append(_ReferenceToken(lang._NAME_KINDS.get(lexeme, "var"), lexeme, pos, end=m.end()))
         elif kind == "sym":
             if lexeme == "(":
                 opened.append(len(tokens))
@@ -371,11 +406,12 @@ def _reference_lex(text):
                     tokens[group - 1].value = 1
             elif lexeme in "=<!&|" and opened:
                 tokens[opened[-1]].value = 1
-            tokens.append(_ReferenceToken("deep" if len(opened) > lang.MAX_NESTING else lexeme, lexeme, pos))
+            tokens.append(_ReferenceToken("deep" if len(opened) > lang.MAX_NESTING else lexeme, lexeme, pos, end=m.end()))
         else:
-            tokens.append(_ReferenceToken(kind, lexeme, pos))
+            tokens.append(_ReferenceToken(kind, lexeme, pos, end=m.end()))
     tokens.append(_ReferenceToken("eof", "", len(text)))
-    return _merge_literals(tokens)
+    tokens = _merge_literals(tokens)
+    return _merge_runs(tokens, text) if runs else tokens
 
 
 def _whitespace_texts():
@@ -399,17 +435,38 @@ _LITERAL_SHAPES = (
 )
 
 
-def _literal_texts():
-    for shape in _LITERAL_SHAPES:
+# Shapes at the edges of the run rule: a '/' before or after a term, a sign
+# where no binary sign can stand, a sign before a term that is not a literal,
+# a zero denominator (which ends a run) and a numerator past the 4300-digit
+# limit (which does not), and a run on both sides of a comparison.  Only the lexer test and the
+# both-readers check read them, so the pinned digests below stay.
+_RUN_SHAPES = (
+    "x / 2 + e1", "e1 + e2 / 3", "e1 + 2*e2 / 3 + e4", "2 + e1", "0 - e1", "psi + e1", "-e1 + e2", "e1 - -e2",
+    "e1 + e2e3", "e1 + 2*e2x", "e1 + 1/0*e2", "e1 + " + "9" * 4301 + "*e2", "(e1 + e2) = e3 - e4",
+)
+
+
+def _apart(shapes):
+    """Each shape, then the same shape with every token apart by U+3000."""
+    for shape in shapes:
         yield shape
         yield "\u3000".join(re.findall(r"\w+|\S", shape))
 
 
-def test_lexer_matches_the_reference_lexer():
-    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts(), *_literal_texts()]
+@contextlib.contextmanager
+def _no_int_text_limit():
+    """The reference makes an int of every digit run; the lexer never does."""
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # the reference makes an int of every digit run; the lexer never does
+    sys.set_int_max_str_digits(0)
     try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_lexer_matches_the_reference_lexer():
+    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts(), *_apart(_LITERAL_SHAPES + _RUN_SHAPES)]
+    with _no_int_text_limit():
         for text in texts:
             want = _reference_lex(text)
             got = lang._lex(text)
@@ -418,16 +475,57 @@ def test_lexer_matches_the_reference_lexer():
             for tok, old in zip(got, want):
                 kind, lexeme, pos, mark, digits = tok[:5]
                 assert (kind, lexeme, pos) == (old.kind, old.text, old.pos), text
-                if kind == "literal":
+                if kind == "run":
+                    assert tok[3:] == (0, "", old.terms), text
+                elif kind == "literal":
                     assert tok[3:] == (0, lexeme, old.den, old.den_pos, old.index), text
                     assert int(digits) == old.value, text
                 elif kind in ("number", "basis"):
                     assert (mark, digits, int(digits)) == (0, lexeme.removeprefix("e"), old.value), text
                 else:
                     assert (mark, digits) == (old.value, ""), text
-                assert len(tok) == (8 if kind == "literal" else 5), text
-    finally:
-        sys.set_int_max_str_digits(limit)
+                assert len(tok) == {"literal": 8, "run": 6}.get(kind, 5), text
+
+
+def _lex_without_runs(text):
+    """``lang._lex``'s tokens as they were before runs: the reference tokens,
+    each signed term its sign and its own literal or basis token."""
+    with _no_int_text_limit():
+        tokens = _reference_lex(text, runs=False)
+    out = []
+    for tok in tokens[:-1]:
+        if tok.kind == "literal":
+            out.append(("literal", tok.text, tok.pos, 0, tok.text, tok.den, tok.den_pos, tok.index))
+        elif tok.kind in ("number", "basis"):
+            out.append((tok.kind, tok.text, tok.pos, 0, tok.text.removeprefix("e")))
+        else:
+            out.append((tok.kind, tok.text, tok.pos, tok.value, ""))
+    return out + [("eof", "", len(text), 0, "")] * lang._EOF_PADDING
+
+
+def _reader_outcomes(text):
+    """What ``parse_any`` (both modes) and ``parse_element`` give: a value or
+    the error's type, message and position."""
+    outcomes = []
+    for read in (lang.parse_any, functools.partial(lang.parse_any, strict_llog=True), lang.parse_element):
+        try:
+            outcomes.append(read(text))
+        except ValueError as err:  # ParseError, ElementError, or int text past the digit limit
+            outcomes.append((type(err).__name__, str(err), getattr(err, "position", None)))
+    return outcomes
+
+
+def test_runs_change_no_outcome_of_either_reader(monkeypatch):
+    # A run is read as its terms would be one by one: the same tree, the same
+    # element, and each error of either reader at the same place.
+    texts = [*_apart(_RUN_SHAPES), *_element_texts(), *_reference_texts(), *_whitespace_texts()]
+    assert sum(tok[0] == "run" for text in texts for tok in lang._lex(text)) > 400
+    got = [_reader_outcomes(text) for text in texts]
+    monkeypatch.setattr(lang, "_lex", _lex_without_runs)
+    assert [_reader_outcomes(text) for text in texts] == got
+    monkeypatch.undo()
+    with pytest.raises(ParseError, match=r"^unexpected '\+' at position 2 \(expected '\*'\)$"):
+        lang.parse_any("2 + e1")
 
 
 def test_only_lang_reads_tokens():
