@@ -162,6 +162,9 @@ class GammaElement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GammaElement is immutable")
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild an element through _make
+        return _make, (self._num, self._den)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._num == other._num and self._den == other._den

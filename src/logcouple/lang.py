@@ -15,20 +15,22 @@ the first token that their one reading rejects.  ``is_variable`` says
 whether a name is one variable token, so no other module reads tokens.
 
 The lexer is one compiled regex: each match skips leading whitespace and
-fills one numbered group, and ``_lex`` dispatches on that number.  A token
-is a plain tuple ``(kind, text, pos, mark, digits)``, read by index.  A
-coefficient literal ``n[/d]*e<k>`` is one ``literal`` token, but not after
-a '/', where its digits are a divisor (``x / 2*e1`` fails at the '*').  A
-run of signed terms ``(+|-) [n[/d]*]e<k>`` is one ``run`` token at its
-first sign that holds each term's sign and digits.  It is lexed only where
-a binary sign can stand, after a token that ends in a letter, digit, '_'
-or ')'.  A term that a '/' follows is left out of it, as the division binds
-tighter than the sign (``e1 + e2 / 3`` is ``e1 + (e2 / 3)``), and so is a
-term with a zero denominator, which its literal token reports.  When
+fills one numbered group, and ``_lex`` dispatches on that number.  Tokens
+are plain tuples read by index; the ``_Tok`` comment gives their fields.
+A literal ``[n[/d]*]e<k>`` is one ``literal`` token, ``e<k>`` alone too,
+so every literal reaches its element through one reader.  After a '/'
+digits are a divisor, so there a literal takes no coefficient:
+``x / 2*e1`` fails at the '*', ``x / e1`` at the ``e1``.  A run of signed
+terms ``(+|-) [n[/d]*]e<k>`` is one ``run`` token at its first sign, which
+the parser adds term by term with no token per sign.  It is lexed only
+where a binary sign can stand, after a token that ends in a letter, digit,
+'_' or ')'.  A term that a '/' follows is left out of it, as the division
+binds tighter than the sign (``e1 + e2 / 3`` is ``e1 + (e2 / 3)``), and so
+is a term with a zero denominator, which its literal token reports.  When
 ``= < ! & |`` shows a '(' to open a grouped formula, ``_lex`` replaces its
-entry with one whose mark is 1.  Digits stay text, so a number too long
-for ``int`` is an error only where the parser reaches it, after any error
-to its left.  The token list ends in ``_EOF_PADDING`` eof tokens, so the
+entry with a marked one.  Digits stay text, so a number too long for
+``int`` is an error only where the parser reaches it, after any error to
+its left.  The token list ends in ``_EOF_PADDING`` eof tokens, so the
 parser reads ``self.tokens[self.i]`` and looks ahead by plain indexing.
 
 ``int`` is a flagged extension: accepted by default, rejected when the
@@ -175,26 +177,27 @@ class EvalError(ValueError):
 # --- lexer ------------------------------------------------------------------
 
 # One match per token: leading whitespace, then one numbered group.  The
-# lookbehinds of a run and of a literal see the last character of the token
-# before (see the module docstring).  The empty ``\Z`` alternative matches
-# only at the end, with no group, so trailing whitespace ends the scan in one
-# match instead of one failed match per character.
+# lookbehinds of a run and of a literal's coefficient see the last character
+# of the token before (see the module docstring).  A literal's lookahead
+# takes its text, and every other token fails it there at once.  The empty
+# ``\Z`` alternative matches only at the end, with no group, so trailing
+# whitespace ends the scan in one match instead of one failed match per
+# character.
 _TOKEN_RE = re.compile(
     r"""(?<=[0-9A-Za-z_)])\s*(?=[+\-])((?:\s*[+\-]\s*(?:[0-9]+\s*(?:/\s*0*[1-9][0-9]*\s*)?\*\s*)?e[0-9]+(?![A-Za-z0-9_])(?!\s*/))+)
                                             # 1 run of signed terms
-      | (?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*e([0-9]+)(?![A-Za-z0-9_])
-                                            # 2 numerator, 3 denominator, 4 index of a literal
+      | (?=\s*([0-9]+|e[0-9]+))(?:(?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*)?\s*e([0-9]+)(?![A-Za-z0-9_])
+                                            # 2 text (n, or e<k> without n), 3 n, 4 d, 5 k of a literal
       | \s*(?:
-        ([()+\-*/!&|=<])                    # 5 symbol
-      | ([0-9]+)                            # 6 number
-      | (e([0-9]+))(?![A-Za-z0-9_])         # 7 basis vector, 8 its index digits
-      | ([A-Za-z_][A-Za-z0-9_]*)            # 9 name
-      | (\S)                                # 10 any other character
+        ([()+\-*/!&|=<])                    # 6 symbol
+      | ([0-9]+)                            # 7 number
+      | ([A-Za-z_][A-Za-z0-9_]*)            # 8 name
+      | (\S)                                # 9 any other character
       | \Z
     )""",
     re.VERBOSE,
 )
-_RUN, _LITERAL, _SYMBOL, _NUMBER, _BASIS, _NAME = 1, 4, 5, 6, 7, 9
+_RUN, _LITERAL, _SYMBOL, _NUMBER, _NAME = 1, 5, 6, 7, 8
 # One term of a run: its sign, numerator, denominator and index digits.
 _RUN_TERM_RE = re.compile(r"\s*([+\-])\s*(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*)?e([0-9]+)")
 
@@ -205,16 +208,16 @@ _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys
 # so it indexes the list without a bounds check.
 _EOF_PADDING = 3
 
-# kind: run literal number basis var func inf quant char deep ( ) + - * / ! & | = < eof
-# Each token is (kind, text, pos, mark, digits).  A literal ``n[/d]*e<k>``
-# has these five fields as n's number token would, kind aside, so an error
-# at it is reported at n; then (den, den_pos, index): d's digits and
-# position (None and -1 without a '/d') and k's digits.  A run, lexed after
-# a token ending in [0-9A-Za-z_)] and ended before a term that a '/' divides
-# or whose d is zero, has them as its first sign's token would, so an error
-# at it is reported at that sign; then a list of (sign, n, d, k) digit
-# strings per term, '' for an absent n or d.
-_Tok = Tuple[Union[str, int, None], ...]
+# A token is a tuple (kind, text, pos, mark), read by index:
+#   kind  run literal number var func inf quant char deep ( ) + - * / ! & | = < eof
+#   text  its characters: a run's first sign, a literal's n or, without n, e<k>
+#   pos   the position of text, where an error at the token is reported
+#   mark  1 on a '(' that opens a grouped formula, else 0
+# A literal has four more fields (n, d, d_pos, k): the digits of n ('' for a
+# lone e<k>), the digits of d and their position (None and -1 without a
+# '/d'), and the digits of k.  A run has one more field: a list of
+# (sign, n, d, k) digit strings per term, '' for an absent n or d.
+_Tok = Tuple[Union[str, int, None, list], ...]
 
 
 def _lex(text: str) -> List[_Tok]:
@@ -237,34 +240,30 @@ def _lex(text: str) -> List[_Tok]:
         which = m.lastindex
         if which == _RUN:
             run = m[1]
-            append(("run", run[0], m.start(1), 0, "", _RUN_TERM_RE.findall(run)))
+            append(("run", run[0], m.start(1), 0, _RUN_TERM_RE.findall(run)))
         elif which == _LITERAL:
-            lexeme = m[2]
-            append(("literal", lexeme, m.start(2), 0, lexeme, m[3], m.start(3), m[4]))
+            append(("literal", m[2], m.start(2), 0, m[3] or "", m[4], m.start(4), m[5]))
         elif which == _SYMBOL:
-            lexeme = m[5]
+            lexeme = m[6]
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
                 group = opened.pop()
                 if tokens[group][3] and opened and opened[-1] == group - 1:
-                    tokens[group - 1] = tokens[group - 1][:3] + (1, "")
+                    tokens[group - 1] = tokens[group - 1][:3] + (1,)
             elif lexeme in "=<!&|" and opened:
-                tokens[opened[-1]] = tokens[opened[-1]][:3] + (1, "")
-            append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0, ""))
+                tokens[opened[-1]] = tokens[opened[-1]][:3] + (1,)
+            append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0))
         elif which == _NUMBER:
-            lexeme = m[6]
-            append(("number", lexeme, m.start(6), 0, lexeme))
-        elif which == _BASIS:
-            append(("basis", m[7], m.start(7), 0, m[8]))
+            append(("number", m[7], m.start(7), 0))
         elif which == _NAME:
-            lexeme = m[9]
-            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(9), 0, ""))
+            lexeme = m[8]
+            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(8), 0))
         elif which is None:
             break
         else:
-            append(("char", m[10], m.end() - 1, 0, ""))
-    tokens += [("eof", "", len(text), 0, "")] * _EOF_PADDING
+            append(("char", m[9], m.end() - 1, 0))
+    tokens += [("eof", "", len(text), 0)] * _EOF_PADDING
     return tokens
 
 
@@ -307,7 +306,7 @@ class _Parser:
         while (tok := self.tokens[self.i])[0] in ("+", "-", "run"):
             self.i += 1
             if tok[0] == "run":  # each term as a sign token and its product
-                for sign, num, den, index in tok[5]:
+                for sign, num, den, index in tok[4]:
                     rhs = Literal(gamma._monomial(*_read_term(num, den, index)))
                     node = Add(node, Neg(rhs)) if sign == "-" else Add(node, rhs)
             else:
@@ -320,7 +319,7 @@ class _Parser:
         while self.tokens[self.i][0] == "/":
             self.i += 1
             tok = self.expect("number", frozenset({"positive integer divisor"}))
-            divisor = int(tok[4])
+            divisor = int(tok[1])
             if divisor < 1:
                 raise ParseError("divisor must be a positive integer", tok[2])
             node = Div(node, divisor)
@@ -351,9 +350,6 @@ class _Parser:
             return Literal(gamma._monomial(*term))
         if kind == "number":
             return self.bare_zero()
-        if kind == "basis":
-            self.i += 1
-            return Literal(gamma.unit(int(tok[4])))
         if kind == "inf":
             self.i += 1
             return Literal(INF)
@@ -381,9 +377,9 @@ class _Parser:
         """A number that starts no literal: a bare ``0``, or the error at the
         first token that keeps it from being ``n[/d]*e<k>``."""
         tokens, i = self.tokens, self.i
-        num = int(tokens[i][4])
+        num = int(tokens[i][1])
         if tokens[i + 1][0] == "/" and tokens[i + 2][0] == "number" and tokens[i + 3][0] == "*":
-            if int(tokens[i + 2][4]) == 0:
+            if int(tokens[i + 2][1]) == 0:
                 raise ParseError("zero denominator in coefficient", tokens[i + 2][2])
             self.fail(tokens[i + 4], frozenset({"'e<k>'"}))
         if tokens[i + 1][0] == "*":
@@ -485,14 +481,12 @@ def parse_element(text: str) -> ExtendedElement:
                 raise ElementError("zero denominator", tok[6] + len(tok[5]) - 1)
             index, num, den = term
             terms.append((index, sign * num, den))
-        elif kind == "basis":
-            terms.append((int(tok[4]), sign, 1))
         else:
             _term_error(tokens, i - 1)
         tok = tokens[i]
         i += 1
         if tok[0] == "run":
-            for run_sign, num, den, index in tok[5]:
+            for run_sign, num, den, index in tok[4]:
                 index, num, den = _read_term(num, den, index)
                 terms.append((index, -num if run_sign == "-" else num, den))
             tok = tokens[i]
@@ -505,8 +499,8 @@ def parse_element(text: str) -> ExtendedElement:
 
 
 def _term_error(tokens: List[_Tok], i: int) -> NoReturn:
-    """The ElementError of a term of element text that is neither a literal
-    nor a basis vector, at its first token that does not fit ``[n[/d]*]e<k>``."""
+    """The ElementError of a term of element text that is not a literal, at
+    its first token that does not fit ``[n[/d]*]e<k>``."""
     kind, lexeme, pos = tokens[i][:3]
     if kind == "number":
         int(lexeme)  # a coefficient too long for int text fails first

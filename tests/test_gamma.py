@@ -7,7 +7,9 @@ are cross-checked against ``perfbench/oracle.py``, which computes on
 """
 
 import ast
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from logcouple import gamma, harness, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
 from logcouple.lang import ElementError
+from logcouple.subspace import echelonize, growth_check
 
 
 def elt(*pairs):
@@ -106,6 +109,23 @@ def test_inf_hashes_and_compares_by_identity():
     assert {INF, INF} == {INF} and {INF: 1}[gamma.Infinity()] == 1
     assert INF != unit(0) and unit(0) != INF
     assert not INF == ZERO and not ZERO == INF
+
+
+def test_elements_and_the_reports_that_hold_them_copy_and_pickle():
+    # copy, deepcopy and pickle rebuild an element through _make, past the
+    # assignment that __setattr__ refuses; inf stays the one INF
+    space = echelonize([ones(2) - ones(3), ones(3) - ones(4)])
+    growth = growth_check(space, [ones(4)])
+    assert growth[1].counterexample is not None and growth[2].counterexample is not None
+    values = [
+        ZERO, INF, unit(3), elt((0, Fraction(-1, 2)), (4, 7)), space.image("s"), space.image("p"), *growth,
+        harness.make_witness(unit(2), 3), lang.parse_any("psi(x) + 1/2*e1 - e0 < inf"),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+            assert gamma.jsonable(twin) == gamma.jsonable(value)
+    assert pickle.loads(pickle.dumps(INF)) is INF and copy.deepcopy(INF) is INF
 
 
 # --- the int kernel against the oracle's dict-of-Fraction semantics ---------------

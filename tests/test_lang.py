@@ -11,7 +11,6 @@ import json
 import pickle
 import random
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -322,8 +321,9 @@ class _ReferenceToken:
     kind: str
     text: str
     pos: int
-    value: int = 0  # a number's or basis index's int; 1 on a '(' that opens a formula
-    den: str = None  # a literal's denominator digits, its position, and its index digits
+    mark: int = 0  # 1 on a '(' that opens a formula
+    num: str = None  # a literal's digits: n ('' for a lone e<k>), d and d's position, k
+    den: str = None
     den_pos: int = -1
     index: str = None
     end: int = -1  # one past the token's last character in the text
@@ -332,7 +332,8 @@ class _ReferenceToken:
 
 def _merge_literals(tokens):
     """Each ``number [/ number] * basis`` run as one literal token, unless the
-    token before it is '/'."""
+    token before it is '/', and each other basis vector, after a '/' too, as
+    the literal ``1*e<k>``."""
     merged = []
     i = 0
     while i < len(tokens):
@@ -343,9 +344,11 @@ def _merge_literals(tokens):
             den, den_pos = (tokens[i + 2].text, tokens[i + 2].pos) if size == 5 else (None, -1)
             basis = tokens[i + size - 1]
             index = basis.text.removeprefix("e")
-            tok = _ReferenceToken("literal", tok.text, tok.pos, tok.value, den, den_pos, index, basis.end)
+            tok = _ReferenceToken("literal", tok.text, tok.pos, 0, tok.text, den, den_pos, index, basis.end)
             i += size
         else:
+            if tok.kind == "basis":
+                tok = _ReferenceToken("literal", tok.text, tok.pos, 0, "", None, -1, tok.text[1:], tok.end)
             i += 1
         merged.append(tok)
     return merged
@@ -354,10 +357,10 @@ def _merge_literals(tokens):
 def _merge_runs(tokens, text):
     """Each maximal sequence of ``(+|-) term`` after a token that ends in
     ``[0-9A-Za-z_)]`` as one run token, where a term is a literal with a
-    nonzero denominator or a basis vector, and no '/' follows it."""
+    nonzero denominator, and no '/' follows it."""
 
     def is_term(tok):
-        return tok.kind == "basis" or tok.kind == "literal" and int(tok.den or 1) != 0
+        return tok.kind == "literal" and (tok.den or "1").strip("0") != ""
 
     merged = []
     i = 0
@@ -365,11 +368,8 @@ def _merge_runs(tokens, text):
         j, terms = i, []
         if merged and re.fullmatch(r"[0-9A-Za-z_)]", text[merged[-1].end - 1]):
             while tokens[j].kind in ("+", "-") and is_term(tokens[j + 1]) and tokens[j + 2].kind != "/":
-                sign, term = tokens[j].text, tokens[j + 1]
-                if term.kind == "literal":
-                    terms.append((sign, term.text, term.den or "", term.index))
-                else:
-                    terms.append((sign, "", "", term.text[1:]))
+                term = tokens[j + 1]
+                terms.append((tokens[j].text, term.num, term.den or "", term.index))
                 j += 2
         if terms:
             first = tokens[i]
@@ -383,9 +383,9 @@ def _merge_runs(tokens, text):
 
 def _reference_lex(text, runs=True):
     """The lexer before it skipped whitespace inside each match: named groups
-    dispatched by name, digits made ints on the spot, one eof token; then each
-    coefficient literal merged into one token, and then, with ``runs``, each
-    run of signed terms."""
+    dispatched by name, a basis vector a token of its own, one eof token; then
+    each literal merged into one token, and then, with ``runs``, each run of
+    signed terms."""
     tokens = []
     opened = []  # indices of the unclosed '(' tokens, innermost last
     for m in _REFERENCE_TOKEN_RE.finditer(text):
@@ -393,19 +393,17 @@ def _reference_lex(text, runs=True):
         if kind == "ws":
             continue
         lexeme, pos = m[0], m.start()
-        if kind in ("number", "basis"):
-            tokens.append(_ReferenceToken(kind, lexeme, pos, int(lexeme.lstrip("e")), end=m.end()))
-        elif kind == "name":
+        if kind == "name":
             tokens.append(_ReferenceToken(lang._NAME_KINDS.get(lexeme, "var"), lexeme, pos, end=m.end()))
         elif kind == "sym":
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
                 group = opened.pop()
-                if tokens[group].value and opened and opened[-1] == group - 1:
-                    tokens[group - 1].value = 1
+                if tokens[group].mark and opened and opened[-1] == group - 1:
+                    tokens[group - 1].mark = 1
             elif lexeme in "=<!&|" and opened:
-                tokens[opened[-1]].value = 1
+                tokens[opened[-1]].mark = 1
             tokens.append(_ReferenceToken("deep" if len(opened) > lang.MAX_NESTING else lexeme, lexeme, pos, end=m.end()))
         else:
             tokens.append(_ReferenceToken(kind, lexeme, pos, end=m.end()))
@@ -426,12 +424,14 @@ def _whitespace_texts():
 
 
 # Shapes at the edges of the literal rule, each also with every token apart:
-# whitespace inside a literal, a '/' before one, a zero denominator, an index
-# that runs into a name, a numerator past Python's 4300-digit limit on int
-# text.  Only the lexer test reads them, so the pinned digests below stay.
+# whitespace inside a literal, a '/' before one with a coefficient or without,
+# a zero denominator, an index that runs into a name, a numerator past
+# Python's 4300-digit limit on int text, trailing whitespace, an 'e' apart
+# from its digits.  Only the lexer test reads them, so the pinned digests
+# below stay.
 _LITERAL_SHAPES = (
     "3 / 4 * e12", "x / 2*e1", "0 / 0*e1", "1/0*e1", "2*e1x", "9" * 4301 + "*e1", "e01/2*e11", "2*3*e1",
-    "1/2/3*e1", "-1/3*e3 + 4*e0",
+    "1/2/3*e1", "-1/3*e3 + 4*e0", "x / e1", "x/ e1 + e2", "e1/2*e3", "psi(e0) / e1", "2 * e1 ", "e 3",
 )
 
 
@@ -453,54 +453,35 @@ def _apart(shapes):
         yield "\u3000".join(re.findall(r"\w+|\S", shape))
 
 
-@contextlib.contextmanager
-def _no_int_text_limit():
-    """The reference makes an int of every digit run; the lexer never does."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def test_lexer_matches_the_reference_lexer():
     texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts(), *_apart(_LITERAL_SHAPES + _RUN_SHAPES)]
-    with _no_int_text_limit():
-        for text in texts:
-            want = _reference_lex(text)
-            got = lang._lex(text)
-            assert len(got) == len(want) - 1 + lang._EOF_PADDING, text
-            assert all(tok == ("eof", "", len(text), 0, "") for tok in got[len(want) - 1 :]), text
-            for tok, old in zip(got, want):
-                kind, lexeme, pos, mark, digits = tok[:5]
-                assert (kind, lexeme, pos) == (old.kind, old.text, old.pos), text
-                if kind == "run":
-                    assert tok[3:] == (0, "", old.terms), text
-                elif kind == "literal":
-                    assert tok[3:] == (0, lexeme, old.den, old.den_pos, old.index), text
-                    assert int(digits) == old.value, text
-                elif kind in ("number", "basis"):
-                    assert (mark, digits, int(digits)) == (0, lexeme.removeprefix("e"), old.value), text
-                else:
-                    assert (mark, digits) == (old.value, ""), text
-                assert len(tok) == {"literal": 8, "run": 6}.get(kind, 5), text
+    for text in texts:
+        want = _reference_lex(text)
+        got = lang._lex(text)
+        assert len(got) == len(want) - 1 + lang._EOF_PADDING, text
+        assert all(tok == ("eof", "", len(text), 0) for tok in got[len(want) - 1 :]), text
+        for tok, old in zip(got, want):
+            kind = tok[0]
+            assert kind != "basis" and tok[:3] == (old.kind, old.text, old.pos), text
+            if kind == "run":
+                assert tok[3:] == (0, old.terms), text
+            elif kind == "literal":
+                assert tok[3:] == (0, old.num, old.den, old.den_pos, old.index), text
+            else:
+                assert tok[3:] == (old.mark,), text
+            assert len(tok) == {"literal": 8, "run": 5}.get(kind, 4), text
 
 
 def _lex_without_runs(text):
     """``lang._lex``'s tokens as they were before runs: the reference tokens,
-    each signed term its sign and its own literal or basis token."""
-    with _no_int_text_limit():
-        tokens = _reference_lex(text, runs=False)
+    each signed term its sign and its own literal token."""
     out = []
-    for tok in tokens[:-1]:
+    for tok in _reference_lex(text, runs=False)[:-1]:
         if tok.kind == "literal":
-            out.append(("literal", tok.text, tok.pos, 0, tok.text, tok.den, tok.den_pos, tok.index))
-        elif tok.kind in ("number", "basis"):
-            out.append((tok.kind, tok.text, tok.pos, 0, tok.text.removeprefix("e")))
+            out.append(("literal", tok.text, tok.pos, 0, tok.num, tok.den, tok.den_pos, tok.index))
         else:
-            out.append((tok.kind, tok.text, tok.pos, tok.value, ""))
-    return out + [("eof", "", len(text), 0, "")] * lang._EOF_PADDING
+            out.append((tok.kind, tok.text, tok.pos, tok.mark))
+    return out + [("eof", "", len(text), 0)] * lang._EOF_PADDING
 
 
 def _reader_outcomes(text):
@@ -777,8 +758,8 @@ def test_node_fields_cannot_be_assigned():
                 delattr(node, name)
         assert not hasattr(node, "__dict__")
         assert copy.copy(node) == node
-    # a tree without literals pickles (a literal's GammaElement does not)
-    node = formula("psi(x) / 2 = y | !(x < -y)")
+    # a tree with literals pickles: copy and pickle rebuild each GammaElement
+    node = formula("psi(x) / 2 = 1/2*e1 - e0 | !(x < inf) & 0 < e3")
     assert pickle.loads(pickle.dumps(node)) == node and copy.deepcopy(node) == node
 
 
