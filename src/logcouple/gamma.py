@@ -34,9 +34,10 @@ before it, that skips the whole shared prefix.
 it, formatting only the new terms of an element that extends the previous
 one, so along a chain of partial sums each term is formatted once.
 
-``Record`` is the one immutable record type of the package: the AST nodes
-of ``lang`` and the reports of ``harness`` and ``subspace`` list their
-fields in ``__slots__``.  ``jsonable`` writes any report as JSON.
+``Record`` is the one record type of the package, whose fields cannot be
+reassigned: the AST nodes of ``lang`` and the reports of ``harness`` and
+``subspace`` list their fields in ``__slots__``.  ``jsonable`` writes any
+report as JSON.
 """
 
 from __future__ import annotations
@@ -632,14 +633,16 @@ _set = object.__setattr__  # how Record.__init__ sets its slots past Record.__se
 
 
 class Record:
-    """An immutable record, equal to a record of its own class with equal fields.
+    """A record, equal to a record of its own class with equal fields.
 
     A class lists its fields once, in ``__slots__``, and is built from them
-    positionally; a wrong number of them is a TypeError.  ``==``, ``hash``,
-    ``repr`` (``Name(field=value, ...)``) and ``jsonable`` read the fields
-    in that order.  A class that checks or normalizes its fields does so in
-    its own ``__init__``, which then sets them with ``self._set_fields``
-    (one or two fields) or ``Record.__init__``.
+    positionally; a wrong number of them is a TypeError.  A field cannot be
+    reassigned, but a dict field (a report's witnesses, growth bundle or
+    counters) can change in place, and makes ``hash`` raise TypeError.
+    ``==``, ``hash``, ``repr`` (``Name(field=value, ...)``) and ``jsonable``
+    read the fields in that order.  A class that checks or normalizes its
+    fields does so in its own ``__init__``, which then sets them with
+    ``self._set_fields`` (one or two fields) or ``Record.__init__``.
     """
 
     __slots__ = ()

@@ -18,15 +18,15 @@ The lexer is one compiled regex: each match skips leading whitespace and
 fills one numbered group, and ``_lex`` dispatches on that number.  Tokens
 are plain tuples read by index; the ``_Tok`` comment gives their fields.
 A literal ``[n[/d]*]e<k>`` is one ``literal`` token, ``e<k>`` alone too,
-so every literal reaches its element through one reader.  After a '/'
-digits are a divisor, so there a literal takes no coefficient:
-``x / 2*e1`` fails at the '*', ``x / e1`` at the ``e1``.  A run of signed
-terms ``(+|-) [n[/d]*]e<k>`` is one ``run`` token at its first sign, which
-the parser adds term by term with no token per sign.  It is lexed only
-where a binary sign can stand, after a token that ends in a letter, digit,
-'_' or ')'.  A term that a '/' follows is left out of it, as the division
-binds tighter than the sign (``e1 + e2 / 3`` is ``e1 + (e2 / 3)``), and so
-is a term with a zero denominator, which its literal token reports.  When
+so every literal reaches its element through one reader.  A zero d ends
+no literal: ``1/0*e1`` stays number tokens, which each reader reports at
+the zero.  After a '/' digits are a divisor, so there a literal takes no
+coefficient: ``x / 2*e1`` fails at the '*', ``x / e1`` at the ``e1``.  A
+literal with its sign, ``(+|-) [n[/d]*]e<k>``, is one ``signed`` token at
+the sign, which the parser adds as a term with no token for the sign.  It
+is lexed only where a binary sign can stand, after a token that ends in a
+letter, digit, '_' or ')', and not when a '/' follows, as the division
+binds tighter than the sign (``e1 + e2 / 3`` is ``e1 + (e2 / 3)``).  When
 ``= < ! & |`` shows a '(' to open a grouped formula, ``_lex`` replaces its
 entry with a marked one.  Digits stay text, so a number too long for
 ``int`` is an error only where the parser reaches it, after any error to
@@ -177,29 +177,27 @@ class EvalError(ValueError):
 # --- lexer ------------------------------------------------------------------
 
 # One match per token: leading whitespace, then one numbered group.  The
-# lookbehinds of a run and of a literal's coefficient see the last character
-# of the token before (see the module docstring).  A literal's lookahead
-# takes its text, and every other token fails it there at once.  The empty
-# ``\Z`` alternative matches only at the end, with no group, so trailing
-# whitespace ends the scan in one match instead of one failed match per
-# character.
+# lookbehinds of a signed literal and of a literal's coefficient see the last
+# character of the token before (see the module docstring).  A literal's
+# lookahead takes its text, and every other token fails it there at once.
+# The empty ``\Z`` alternative matches only at the end, with no group, so
+# trailing whitespace ends the scan in one match instead of one failed match
+# per character.
 _TOKEN_RE = re.compile(
-    r"""(?<=[0-9A-Za-z_)])\s*(?=[+\-])((?:\s*[+\-]\s*(?:[0-9]+\s*(?:/\s*0*[1-9][0-9]*\s*)?\*\s*)?e[0-9]+(?![A-Za-z0-9_])(?!\s*/))+)
-                                            # 1 run of signed terms
-      | (?=\s*([0-9]+|e[0-9]+))(?:(?<!/)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*)?\s*e([0-9]+)(?![A-Za-z0-9_])
-                                            # 2 text (n, or e<k> without n), 3 n, 4 d, 5 k of a literal
+    r"""(?<=[0-9A-Za-z_)])\s*([+\-])\s*(?:([0-9]+)\s*(?:/\s*(0*[1-9][0-9]*)\s*)?\*\s*)?e([0-9]+)(?![A-Za-z0-9_])(?!\s*/)
+                                            # 1 sign, 2 n, 3 d, 4 k of a signed literal
+      | (?=\s*([0-9]+|e[0-9]+))(?:(?<!/)\s*([0-9]+)\s*(?:/\s*(0*[1-9][0-9]*)\s*)?\*)?\s*e([0-9]+)(?![A-Za-z0-9_])
+                                            # 5 text (n, or e<k> without n), 6 n, 7 d, 8 k of a literal
       | \s*(?:
-        ([()+\-*/!&|=<])                    # 6 symbol
-      | ([0-9]+)                            # 7 number
-      | ([A-Za-z_][A-Za-z0-9_]*)            # 8 name
-      | (\S)                                # 9 any other character
+        ([()+\-*/!&|=<])                    # 9 symbol
+      | ([0-9]+)                            # 10 number
+      | ([A-Za-z_][A-Za-z0-9_]*)            # 11 name
+      | (\S)                                # 12 any other character
       | \Z
     )""",
     re.VERBOSE,
 )
-_RUN, _LITERAL, _SYMBOL, _NUMBER, _NAME = 1, 5, 6, 7, 8
-# One term of a run: its sign, numerator, denominator and index digits.
-_RUN_TERM_RE = re.compile(r"\s*([+\-])\s*(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?\*\s*)?e([0-9]+)")
+_SIGNED, _LITERAL, _SYMBOL, _NUMBER, _NAME = 4, 8, 9, 10, 11
 
 _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys(_QUANTIFIERS, "quant")}
 
@@ -209,15 +207,13 @@ _NAME_KINDS = {"inf": "inf", **dict.fromkeys(FUNCTIONS, "func"), **dict.fromkeys
 _EOF_PADDING = 3
 
 # A token is a tuple (kind, text, pos, mark), read by index:
-#   kind  run literal number var func inf quant char deep ( ) + - * / ! & | = < eof
-#   text  its characters: a run's first sign, a literal's n or, without n, e<k>
+#   kind  signed literal number var func inf quant char deep ( ) + - * / ! & | = < eof
+#   text  its characters: a sign, a literal's n or, without n, e<k>
 #   pos   the position of text, where an error at the token is reported
 #   mark  1 on a '(' that opens a grouped formula, else 0
-# A literal has four more fields (n, d, d_pos, k): the digits of n ('' for a
-# lone e<k>), the digits of d and their position (None and -1 without a
-# '/d'), and the digits of k.  A run has one more field: a list of
-# (sign, n, d, k) digit strings per term, '' for an absent n or d.
-_Tok = Tuple[Union[str, int, None, list], ...]
+# A literal and a signed literal have three more fields (n, d, k): the
+# digit strings of n, d and k, with None for an absent n or d.
+_Tok = Tuple[Union[str, int, None], ...]
 
 
 def _lex(text: str) -> List[_Tok]:
@@ -238,13 +234,12 @@ def _lex(text: str) -> List[_Tok]:
     opened: List[int] = []  # indices of the unclosed '(' tokens, innermost last
     for m in _TOKEN_RE.finditer(text):
         which = m.lastindex
-        if which == _RUN:
-            run = m[1]
-            append(("run", run[0], m.start(1), 0, _RUN_TERM_RE.findall(run)))
+        if which == _SIGNED:
+            append(("signed", m[1], m.start(1), 0, m[2], m[3], m[4]))
         elif which == _LITERAL:
-            append(("literal", m[2], m.start(2), 0, m[3] or "", m[4], m.start(4), m[5]))
+            append(("literal", m[5], m.start(5), 0, m[6], m[7], m[8]))
         elif which == _SYMBOL:
-            lexeme = m[6]
+            lexeme = m[9]
             if lexeme == "(":
                 opened.append(len(tokens))
             elif lexeme == ")" and opened:
@@ -255,14 +250,14 @@ def _lex(text: str) -> List[_Tok]:
                 tokens[opened[-1]] = tokens[opened[-1]][:3] + (1,)
             append(("deep" if len(opened) > MAX_NESTING else lexeme, lexeme, m.end() - 1, 0))
         elif which == _NUMBER:
-            append(("number", m[7], m.start(7), 0))
+            append(("number", m[10], m.start(10), 0))
         elif which == _NAME:
-            lexeme = m[8]
-            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(8), 0))
+            lexeme = m[11]
+            append((_NAME_KINDS.get(lexeme, "var"), lexeme, m.start(11), 0))
         elif which is None:
             break
         else:
-            append(("char", m[9], m.end() - 1, 0))
+            append(("char", m[12], m.end() - 1, 0))
     tokens += [("eof", "", len(text), 0)] * _EOF_PADDING
     return tokens
 
@@ -303,15 +298,10 @@ class _Parser:
 
     def term(self) -> TermNode:
         node = self.product()
-        while (tok := self.tokens[self.i])[0] in ("+", "-", "run"):
+        while (tok := self.tokens[self.i])[0] in ("+", "-", "signed"):
             self.i += 1
-            if tok[0] == "run":  # each term as a sign token and its product
-                for sign, num, den, index in tok[4]:
-                    rhs = Literal(gamma._monomial(*_read_term(num, den, index)))
-                    node = Add(node, Neg(rhs)) if sign == "-" else Add(node, rhs)
-            else:
-                rhs = self.product()
-                node = Add(node, Neg(rhs)) if tok[0] == "-" else Add(node, rhs)
+            rhs = Literal(gamma._monomial(*_read_term(tok))) if tok[0] == "signed" else self.product()
+            node = Add(node, Neg(rhs)) if tok[1] == "-" else Add(node, rhs)
         return node
 
     def product(self) -> TermNode:
@@ -343,11 +333,8 @@ class _Parser:
         tok = self.tokens[self.i]
         kind = tok[0]
         if kind == "literal":
-            term = _read_term(tok[4], tok[5], tok[7])
-            if term is None:
-                raise ParseError("zero denominator in coefficient", tok[6])
             self.i += 1
-            return Literal(gamma._monomial(*term))
+            return Literal(gamma._monomial(*_read_term(tok)))
         if kind == "number":
             return self.bare_zero()
         if kind == "inf":
@@ -444,12 +431,12 @@ def parse_any(text: str, strict_llog: bool = False) -> Node:
     return node
 
 
-def _read_term(num: Optional[str], den: Optional[str], index: str) -> Optional[Tuple[int, int, int]]:
-    """``(k, n, d)`` of ``n/d*e<k>`` from its digits, n or d 1 where absent, or
-    None for a zero d; both readers convert n, d, k in this order."""
-    n = int(num) if num else 1
-    d = int(den) if den else 1
-    return (int(index), n, d) if d else None
+def _read_term(tok: _Tok) -> Tuple[int, int, int]:
+    """``(k, n, d)`` of the ``n/d*e<k>`` of a literal or signed token, n or d 1
+    where absent; both readers convert n, d, k in this order."""
+    n = int(tok[4]) if tok[4] else 1
+    d = int(tok[5]) if tok[5] else 1
+    return int(tok[6]), n, d
 
 
 def parse_element(text: str) -> ExtendedElement:
@@ -469,28 +456,19 @@ def parse_element(text: str) -> ExtendedElement:
     if kind == "+":
         raise ElementError("unexpected leading '+'", tok[2])
     terms: List[Tuple[int, int, int]] = []
-    while True:
-        sign = -1 if kind == "-" else 1
+    while True:  # kind is that of the term's first token: its sign, or else its literal
         if kind in ("+", "-"):
             tok = tokens[i]
-            kind = tok[0]
             i += 1
-        if kind == "literal":
-            term = _read_term(tok[4], tok[5], tok[7])
-            if term is None:
-                raise ElementError("zero denominator", tok[6] + len(tok[5]) - 1)
-            index, num, den = term
-            terms.append((index, sign * num, den))
-        else:
+        if tok[0] != "literal":
             _term_error(tokens, i - 1)
-        tok = tokens[i]
-        i += 1
-        if tok[0] == "run":
-            for run_sign, num, den, index in tok[4]:
-                index, num, den = _read_term(num, den, index)
-                terms.append((index, -num if run_sign == "-" else num, den))
-            tok = tokens[i]
+        index, num, den = _read_term(tok)
+        terms.append((index, -num if kind == "-" else num, den))
+        while (tok := tokens[i])[0] == "signed":
+            index, num, den = _read_term(tok)
+            terms.append((index, -num if tok[1] == "-" else num, den))
             i += 1
+        i += 1
         if tok[0] == "eof":
             return gamma._summed(terms)
         if tok[0] not in ("+", "-"):
@@ -600,7 +578,7 @@ def _lookup(node: Var, env: Env) -> ExtendedElement:
 def _sum(node: Add, env: Env) -> Generator:
     """A chain ``t0 + t1 + ... + tn``: walk its left spine with a loop, the
     operands from left to right, and add each value as the walk returns it;
-    a literal or negated literal, as a run parses to, needs no walk step."""
+    a literal or negated literal operand needs no walk step."""
     rights = []
     while type(node) is Add:
         rights.append(node.right)

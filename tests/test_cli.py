@@ -343,9 +343,9 @@ _FORMULAS = st.recursive(
 )
 
 
-# A run of 2-6 signed literals and basis vectors, which lex as one token: low
-# terms, or terms at the cap's edge, where s(psi(run)) and an epsilon run reach
-# it; a bare run may hold a zero denominator.
+# A run of 2-6 signed literals and basis vectors, which lex as one token per
+# term: low terms, or terms at the cap's edge, where s(psi(run)) and an epsilon
+# run reach it; a bare run may hold a zero denominator.
 def _runs(*terms):
     signed = st.tuples(st.sampled_from(["", "-"]), st.sampled_from(terms))
     return st.lists(signed, min_size=2, max_size=6).map(

@@ -565,6 +565,34 @@ def test_witness_count_cap():
         make_witness(unit(0), harness.MAX_WITNESS_COUNT + 1)
 
 
+_real_integrate, _real_unit = gamma.integrate, gamma.unit
+
+
+@pytest.mark.parametrize(
+    "name, broken, call, message",
+    [
+        ("integrate", lambda x: -_real_integrate(x), lambda: make_witness(unit(0), 3),
+         "witness bound failed its defining inequality"),
+        ("unit", lambda k: -_real_unit(k), partial(make_witness, unit(5) * Fraction(3, 4) - unit(9), 3),
+         "witness element -e7 escaped (previous, bound)"),
+        ("successor", lambda x: x, lambda: make_witness(unit(0), 3),
+         "alpha + 2(s(alpha)-alpha) failed to cap the enumeration"),
+        ("successor", lambda x: psi(0), lambda: echelonize([psi(2)]).image("s"),
+         "successor image witness failed at level 3: e0 + e1 + e2"),
+    ],
+    ids=["bound", "prefix", "ceiling", "s-image"],
+)
+def test_invariant_checks_raise_on_a_broken_gamma(monkeypatch, name, broken, call, message):
+    # make_witness and Subspace._walk check what they build; with one gamma
+    # function broken for the call (its arguments are built before), each
+    # check raises with its own message.
+    with monkeypatch.context() as patch:
+        patch.setattr(gamma, name, broken)
+        with pytest.raises(RuntimeError) as err:
+            call()
+    assert str(err.value) == message
+
+
 def test_witness_json_shape():
     payload = gamma.jsonable(make_witness(unit(0), 1))
     assert payload == {

@@ -322,70 +322,62 @@ class _ReferenceToken:
     text: str
     pos: int
     mark: int = 0  # 1 on a '(' that opens a formula
-    num: str = None  # a literal's digits: n ('' for a lone e<k>), d and d's position, k
+    num: str = None  # a literal's digits: n, d and k, None for an absent n or d
     den: str = None
-    den_pos: int = -1
     index: str = None
     end: int = -1  # one past the token's last character in the text
-    terms: list = None  # a run's (sign, numerator, denominator, index) digits per term
 
 
 def _merge_literals(tokens):
     """Each ``number [/ number] * basis`` run as one literal token, unless the
-    token before it is '/', and each other basis vector, after a '/' too, as
-    the literal ``1*e<k>``."""
+    token before it is '/' or its denominator is all zeros, and each other
+    basis vector, after a '/' too, as the literal ``1*e<k>``."""
     merged = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         kinds = [t.kind for t in tokens[i + 1 : i + 5]]
         size = 5 if kinds == ["/", "number", "*", "basis"] else 3 if kinds[:2] == ["*", "basis"] else 0
-        if tok.kind == "number" and size and not (merged and merged[-1].kind == "/"):
-            den, den_pos = (tokens[i + 2].text, tokens[i + 2].pos) if size == 5 else (None, -1)
+        den = tokens[i + 2].text if size == 5 else None
+        if tok.kind == "number" and size and not (merged and merged[-1].kind == "/") and (den or "1").strip("0"):
             basis = tokens[i + size - 1]
-            index = basis.text.removeprefix("e")
-            tok = _ReferenceToken("literal", tok.text, tok.pos, 0, tok.text, den, den_pos, index, basis.end)
+            tok = _ReferenceToken("literal", tok.text, tok.pos, 0, tok.text, den, basis.text[1:], basis.end)
             i += size
         else:
             if tok.kind == "basis":
-                tok = _ReferenceToken("literal", tok.text, tok.pos, 0, "", None, -1, tok.text[1:], tok.end)
+                tok = _ReferenceToken("literal", tok.text, tok.pos, 0, None, None, tok.text[1:], tok.end)
             i += 1
         merged.append(tok)
     return merged
 
 
-def _merge_runs(tokens, text):
-    """Each maximal sequence of ``(+|-) term`` after a token that ends in
-    ``[0-9A-Za-z_)]`` as one run token, where a term is a literal with a
-    nonzero denominator, and no '/' follows it."""
-
-    def is_term(tok):
-        return tok.kind == "literal" and (tok.den or "1").strip("0") != ""
-
+def _merge_signs(tokens, text):
+    """Each ``(+|-) literal`` after a token that ends in ``[0-9A-Za-z_)]`` as
+    one signed token, where no '/' follows the literal."""
     merged = []
     i = 0
     while i < len(tokens):
-        j, terms = i, []
-        if merged and re.fullmatch(r"[0-9A-Za-z_)]", text[merged[-1].end - 1]):
-            while tokens[j].kind in ("+", "-") and is_term(tokens[j + 1]) and tokens[j + 2].kind != "/":
-                term = tokens[j + 1]
-                terms.append((tokens[j].text, term.num, term.den or "", term.index))
-                j += 2
-        if terms:
-            first = tokens[i]
-            merged.append(_ReferenceToken("run", first.text, first.pos, end=tokens[j - 1].end, terms=terms))
-            i = j
-        else:
-            merged.append(tokens[i])
+        tok = tokens[i]
+        if (
+            merged
+            and re.fullmatch(r"[0-9A-Za-z_)]", text[merged[-1].end - 1])
+            and tok.kind in ("+", "-")
+            and tokens[i + 1].kind == "literal"
+            and tokens[i + 2].kind != "/"
+        ):
+            term = tokens[i + 1]
+            tok = _ReferenceToken("signed", tok.text, tok.pos, 0, term.num, term.den, term.index, term.end)
             i += 1
+        merged.append(tok)
+        i += 1
     return merged
 
 
-def _reference_lex(text, runs=True):
+def _reference_lex(text, signs=True):
     """The lexer before it skipped whitespace inside each match: named groups
     dispatched by name, a basis vector a token of its own, one eof token; then
-    each literal merged into one token, and then, with ``runs``, each run of
-    signed terms."""
+    each literal merged into one token, and then, with ``signs``, each sign
+    with the literal after it."""
     tokens = []
     opened = []  # indices of the unclosed '(' tokens, innermost last
     for m in _REFERENCE_TOKEN_RE.finditer(text):
@@ -409,7 +401,7 @@ def _reference_lex(text, runs=True):
             tokens.append(_ReferenceToken(kind, lexeme, pos, end=m.end()))
     tokens.append(_ReferenceToken("eof", "", len(text)))
     tokens = _merge_literals(tokens)
-    return _merge_runs(tokens, text) if runs else tokens
+    return _merge_signs(tokens, text) if signs else tokens
 
 
 def _whitespace_texts():
@@ -425,22 +417,24 @@ def _whitespace_texts():
 
 # Shapes at the edges of the literal rule, each also with every token apart:
 # whitespace inside a literal, a '/' before one with a coefficient or without,
-# a zero denominator, an index that runs into a name, a numerator past
-# Python's 4300-digit limit on int text, trailing whitespace, an 'e' apart
-# from its digits.  Only the lexer test reads them, so the pinned digests
-# below stay.
+# a zero denominator of one digit or more, an index that runs into a name, a
+# numerator past Python's 4300-digit limit on int text, trailing whitespace,
+# an 'e' apart from its digits.  Only the lexer test reads them, so the pinned
+# digests below stay.
 _LITERAL_SHAPES = (
     "3 / 4 * e12", "x / 2*e1", "0 / 0*e1", "1/0*e1", "2*e1x", "9" * 4301 + "*e1", "e01/2*e11", "2*3*e1",
     "1/2/3*e1", "-1/3*e3 + 4*e0", "x / e1", "x/ e1 + e2", "e1/2*e3", "psi(e0) / e1", "2 * e1 ", "e 3",
+    "1/00*e1", "e1 - 0/00*e2", "e1 + 2 / 0 * e3",
 )
 
 
-# Shapes at the edges of the run rule: a '/' before or after a term, a sign
-# where no binary sign can stand, a sign before a term that is not a literal,
-# a zero denominator (which ends a run) and a numerator past the 4300-digit
-# limit (which does not), and a run on both sides of a comparison.  Only the lexer test and the
-# both-readers check read them, so the pinned digests below stay.
-_RUN_SHAPES = (
+# Shapes at the edges of the signed-literal rule: a '/' before or after a
+# literal, a sign where no binary sign can stand, a sign before a term that is
+# not a literal, a zero denominator (which keeps the sign apart) and a
+# numerator past the 4300-digit limit (which does not), and signed literals on
+# both sides of a comparison.  Only the lexer test and the both-readers check
+# read them, so the pinned digests below stay.
+_SIGNED_SHAPES = (
     "x / 2 + e1", "e1 + e2 / 3", "e1 + 2*e2 / 3 + e4", "2 + e1", "0 - e1", "psi + e1", "-e1 + e2", "e1 - -e2",
     "e1 + e2e3", "e1 + 2*e2x", "e1 + 1/0*e2", "e1 + " + "9" * 4301 + "*e2", "(e1 + e2) = e3 - e4",
 )
@@ -454,7 +448,7 @@ def _apart(shapes):
 
 
 def test_lexer_matches_the_reference_lexer():
-    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts(), *_apart(_LITERAL_SHAPES + _RUN_SHAPES)]
+    texts = [*_reference_texts(), *_deep_paren_texts(), *_whitespace_texts(), *_apart(_LITERAL_SHAPES + _SIGNED_SHAPES)]
     for text in texts:
         want = _reference_lex(text)
         got = lang._lex(text)
@@ -462,23 +456,21 @@ def test_lexer_matches_the_reference_lexer():
         assert all(tok == ("eof", "", len(text), 0) for tok in got[len(want) - 1 :]), text
         for tok, old in zip(got, want):
             kind = tok[0]
-            assert kind != "basis" and tok[:3] == (old.kind, old.text, old.pos), text
-            if kind == "run":
-                assert tok[3:] == (0, old.terms), text
-            elif kind == "literal":
-                assert tok[3:] == (0, old.num, old.den, old.den_pos, old.index), text
+            assert kind not in ("basis", "run") and tok[:3] == (old.kind, old.text, old.pos), text
+            if kind in ("literal", "signed"):
+                assert tok[3:] == (0, old.num, old.den, old.index), text
             else:
                 assert tok[3:] == (old.mark,), text
-            assert len(tok) == {"literal": 8, "run": 5}.get(kind, 4), text
+            assert len(tok) == (7 if kind in ("literal", "signed") else 4), text
 
 
-def _lex_without_runs(text):
-    """``lang._lex``'s tokens as they were before runs: the reference tokens,
-    each signed term its sign and its own literal token."""
+def _lex_unsigned(text):
+    """``lang._lex``'s tokens with each signed literal apart: the reference
+    tokens, each sign a token and its literal another."""
     out = []
-    for tok in _reference_lex(text, runs=False)[:-1]:
+    for tok in _reference_lex(text, signs=False)[:-1]:
         if tok.kind == "literal":
-            out.append(("literal", tok.text, tok.pos, 0, tok.num, tok.den, tok.den_pos, tok.index))
+            out.append(("literal", tok.text, tok.pos, 0, tok.num, tok.den, tok.index))
         else:
             out.append((tok.kind, tok.text, tok.pos, tok.mark))
     return out + [("eof", "", len(text), 0)] * lang._EOF_PADDING
@@ -496,13 +488,13 @@ def _reader_outcomes(text):
     return outcomes
 
 
-def test_runs_change_no_outcome_of_either_reader(monkeypatch):
-    # A run is read as its terms would be one by one: the same tree, the same
-    # element, and each error of either reader at the same place.
-    texts = [*_apart(_RUN_SHAPES), *_element_texts(), *_reference_texts(), *_whitespace_texts()]
-    assert sum(tok[0] == "run" for text in texts for tok in lang._lex(text)) > 400
+def test_signed_literals_change_no_outcome_of_either_reader(monkeypatch):
+    # A signed literal is read as its sign and its literal would be: the same
+    # tree, the same element, and each error of either reader at the same place.
+    texts = [*_apart(_SIGNED_SHAPES), *_element_texts(), *_reference_texts(), *_whitespace_texts()]
+    assert sum(tok[0] == "signed" for text in texts for tok in lang._lex(text)) > 400
     got = [_reader_outcomes(text) for text in texts]
-    monkeypatch.setattr(lang, "_lex", _lex_without_runs)
+    monkeypatch.setattr(lang, "_lex", _lex_unsigned)
     assert [_reader_outcomes(text) for text in texts] == got
     monkeypatch.undo()
     with pytest.raises(ParseError, match=r"^unexpected '\+' at position 2 \(expected '\*'\)$"):
@@ -617,6 +609,16 @@ def test_error_positions():
     with pytest.raises(ParseError) as err:
         term("x + ?")
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize("text, at_start, at_last_digit", [("1/00*e1", 2, 3), ("e0 + 1/00*e1", 7, 8)])
+def test_zero_denominator_errors_point_at_the_digits(text, at_start, at_last_digit):
+    # A zero denominator of any length lexes as a number: parse_any reports
+    # its first digit, parse_element its last.
+    with pytest.raises(ParseError, match=rf"^zero denominator in coefficient at position {at_start}$"):
+        lang.parse_any(text)
+    with pytest.raises(lang.ElementError, match=rf"^zero denominator \(at position {at_last_digit}\)$"):
+        lang.parse_element(text)
 
 
 def test_error_reports_expected_tokens():
