@@ -115,9 +115,9 @@ class GammaElement:
     ``Fraction(n, _den)``, which ``coords`` builds on each access.  The
     form is canonical, so ``==`` and the hash compare tuples.
     ``__init__`` establishes it from any input with ``_summed``, as
-    ``lang.parse_element`` builds its terms; the private ``_make`` stores a
-    form that already satisfies it without checking, and is used only by
-    the operations here that preserve it.
+    ``lang.parse_element`` does for terms out of index order; the private
+    ``_make`` stores a form that already satisfies it without checking, and
+    is used only by the operations here that preserve it.
     """
 
     __slots__ = ("_num", "_den", "_hash")

@@ -23,6 +23,7 @@ constructor of small discrete witness sets below a prescribed epsilon.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -815,9 +816,13 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
     Takes alpha to be the psi-set member one level past epsilon's
     leading index, which makes ``-2*integrate(alpha) = 2*e(level+1)``
     smaller than epsilon; the enumerated elements are partial sums of
-    unit vectors past alpha's level.  Every invariant (positivity,
-    monotonicity with positive gaps, the bound, and the bound sitting
-    below epsilon) is checked before returning.
+    unit vectors past alpha's level, slices of one term tuple.  Every
+    invariant is checked in a fixed number of comparisons: the bound by
+    ``0 < bound < epsilon``, and the chain by its shape.  The first element
+    is one positive term over denominator 1 and each later one adds a
+    positive unit term past the one before, so the chain increases, and
+    ``prefix[-1] < bound`` and ``alpha + prefix[-1]`` below the ceiling
+    cover every element.
     """
     if not isinstance(epsilon, GammaElement):
         raise gamma.DomainError("epsilon must be a group element, not inf")
@@ -832,17 +837,14 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
     bound = gamma.integrate(alpha) * -2
     if not (ZERO < bound < epsilon):
         raise RuntimeError("witness bound failed its defining inequality")
-    prefix: List[GammaElement] = []
-    acc = ZERO
-    for index in range(level + 1, level + count + 1):
-        acc = acc + gamma.unit(index)
-        prefix.append(acc)
-    previous = ZERO
+    first = gamma.unit(level + 1)
+    terms = first._num + tuple((i, 1) for i in range(level + 2, level + count + 1))
+    prefix = [gamma._make(terms[:j]) for j in range(1, count + 1)]
+    shaped = first._den == 1 and [i for i, _ in first._num] == [level + 1] and ZERO < first
+    if not (shaped and prefix[-1] < bound):  # the chain increases, so bisection finds its first escape
+        x = prefix[bisect_left(prefix, bound)] if shaped else first
+        raise RuntimeError(f"witness element {x!r} escaped (previous, bound)")
     ceiling = alpha + (gamma.successor(alpha) - alpha) * 2
-    for x in prefix:
-        if not (previous < x < bound):
-            raise RuntimeError(f"witness element {x!r} escaped (previous, bound)")
-        if not ceiling > alpha + x:
-            raise RuntimeError("alpha + 2(s(alpha)-alpha) failed to cap the enumeration")
-        previous = x
+    if not ceiling > alpha + prefix[-1]:
+        raise RuntimeError("alpha + 2(s(alpha)-alpha) failed to cap the enumeration")
     return WitnessReport(epsilon, level, alpha, bound, tuple(prefix))

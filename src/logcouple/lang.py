@@ -469,8 +469,13 @@ def parse_element(text: str) -> ExtendedElement:
             terms.append((index, -num if tok[1] == "-" else num, den))
             i += 1
         i += 1
-        if tok[0] == "eof":
-            return gamma._summed(terms)
+        if tok[0] == "eof":  # terms as element text writes them, nonzero and increasing, need no sort
+            last = -1
+            for index, num, _ in terms:
+                if index <= last or not num:
+                    return gamma._summed(terms)
+                last = index
+            return gamma._from_terms(terms)
         if tok[0] not in ("+", "-"):
             raise ElementError("expected '+' or '-' between terms", tok[2])
         kind = tok[0]

@@ -139,17 +139,19 @@ class Subspace:
 
 
 def _reduce(rows: Dict[int, GammaElement], x: GammaElement) -> GammaElement:
-    """``x`` minus ``x_i * rows[i]`` for each pivot ``i`` in the support of ``x``,
-    each ``x_i`` read off ``x`` once, before any subtraction.  That is exact: an
-    RREF row is 0 at every other pivot, so no subtraction changes ``x`` there."""
+    """``x`` minus ``x_i * rows[i]`` for each pivot ``i`` in the support of ``x``, as one
+    ``gamma._summed`` of the terms of ``x`` and of every ``-x_i * rows[i]``.  That is exact:
+    an RREF row is 0 at every other pivot, so each ``x_i`` is read off ``x`` itself.  ``x``
+    is returned as it is when its support meets no pivot."""
     if not isinstance(x, GammaElement):
         raise TypeError(f"expected a group element, got {x!r}")
     den = x._den
+    terms = []
     for i, n in x._num:
         row = rows.get(i)
         if row is not None:
-            x = x - row._scaled(n, den)
-    return x
+            terms += [(j, -n * m, den * row._den) for j, m in row._num]
+    return gamma._summed([(i, n, den) for i, n in x._num] + terms) if terms else x
 
 
 def _extend(rows: Dict[int, GammaElement], generators: Iterable[GammaElement]) -> Subspace:

@@ -322,9 +322,8 @@ _SOUP = st.lists(st.tuples(_SOUP_TOKENS, st.sampled_from(["", " "])), max_size=3
 # Grammar-shaped text, which reaches the maps and the kernel past the parser:
 # psi(e10000) has 10001 terms, and e10001 is one level past MAX_LEVEL.  The
 # cap's edges also come as coefficient literals, which lex as one token.
-_ATOMS = st.sampled_from(["e0", "0", "inf", "x", "e3", "2*e1", "1/3*e2"]) | st.sampled_from(
-    ["e9999", "e10000", "e10001", "psi(e10000)", "2*e10000", "1/2*e10001", "psi(3*e10000)"]
-)
+_CAP_ATOMS = st.sampled_from(["e9999", "e10000", "e10001", "psi(e10000)", "2*e10000", "1/2*e10001", "psi(3*e10000)"])
+_ATOMS = st.sampled_from(["e0", "0", "inf", "x", "e3", "2*e1", "1/3*e2"]) | _CAP_ATOMS
 _TERMS = st.recursive(
     _ATOMS,
     lambda term: st.one_of(
@@ -356,18 +355,32 @@ def _runs(*terms):
 _CAP_RUNS = _runs("e10001", "2*e10000", "1/2*e10001")
 _RUNS = _runs("e0", "e3", "2*e1", "1/3*e2", "1/0*e3") | _runs("e10000", "e10001", "2*e10000", "1/2*e10001", "1/0*e3")
 _TEXTS = _SOUP | _TERMS | _FORMULAS | _RUNS | _CAP_RUNS.map("psi({})".format) | _CAP_RUNS.map("s(psi({}))".format)
+# One to three maps of a cap-edge atom.  About half of them take eval past
+# MAX_LEVEL, such as psi(e10001) and s(psi(e10000)); the rest stay at or under
+# it, such as s(psi(e9999)), which is psi(e10000).
+_CAP_TEXTS = st.tuples(st.sampled_from(["psi({})", "s(psi({}))", "s(s(psi({})))"]), _CAP_ATOMS).map(
+    lambda pair: pair[0].format(pair[1])
+)
 # Element text (--epsilon, --let) is an atom or a run as often as not, so that some of it reads.
 _ELEMENT_TEXTS = _ATOMS | _RUNS | _CAP_RUNS | _TEXTS
 
 
 @st.composite
 def text_commands(draw):
-    """argv of ``eval``, ``fmt`` or ``witness`` over a drawn text."""
+    """argv of ``eval``, ``fmt`` or ``witness`` over a drawn text.
+
+    Half of the ``eval`` and ``witness`` draws are at the edge of MAX_LEVEL: a
+    ``_CAP_TEXTS`` text, or a cap-edge epsilon such as e10000 with a valid count.
+    A boolean picks them, since ``st.one_of`` flattens nested branches and would
+    give ``_CAP_ATOMS | _ELEMENT_TEXTS`` one branch in a dozen.
+    """
     command = draw(st.sampled_from(["eval", "fmt", "witness"]))
+    edge = command != "fmt" and draw(st.booleans())
     if command == "witness":  # never a count of 1000, whose prefix prints about 500k terms
-        epsilon, count = draw(_ELEMENT_TEXTS), draw(st.sampled_from([-1, 0, 1, 3, 1001]))
+        epsilon = draw(_CAP_ATOMS if edge else _ELEMENT_TEXTS)
+        count = draw(st.sampled_from([1, 3] if edge else [-1, 0, 1, 3, 1001]))
         return ["witness", "--epsilon", epsilon, "--count", str(count)] + ["--json"] * draw(st.booleans())
-    argv = [command, draw(_TEXTS)] + ["--json"] * draw(st.booleans())
+    argv = [command, draw(_CAP_TEXTS if edge else _TEXTS)] + ["--json"] * draw(st.booleans())
     if command == "eval":
         argv += ["--let", "x=" + draw(_ELEMENT_TEXTS)] * draw(st.booleans())
         argv += ["--fail-on-false"] * draw(st.booleans())

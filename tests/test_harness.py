@@ -565,6 +565,54 @@ def test_witness_count_cap():
         make_witness(unit(0), harness.MAX_WITNESS_COUNT + 1)
 
 
+def _reference_witness(epsilon, count):
+    """make_witness by repeated ``+``, checking each element against the one
+    before it, the bound and the ceiling, as the per-element checks did."""
+    level = epsilon.coords[0][0] + 1
+    alpha = gamma.psi_element(level)
+    bound = gamma.integrate(alpha) * -2
+    assert ZERO < bound < epsilon
+    ceiling = alpha + (gamma.successor(alpha) - alpha) * 2
+    prefix, previous = [], ZERO
+    for index in range(level + 1, level + count + 1):
+        x = previous + unit(index)
+        assert previous < x < bound and ceiling > alpha + x
+        prefix.append(x)
+        previous = x
+    return harness.WitnessReport(epsilon, level, alpha, bound, tuple(prefix))
+
+
+@pytest.mark.parametrize("count", [1, 2, 300, harness.MAX_WITNESS_COUNT])
+@pytest.mark.parametrize(
+    "epsilon",
+    [
+        unit(0),
+        unit(1) * Fraction(3, 7),
+        unit(2) * Fraction(5, 2) - unit(9),
+        unit(3) / 3 + unit(4) * Fraction(2, 5),
+        unit(4) - unit(5) * Fraction(7, 3),
+        unit(5) * Fraction(9, 4) + unit(6) + unit(40) / 11,
+        unit(6) / 13,
+    ],
+    ids=repr,
+)
+def test_witness_matches_the_per_element_reference(epsilon, count):
+    assert make_witness(epsilon, count) == _reference_witness(epsilon, count)
+
+
+def test_witness_comparisons_do_not_grow_with_the_count(monkeypatch):
+    # Work bound in call counts: the chain's shape stands in for the per-element
+    # checks, which made three comparisons an element.
+    made, real_cmp = {}, GammaElement._cmp
+    for count in (1, harness.MAX_WITNESS_COUNT):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(GammaElement, "_cmp", lambda self, other: calls.append(1) or real_cmp(self, other))
+            make_witness(unit(0), count)
+        made[count] = len(calls)
+    assert made[1] == made[harness.MAX_WITNESS_COUNT] <= 8
+
+
 _real_integrate, _real_unit = gamma.integrate, gamma.unit
 
 

@@ -11,10 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logcouple import gamma, lang
+from logcouple import gamma, lang, subspace
 from logcouple.gamma import ZERO, GammaElement, unit
 from logcouple.subspace import echelonize, growth_check
 
@@ -185,6 +185,60 @@ def test_rref_and_reduce_match_dense_reference_on_ordered_spans(make, n, order):
         unit(top) - unit(n // 2) + unit(n - 1) / 5,
     ]
     _assert_matches_dense_reference(gens, probes)
+
+
+# Terms over pairwise coprime denominators, each its own, so that reduction sums
+# rows and probes over a denominator no one of them has.  Probes reach indices
+# 7-9, past every generator, so that some lie outside the span.
+_COPRIME = (1, 2, 3, 5, 7, 11, 13)
+
+
+def _coprime_lists(top):
+    term = st.tuples(st.integers(0, top), st.integers(-9, 9), st.sampled_from(_COPRIME))
+    element = st.builds(lambda terms: GammaElement((i, Fraction(n, d)) for i, n, d in terms), st.lists(term, max_size=4))
+    return st.lists(element, max_size=5)
+
+
+@given(_coprime_lists(6), _coprime_lists(9))
+@example([unit(0) / 2 + unit(3) / 3, unit(1) / 5 - unit(3) * Fraction(2, 7), unit(2) * Fraction(3, 11) + unit(4) / 13],
+         [unit(0) / 7 + unit(1) / 11 + unit(2) / 13 + unit(5) / 3, unit(3) * Fraction(5, 2)])
+def test_reduce_matches_dense_reference_on_coprime_denominators(gens, probes):
+    probes = probes + [ZERO]
+    _assert_matches_dense_reference(gens, probes)
+    space = echelonize(gens)
+    for x in gens + probes:
+        residue = space.reduce(x)
+        assert residue == GammaElement(residue.coords)  # canonical: numerators and denominator coprime
+
+
+def test_reduce_normalizes_once(monkeypatch):
+    # Work bound in call counts: each reduction, in echelonize or on a probe, is
+    # one gamma._summed and no gamma._merge (one per pivot hit before).
+    rng = random.Random(16)
+    rows = [unit(i) + unit(17 + i) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for i in range(16)]
+    gens = [rows[j] + sum((row * rng.randint(-3, 3) for row in rows[j + 1 :]), ZERO) for j in range(16)]
+    gens += [rows[0] - rows[15] * 2, rows[3] / 5 + rows[8]]
+    rng.shuffle(gens)
+    probe = sum(rows, ZERO) + unit(40)
+    calls, per_reduce = [], []
+    real_reduce = subspace._reduce
+
+    def reduce(table, x):
+        before = len(calls)
+        residue = real_reduce(table, x)
+        per_reduce.append(calls[before:])
+        return residue
+
+    monkeypatch.setattr(subspace, "_reduce", reduce)
+    for name in ("_summed", "_merge"):
+        real = getattr(gamma, name)
+        monkeypatch.setattr(gamma, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    space = echelonize(gens)
+    assert space.reduce(probe) == unit(40)
+    assert space.basis == tuple(rows)
+    assert len(per_reduce) == len(gens) + 1
+    assert all(hit in ([], ["_summed"]) for hit in per_reduce)
+    assert per_reduce.count(["_summed"]) > len(gens) // 2
 
 
 def test_member_builds_combinations():
