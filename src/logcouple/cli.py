@@ -7,9 +7,8 @@ given epsilon, and reformat an expression canonically.
 ``eval`` and ``fmt`` load only ``gamma`` and ``lang``: ``harness``,
 ``subspace`` and ``json`` load when a command first uses them.  A command
 line led by a subcommand's exact name goes straight to that subparser.
-``eval``, ``check``, ``subspace`` and ``witness`` print through ``_report``,
-the JSON of ``gamma.jsonable(payload)`` or the report's text; ``fmt --json``
-prints ``lang.to_json``'s tree.  ``lang.is_variable`` checks ``--let`` names.
+Every subcommand prints through ``_report``: its text, or its JSON from
+``_json_text``, the one JSON writer.  ``lang.is_variable`` checks ``--let`` names.
 
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
@@ -26,10 +25,11 @@ import functools
 import os
 import stat
 import sys
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import gamma, lang
-from .gamma import ExtendedElement, GammaElement, Infinity
+from .gamma import ExtendedElement, GammaElement, Infinity, Record
 
 # harness and subspace load on first use, as attributes of the package object
 # this module was imported with: a call-time ``from . import`` would look the
@@ -79,13 +79,14 @@ def load_generators(path: str) -> List[GammaElement]:
     return generators
 
 
-def _emit_json(payload: object) -> None:
-    """Print ``payload`` byte for byte as ``print(json.dumps(payload, indent=2))``.
+def _json_text(value: object) -> str:
+    """A report value as the bytes of ``json.dumps(..., indent=2)``: the one JSON writer.
 
-    With an indent, ``json.dumps`` runs its pure-Python encoder, at about three
-    times this writer's cost.  It takes what ``gamma.jsonable`` and ``lang.to_json``
-    produce (dicts with str keys, lists, str, int, bool, None) and raises TypeError
-    on anything else.  One frame per nesting level: too deep a tree raises RecursionError.
+    An element or ``inf`` is element text (a list or tuple of them goes through
+    ``format_elements``), a Fraction ``n/d`` text and a ``Record`` its fields in
+    ``__slots__`` order, less those that are None.  Dict keys are str or int (witness
+    levels).  Other keys and values raise TypeError, and too deep a value, one frame a
+    level, RecursionError.  ``json.dumps`` with an indent costs about three times as much.
     """
     from json.encoder import encode_basestring_ascii as quote  # TypeError on a non-str
     out: List[str] = []
@@ -93,14 +94,20 @@ def _emit_json(payload: object) -> None:
     def write(value: object, indent: str) -> None:
         if isinstance(value, str):
             out.append(quote(value))
+        elif isinstance(value, (GammaElement, Infinity)):
+            out.append(quote(gamma.format_element(value)))
+        elif isinstance(value, Record):
+            write({name: v for name in value.__slots__ if (v := getattr(value, name)) is not None}, indent)
         elif isinstance(value, dict):
             sep, inner = "{\n", indent + "  "
-            for key, item in value.items():
-                out.append(f"{sep}{inner}{quote(key)}: ")
+            for key, item in value.items():  # a level is an int key; a bool key is a TypeError
+                out.append(f"{sep}{inner}{quote(str(key) if type(key) is int else key)}: ")
                 write(item, inner)
                 sep = ",\n"
             out.append(f"\n{indent}}}" if value else "{}")
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
+            if all(isinstance(item, (GammaElement, Infinity)) for item in value):
+                value = gamma.format_elements(value)  # along a chain, each new term once
             sep, inner = "[\n", indent + "  "
             for item in value:
                 out.append(sep + inner)
@@ -111,19 +118,21 @@ def _emit_json(payload: object) -> None:
             out.append("null" if value is None else "true" if value else "false")
         elif isinstance(value, int):
             out.append(int.__repr__(value))
+        elif isinstance(value, Fraction):
+            out.append(quote(str(value)))
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    write(payload, "")
-    print("".join(out))
+    write(value, "")
+    return "".join(out)
 
 
 def _report(as_json: bool, payload: Callable[[], object], text: Callable[[], str]) -> None:
-    """Print ``payload()`` through ``gamma.jsonable`` as JSON, or ``text()``: only one is built."""
-    if as_json:
-        _emit_json(gamma.jsonable(payload()))
-    else:
-        print(text())
+    """Print ``payload()`` as JSON text, or ``text()``: only one is built."""
+    try:
+        print(_json_text(payload()) if as_json else text())
+    except RecursionError:  # only fmt's AST nests that deep
+        raise CliError("expression nested too deeply for JSON output") from None
 
 
 # --- report text ------------------------------------------------------------------
@@ -175,8 +184,12 @@ def _growth_text(report: subspace.GrowthReport) -> str:
     ]
     if report.counterexample is not None:
         lines.append("counterexample:")
-        for key, value in report.counterexample.items():
-            lines.append(f"  {key}: {gamma.jsonable(value)}")
+        for key, value in report.counterexample.items():  # printed as Python lists and dicts of text
+            if isinstance(value, dict):  # the witnesses, {level: element}
+                value = {str(level): gamma.format_element(x) for level, x in value.items()}
+            else:  # a basis or the new generators, a tuple of elements
+                value = gamma.format_elements(value)
+            lines.append(f"  {key}: {value}")
     return "\n".join(lines)
 
 
@@ -259,14 +272,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_fmt(args: argparse.Namespace) -> int:
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     formatted = lang.format_any(node)
-    if args.json:
-        kind = "formula" if isinstance(node, lang.FormulaNode) else "term"
-        try:
-            _emit_json({"kind": kind, "formatted": formatted, "ast": lang.to_json(node)})
-        except RecursionError:
-            raise CliError("expression nested too deeply for JSON output") from None
-    else:
-        print(formatted)
+    _report(args.json, lambda: {"kind": "formula" if isinstance(node, lang.FormulaNode) else "term",
+                                "formatted": formatted, "ast": lang.to_json(node)},
+            lambda: formatted)
     return EXIT_PASS
 
 

@@ -36,15 +36,15 @@ one, so along a chain of partial sums each term is formatted once.
 
 ``Record`` is the one record type of the package, whose fields cannot be
 reassigned: the AST nodes of ``lang`` and the reports of ``harness`` and
-``subspace`` list their fields in ``__slots__``.  ``jsonable`` writes any
-report as JSON.
+``subspace`` list their fields in ``__slots__``.  ``gamma`` holds no JSON
+rules: ``cli`` alone writes reports as JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -639,10 +639,10 @@ class Record:
     positionally; a wrong number of them is a TypeError.  A field cannot be
     reassigned, but a dict field (a report's witnesses, growth bundle or
     counters) can change in place, and makes ``hash`` raise TypeError.
-    ``==``, ``hash``, ``repr`` (``Name(field=value, ...)``) and ``jsonable``
-    read the fields in that order.  A class that checks or normalizes its
-    fields does so in its own ``__init__``, which then sets them with
-    ``self._set_fields`` (one or two fields) or ``Record.__init__``.
+    ``==``, ``hash``, ``repr`` (``Name(field=value, ...)``) and the JSON that
+    ``cli`` alone writes read the fields in that order.  A class that checks or
+    normalizes its fields does so in its own ``__init__``, which then sets them
+    with ``self._set_fields`` (one or two fields) or ``Record.__init__``.
     """
 
     __slots__ = ()
@@ -701,27 +701,3 @@ class Record:
 
     def __delattr__(self, name: str) -> NoReturn:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def jsonable(value: object) -> object:
-    """The JSON form of a report: the one serializer of every report type.
-
-    Elements become element text and Fractions ``n/d`` text.  A ``Record``
-    becomes a dict of its fields in ``__slots__`` order, leaving out fields
-    that are None.  Mappings become dicts with ``str`` keys, tuples and
-    lists become lists, and other values are kept as they are.
-    """
-    if isinstance(value, (GammaElement, Infinity)):
-        return format_element(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Record):
-        pairs = ((name, getattr(value, name)) for name in value.__slots__)
-        return {name: jsonable(v) for name, v in pairs if v is not None}
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if all(isinstance(v, (GammaElement, Infinity)) for v in value):
-            return format_elements(value)
-        return [jsonable(v) for v in value]
-    return value

@@ -45,12 +45,13 @@ check theirs.  ``lang`` loads only ``gamma`` and the standard modules it
 names.
 
 ``evaluate`` (value or truth), ``format_any`` (canonical text) and
-``to_json`` (nested dicts) take a term or a formula alike.  They share one
-walk that keeps its own stack, so a long sum or a long run of ``!`` is no
-deeper for them than a short one.  ``evaluate`` walks the left spine of a
-sum ``t0 + t1 + ... + tn`` with a loop, evaluates the operands from left
-to right, and adds each value into one ``gamma.Sum`` as the walk returns
-it, a literal or negated literal operand with no walk step.
+``to_json`` (nested dicts of text and ints, which ``cli`` alone writes as
+JSON) take a term or a formula alike.  They share one walk that keeps its
+own stack, so a long sum or a long run of ``!`` is no deeper for them than
+a short one.  ``evaluate`` walks the left spine of a sum ``t0 + ... + tn``
+with a loop, evaluates the operands from left to right, and adds each value
+into one ``gamma.Sum`` as the walk returns it, a literal or negated literal
+operand with no walk step.
 
 Grammar (terms):
 
@@ -694,12 +695,12 @@ def _json_step(node: Node, _: object) -> Generator:
     out: Dict[str, object] = {"node": _JSON_NAMES[type(node)]}
     for name in node.__slots__:
         value = getattr(node, name)
-        is_node = type(value) in _JSON_NAMES
-        out[name] = (yield value, None) if is_node else gamma.jsonable(value)
+        out[name] = (yield value, None) if type(value) in _JSON_NAMES else value  # a name, func or divisor
     return out
 
 
 _JSON = dict.fromkeys(_JSON_NAMES, _json_step)
+_JSON[Literal] = lambda node, _: {"node": "literal", "value": gamma.format_element(node.value)}
 
 
 def to_json(node: Node) -> Dict[str, object]:

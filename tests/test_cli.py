@@ -563,12 +563,15 @@ def test_long_witness_prints_every_prefix_element():
     assert len(prefix) == 1000 and prefix[-1].count("e") == 1000
 
 
-# Every value shape that gamma.jsonable and lang.to_json produce, with text
-# over all of Unicode (surrogates, quotes, backslashes and controls included).
+# Every plain value shape that reports and lang.to_json hold, with text over all
+# of Unicode (surrogates, quotes, backslashes and controls included).  Tuples are
+# written as lists and int keys as text, as json.dumps writes them.
 _TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "é", "\u2028", "😀"])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | _TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT | st.integers(), inner, max_size=4),
     max_leaves=24,
 )
 
@@ -577,17 +580,36 @@ _JSON_VALUES = st.recursive(
 @example({"": [], "a": {}, "b": [True, 1, False, 0, None, -7, 2**70], "c": [[], {}, [{}]]})
 @example([])
 @example({})
+@example({-2**70: (), "1": None, 1: [(None,)]})
 def test_json_writer_prints_what_json_dumps_prints(value):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        cli._emit_json(value)
-    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, (1,), {1: "a"}, {"a": {None: 1}}, [b"x"]], ids=repr)
+# Reports hold tuples and key witnesses by int level, so the writer takes both.
+@pytest.mark.parametrize("value", [(1,), {1: "a"}], ids=repr)
+def test_json_writer_takes_tuples_and_int_keys(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": {None: 1}}, [b"x"], {1, 2}, {True: 1}, [{"a": {False: 1}}]], ids=repr)
 def test_json_writer_rejects_what_reports_never_hold(value):
-    with pytest.raises(TypeError), redirect_stdout(io.StringIO()):
-        cli._emit_json(value)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_json_writer_rules():
+    class Report(gamma.Record):
+        __slots__ = ("level", "value", "ratio", "by_level", "note")
+
+    report = Report(3, (gamma.unit(0) + gamma.unit(2), gamma.INF), Fraction(3, 2), {1: gamma.ZERO, 0: True}, None)
+    want = {"level": 3, "value": ["e0 + e2", "inf"], "ratio": "3/2", "by_level": {"1": "0", "0": True}}
+    # fields in __slots__ order, less the None note; element lists through format_elements
+    assert cli._json_text(report) == json.dumps(want, indent=2)
+    assert cli._json_text(Fraction(4, 2)) == '"2"'
+    assert cli._json_text([gamma.unit(1), 3, (gamma.INF,)]) == json.dumps(["e1", 3, ["inf"]], indent=2)
+    assert cli._json_text(Report(None, None, None, None, None)) == "{}"
+    with pytest.raises(TypeError):
+        Report(3, None, None, None)
 
 
 # --- work bounded by documented caps ------------------------------------------------

@@ -4,7 +4,7 @@ Passing runs never show a failure's inputs or detail text, so the
 golden corpus of CLI outputs cannot catch a change to them.  Each case
 here runs one suite with a deliberately broken map (a ``gamma`` function
 replaced for the run; the suites look each map up per trial) and
-compares ``gamma.jsonable`` of the report with
+compares the report's ``--json`` form, from ``cli._json_text``, with
 ``tests/data/failure_golden.json``.  A map that makes a trial raise
 shows as ``trial_raised`` failures, and ``check`` exits 1 with a FAIL
 report.  After an intended change, rewrite the file with
@@ -121,7 +121,7 @@ def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> object:
     suite, seed, patches = CASES[name]
     for attr, fn in patches.items():
         monkeypatch.setattr(gamma, attr, fn)
-    return gamma.jsonable(harness.run_suite(suite, seed, TRIALS))
+    return json.loads(cli._json_text(harness.run_suite(suite, seed, TRIALS)))
 
 
 @functools.lru_cache(maxsize=None)

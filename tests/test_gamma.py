@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logcouple import gamma, harness, lang
+from logcouple import cli, gamma, harness, lang
 from logcouple.gamma import INF, ZERO, GammaElement, unit
 from logcouple.lang import ElementError
 from logcouple.subspace import echelonize, growth_check
@@ -124,7 +124,7 @@ def test_elements_and_the_reports_that_hold_them_copy_and_pickle():
     for value in values:
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
-            assert gamma.jsonable(twin) == gamma.jsonable(value)
+            assert cli._json_text(twin) == cli._json_text(value)
     assert pickle.loads(pickle.dumps(INF)) is INF and copy.deepcopy(INF) is INF
 
 
@@ -303,19 +303,39 @@ def test_operators_match_reference_functions(a, b, n, q):
     assert (a <= b, a >= b) == (cmp <= 0, cmp >= 0)
 
 
+def _names(tree):
+    """Each node of ``tree`` with the names it holds: attribute, identifier, definition, str constant."""
+    for node in ast.walk(tree):
+        names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        yield node, names
+
+
 def test_each_rule_has_one_owner():
     # Where inf sits and that it absorbs + are Infinity's rules: no GammaElement method
     # names Infinity, and Python's reflected operators hand it the work.  Reports hold
-    # values, which the renderers turn into text: subspace never names jsonable.
+    # values, which cli alone turns into text: subspace never formats an element, and
+    # no module but cli imports json.
     src = Path(gamma.__file__).parent
-    trees = {name: ast.parse((src / name).read_text(encoding="utf-8")) for name in ("gamma.py", "subspace.py")}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert {"cli.py", "gamma.py", "lang.py", "subspace.py", "harness.py"} <= set(trees)
     element = next(n for n in trees["gamma.py"].body if isinstance(n, ast.ClassDef) and n.name == "GammaElement")
-    for tree, where, banned in ((element, "GammaElement", "Infinity"), (trees["subspace.py"], "subspace.py", "jsonable")):
+    for node, names in _names(element):
+        assert "Infinity" not in names, f"GammaElement:{getattr(node, 'lineno', '?')} names Infinity"
+    for node, names in _names(trees["subspace.py"]):
+        banned = names & {"format_element", "format_elements"}
+        assert not banned, f"subspace.py:{getattr(node, 'lineno', '?')} names {banned}"
+    for name, tree in trees.items():
         for node in ast.walk(tree):
-            names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-            assert banned not in names, f"{where}:{getattr(node, 'lineno', '?')} names {banned}"
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            json = [m for m in modules if m.split(".")[0] == "json"]
+            assert name == "cli.py" or not json, f"{name}:{node.lineno} imports {json}"
 
 
 @given(elements, elements, elements)
@@ -736,23 +756,3 @@ def test_element_text_round_trip(a):
 
 def test_repr_is_text_format():
     assert "e0" in repr(unit(0))
-
-
-# --- JSON form of reports ---------------------------------------------------------
-
-
-def test_jsonable_rules():
-    class Report(gamma.Record):
-        __slots__ = ("level", "value", "ratio", "by_level", "note")
-
-    report = Report(3, (unit(0) + unit(2), INF), Fraction(3, 2), {1: ZERO, 0: True}, None)
-    assert gamma.jsonable(report) == {
-        "level": 3,
-        "value": ["e0 + e2", "inf"],
-        "ratio": "3/2",
-        "by_level": {"1": "0", "0": True},
-    }
-    assert list(gamma.jsonable(report)) == ["level", "value", "ratio", "by_level"]
-    with pytest.raises(TypeError):
-        Report(3, None, None, None)
-    assert gamma.jsonable(Fraction(4, 2)) == "2"

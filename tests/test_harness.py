@@ -65,7 +65,7 @@ def test_reports_are_byte_reproducible():
     second = run_suite("successor", 11, 150)
     assert first == second
     assert cli._suite_text(first) == cli._suite_text(second)
-    assert gamma.jsonable(first) == gamma.jsonable(second)
+    assert cli._json_text(first) == cli._json_text(second)
 
 
 def test_seed_changes_the_stream():
@@ -642,7 +642,7 @@ def test_invariant_checks_raise_on_a_broken_gamma(monkeypatch, name, broken, cal
 
 
 def test_witness_json_shape():
-    payload = gamma.jsonable(make_witness(unit(0), 1))
+    payload = json.loads(cli._json_text(make_witness(unit(0), 1)))
     assert payload == {
         "epsilon": "e0",
         "alpha_level": 1,
@@ -696,15 +696,32 @@ def _as_reference(value):
     return cls(*(_as_reference(getattr(value, f.name)) for f in dataclasses.fields(cls)))
 
 
+def _reference_text(x):
+    """Element text from the coordinates, one term at a time, with no formatter of gamma."""
+    if isinstance(x, Infinity):
+        return "inf"
+    terms = "".join(
+        (" - " if c < 0 else " + ") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"e{i}" for i, c in x.coords
+    )
+    return "0" if not terms else terms[3:] if terms[1] == "+" else "-" + terms[3:]
+
+
 def _reference_json(value):
-    """``gamma.jsonable``'s rule for a dataclass, as it read one: its fields in
-    declaration order, leaving out fields that are None."""
+    """The JSON form of a report, by rules of its own: a dataclass is its fields in
+    declaration order, leaving out fields that are None; an element is its text, a
+    Fraction ``str`` of it, a dict has ``str`` keys, and a tuple or list is a list."""
     if dataclasses.is_dataclass(value):
         pairs = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
         return {name: _reference_json(v) for name, v in pairs if v is not None}
-    if isinstance(value, tuple) and any(dataclasses.is_dataclass(v) for v in value):
+    if isinstance(value, (GammaElement, Infinity)):
+        return _reference_text(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): _reference_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
         return [_reference_json(v) for v in value]
-    return gamma.jsonable(value)
+    return value
 
 
 def _sample_reports():
@@ -733,11 +750,11 @@ def test_reports_match_the_reference_dataclasses():
     assert {r.counterexample is None for r in growth} == {True, False}
     # a bundle marks growth past the closed-subgroup bound, m + 1 for s and m otherwise
     past_closed_bound = [len(r.added_levels) > r.new_generator_count + (r.function == "s") for r in growth]
-    assert ["counterexample" in gamma.jsonable(r) for r in growth] == past_closed_bound
+    assert ["counterexample" in json.loads(cli._json_text(r)) for r in growth] == past_closed_bound
     refs, copy_refs = [_as_reference(r) for r in reports], [_as_reference(r) for r in copies]
     for report, ref in zip(reports, refs):
         assert repr(report) == repr(ref)
-        assert json.dumps(gamma.jsonable(report)) == json.dumps(_reference_json(ref))  # keys in order
+        assert cli._json_text(report) == json.dumps(_reference_json(ref), indent=2)  # keys in order
         try:
             want = hash(ref)
         except TypeError:

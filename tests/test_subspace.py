@@ -7,6 +7,7 @@ dense slice solver it replaced.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logcouple import gamma, lang, subspace
+from logcouple import cli, gamma, lang, subspace
 from logcouple.gamma import ZERO, GammaElement, unit
 from logcouple.subspace import echelonize, growth_check
 
@@ -561,7 +562,7 @@ def test_growth_past_the_closed_s_bound_on_stalled_chain_bases():
 
 
 def test_growth_report_json_shape():
-    payload = gamma.jsonable(growth_check(span("e0"), [unit(1)])[0])
+    payload = json.loads(cli._json_text(growth_check(span("e0"), [unit(1)])[0]))
     assert payload["passed"] is True
     assert payload["added_levels"] == [1]
     assert "counterexample" not in payload
