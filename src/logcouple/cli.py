@@ -8,7 +8,9 @@ given epsilon, and reformat an expression canonically.
 ``subspace`` and ``json`` load when a command first uses them.  A command
 line led by a subcommand's exact name goes straight to that subparser.
 Every subcommand prints through ``_report``: its text, or its JSON from
-``_json_text``, the one JSON writer.  ``lang.is_variable`` checks ``--let`` names.
+``_json_text``, the one JSON writer.  It writes reports and ``fmt``'s AST
+nodes as they are, a node as an object that starts with its
+``lang.NODE_NAMES`` name.  ``lang.is_variable`` checks ``--let`` names.
 
 Output is deterministic: identical command lines (seeds included)
 produce byte-identical stdout.  Exit codes: 0 = success / all checks
@@ -84,9 +86,10 @@ def _json_text(value: object) -> str:
 
     An element or ``inf`` is element text (a list or tuple of them goes through
     ``format_elements``), a Fraction ``n/d`` text and a ``Record`` its fields in
-    ``__slots__`` order, less those that are None.  Dict keys are str or int (witness
-    levels).  Other keys and values raise TypeError, and too deep a value, one frame a
-    level, RecursionError.  ``json.dumps`` with an indent costs about three times as much.
+    ``__slots__`` order, less those that are None.  An AST node's object starts with
+    ``"node": lang.NODE_NAMES[type(node)]``.  Dict keys are str or int (witness levels).
+    Other keys and values raise TypeError, and too deep a value, one frame a level,
+    RecursionError.  ``json.dumps`` with an indent costs about three times as much.
     """
     from json.encoder import encode_basestring_ascii as quote  # TypeError on a non-str
     out: List[str] = []
@@ -96,9 +99,10 @@ def _json_text(value: object) -> str:
             out.append(quote(value))
         elif isinstance(value, (GammaElement, Infinity)):
             out.append(quote(gamma.format_element(value)))
-        elif isinstance(value, Record):
-            write({name: v for name in value.__slots__ if (v := getattr(value, name)) is not None}, indent)
-        elif isinstance(value, dict):
+        elif isinstance(value, (Record, dict)):  # one loop, so one frame a level of the AST
+            if isinstance(value, Record):  # an AST node's name first; fields that are None left out
+                node = {"node": lang.NODE_NAMES[type(value)]} if type(value) in lang.NODE_NAMES else {}
+                value = node | {name: v for name in value.__slots__ if (v := getattr(value, name)) is not None}
             sep, inner = "{\n", indent + "  "
             for key, item in value.items():  # a level is an int key; a bool key is a TypeError
                 out.append(f"{sep}{inner}{quote(str(key) if type(key) is int else key)}: ")
@@ -207,6 +211,10 @@ def _witness_text(report: harness.WitnessReport) -> str:
 # --- subcommands ------------------------------------------------------------------
 
 
+def _expression_json(node: lang.Node, **fields: object) -> Dict[str, object]:
+    return {"kind": "formula" if isinstance(node, lang.FormulaNode) else "term", **fields}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     env: Dict[str, ExtendedElement] = {}
     for binding in args.let:
@@ -219,8 +227,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     value = lang.evaluate(node, env)
-    _report(args.json, lambda: {"kind": "formula" if isinstance(node, lang.FormulaNode) else "term",
-                                "input": lang.format_any(node), "result": value},
+    _report(args.json, lambda: _expression_json(node, input=lang.format_any(node), result=value),
             lambda: _result_text(value))
     if args.fail_on_false and value is False:
         return EXIT_FAIL
@@ -272,9 +279,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_fmt(args: argparse.Namespace) -> int:
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     formatted = lang.format_any(node)
-    _report(args.json, lambda: {"kind": "formula" if isinstance(node, lang.FormulaNode) else "term",
-                                "formatted": formatted, "ast": lang.to_json(node)},
-            lambda: formatted)
+    _report(args.json, lambda: _expression_json(node, formatted=formatted, ast=node), lambda: formatted)
     return EXIT_PASS
 
 

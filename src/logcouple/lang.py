@@ -44,14 +44,15 @@ The AST nodes are ``gamma.Record``s: each class lists its fields in
 check theirs.  ``lang`` loads only ``gamma`` and the standard modules it
 names.
 
-``evaluate`` (value or truth), ``format_any`` (canonical text) and
-``to_json`` (nested dicts of text and ints, which ``cli`` alone writes as
-JSON) take a term or a formula alike.  They share one walk that keeps its
-own stack, so a long sum or a long run of ``!`` is no deeper for them than
-a short one.  ``evaluate`` walks the left spine of a sum ``t0 + ... + tn``
-with a loop, evaluates the operands from left to right, and adds each value
-into one ``gamma.Sum`` as the walk returns it, a literal or negated literal
-operand with no walk step.
+``evaluate`` (value or truth) and ``format_any`` (canonical text) take a
+term or a formula alike.  They share one walk that keeps its own stack, so
+a long sum or a long run of ``!`` is no deeper for them than a short one.
+``NODE_NAMES`` names each node class; ``cli`` writes a node as a JSON
+object of that name under ``"node"``, then its fields.  ``evaluate`` walks
+the left spine of a sum ``t0 + ... + tn`` with a loop, evaluates the
+operands from left to right, and adds each value into one ``gamma.Sum`` as
+the walk returns it, a literal or negated literal operand with no walk
+step.
 
 Grammar (terms):
 
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import re
 from types import GeneratorType
-from typing import Callable, Dict, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
+from typing import Callable, FrozenSet, Generator, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from . import gamma
 from .gamma import INF, ZERO, ExtendedElement, Record
@@ -513,12 +514,12 @@ def is_variable(name: str) -> bool:
 
 # --- one walk for every job ---------------------------------------------------
 #
-# Evaluation, formatting and the JSON dump are tables from node type to a
-# step.  A leaf step is a plain function of (node, arg) that returns the
-# node's result.  An inner step is a generator: it yields (child, arg)
-# pairs, is sent each child's result, and returns its own; a step that
-# returns before yielding a child never visits it.  ``_walk`` keeps the
-# unfinished steps on a list, so no tree is too deep for it.
+# Evaluation and formatting are tables from node type to a step.  A leaf
+# step is a plain function of (node, arg) that returns the node's result.
+# An inner step is a generator: it yields (child, arg) pairs, is sent each
+# child's result, and returns its own; a step that returns before yielding
+# a child never visits it.  ``_walk`` keeps the unfinished steps on a list,
+# so no tree is too deep for it.
 
 
 def _walk(steps: Mapping[type, Callable], node: Node, arg: object) -> object:
@@ -686,23 +687,7 @@ def format_any(node: Node) -> str:
     return _walk(_FORMAT, node, None)[1]
 
 
-# --- JSON dump ----------------------------------------------------------------
+# --- node names ---------------------------------------------------------------
 
-_JSON_NAMES = {kind: kind.__name__.lower() for kind in _EVAL} | {Neg: "negate", Div: "divide"}
-
-
-def _json_step(node: Node, _: object) -> Generator:
-    out: Dict[str, object] = {"node": _JSON_NAMES[type(node)]}
-    for name in node.__slots__:
-        value = getattr(node, name)
-        out[name] = (yield value, None) if type(value) in _JSON_NAMES else value  # a name, func or divisor
-    return out
-
-
-_JSON = dict.fromkeys(_JSON_NAMES, _json_step)
-_JSON[Literal] = lambda node, _: {"node": "literal", "value": gamma.format_element(node.value)}
-
-
-def to_json(node: Node) -> Dict[str, object]:
-    """The tree as nested dicts: ``"node"`` names the kind, then the fields in order."""
-    return _walk(_JSON, node, None)
+# What ``cli`` writes under ``"node"`` for each class of the language.
+NODE_NAMES = {kind: kind.__name__.lower() for kind in _EVAL} | {Neg: "negate", Div: "divide"}

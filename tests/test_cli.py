@@ -535,8 +535,18 @@ def test_long_sum_evaluates():
 @pytest.mark.parametrize("text", [MANY_NOTS, LONG_SUM], ids=["not-chain", "long-sum"])
 def test_fmt_json_of_a_very_deep_tree_exits_2(text):
     rc, out, err = run_cli(["fmt", text, "--json"])
-    assert (rc, out) == (cli.EXIT_USAGE, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (rc, out, err) == (cli.EXIT_USAGE, "", "error: expression nested too deeply for JSON output\n")
+
+
+def test_fmt_json_of_an_800_deep_tree_prints():
+    # the writer spends one frame a level of the AST; at two, 800 levels overflow
+    rc, out, err = run_cli(["fmt", "!" * 800 + "x = y", "--json"])
+    assert (rc, err) == (cli.EXIT_PASS, "")
+    payload = json.loads(out)["ast"]
+    for _ in range(800):
+        assert payload["node"] == "not"
+        payload = payload["operand"]
+    assert payload["node"] == "eq" and out.count('"operand"') == 800
 
 
 def test_long_witness_prints_every_prefix_element():
@@ -563,7 +573,7 @@ def test_long_witness_prints_every_prefix_element():
     assert len(prefix) == 1000 and prefix[-1].count("e") == 1000
 
 
-# Every plain value shape that reports and lang.to_json hold, with text over all
+# Every plain value shape that reports and AST nodes hold, with text over all
 # of Unicode (surrogates, quotes, backslashes and controls included).  Tuples are
 # written as lists and int keys as text, as json.dumps writes them.
 _TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "é", "\u2028", "😀"])
@@ -610,6 +620,39 @@ def test_json_writer_rules():
     assert cli._json_text(Report(None, None, None, None, None)) == "{}"
     with pytest.raises(TypeError):
         Report(3, None, None, None)
+
+
+# An AST node is written as it is: "node" names its kind, then its fields in order.
+
+
+def test_term_json_shape():
+    payload = json.loads(cli._json_text(lang.parse_any("s(x) / 2")))
+    assert payload == {
+        "node": "divide",
+        "operand": {"node": "apply", "func": "s", "operand": {"node": "var", "name": "x"}},
+        "divisor": 2,
+    }
+
+
+def test_formula_json_shape():
+    payload = json.loads(cli._json_text(lang.parse_any("x = y & !x < y")))
+    assert payload["node"] == "and"
+    assert payload["right"]["node"] == "not"
+    assert payload["left"] == {
+        "node": "eq",
+        "left": {"node": "var", "name": "x"},
+        "right": {"node": "var", "name": "y"},
+    }
+
+
+def test_literal_json_shape():
+    payload = json.loads(cli._json_text(lang.parse_any("psi(e1) = e0 + e1")))
+    assert payload["node"] == "eq"
+    assert payload["left"] == {
+        "node": "apply",
+        "func": "psi",
+        "operand": {"node": "literal", "value": "e1"},
+    }
 
 
 # --- work bounded by documented caps ------------------------------------------------
