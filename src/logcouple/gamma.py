@@ -24,11 +24,8 @@ sum, negation and scaling, so partial operations never raise; ``/ 0`` raises
 ``ZeroDivisionError``, on ``inf`` as on elements.  Where ``inf`` sits and that
 it absorbs ``+`` are ``Infinity``'s rules alone: an element's operators return
 ``NotImplemented`` for it, so Python hands ``x < inf`` to ``inf > x`` and
-``x + inf`` to ``inf + x``.  Two elements over one
-denominator whose first terms agree are compared first on the shorter term
-tuple against the same-length prefix of the longer, one tuple compare that
-runs in C: along a chain of partial sums, where each element extends the one
-before it, that skips the whole shared prefix.
+``x + inf`` to ``inf + x``.  Each class states its order once, as ``_cmp``, and
+``<``, ``<=``, ``>``, ``>=`` are made from it for both classes alike.
 
 ``format_element`` writes element text and ``format_elements`` a list of
 it, formatting only the new terms of an element that extends the previous
@@ -44,7 +41,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union
+from operator import ge, gt, le, lt
+from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union
 
 # Exact scalars; a float or any other number is rejected with TypeError.
 Rational = Union[int, Fraction]
@@ -81,17 +79,9 @@ class Infinity:
     def __truediv__(self, q: object) -> "Infinity":
         return self * Fraction(1, q) if isinstance(q, (int, Fraction)) else NotImplemented
 
-    def __lt__(self, other: object) -> bool:
-        return False if isinstance(other, (Infinity, GammaElement)) else NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return other is self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self if isinstance(other, (Infinity, GammaElement)) else NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return True if isinstance(other, (Infinity, GammaElement)) else NotImplemented
+    def _cmp(self, other: "ExtendedElement") -> int:
+        """``EQ`` against ``inf``, ``GT`` against every element: ``inf`` is the top."""
+        return EQ if other is self else GT
 
 
 INF = Infinity()
@@ -220,46 +210,22 @@ class GammaElement:
         return _make(tuple((i, n // h * p) for i, n in num), den * r)
 
     def _cmp(self, other: "GammaElement") -> int:
+        """The sign of ``self - other``, ``LT``, ``EQ`` or ``GT``: the first differing term's."""
         a, b, da, db = self._num, other._num, self._den, other._den
-        # Along a chain of partial sums the shorter term tuple is a prefix of
-        # the longer: skip it with one slice compare, which runs in C.  The
-        # first-term test keeps elements that differ at once off the slices.
-        if not (da == db and a and b and a[0] == b[0] and a[: len(b)] == b[: len(a)]):
-            for (ia, na), (ib, nb) in zip(a, b):
-                if ia != ib:
-                    if ia < ib:
-                        return GT if na > 0 else LT
-                    return LT if nb > 0 else GT
-                if da != db:
-                    na, nb = na * db, nb * da
-                if na != nb:
-                    return GT if na > nb else LT
-        n = min(len(a), len(b))
-        if len(a) > n:
-            return GT if a[n][1] > 0 else LT
-        if len(b) > n:
-            return LT if b[n][1] > 0 else GT
+        for (ia, na), (ib, nb) in zip(a, b):
+            if ia != ib:
+                if ia < ib:
+                    return GT if na > 0 else LT
+                return LT if nb > 0 else GT
+            if da != db:
+                na, nb = na * db, nb * da
+            if na != nb:
+                return GT if na > nb else LT
+        if len(a) > len(b):
+            return GT if a[len(b)][1] > 0 else LT
+        if len(b) > len(a):
+            return LT if b[len(a)][1] > 0 else GT
         return EQ
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, GammaElement):
-            return self._cmp(other) == LT
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, GammaElement):
-            return self._cmp(other) != GT
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, GammaElement):
-            return self._cmp(other) == GT
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, GammaElement):
-            return self._cmp(other) != LT
-        return NotImplemented
 
     def __repr__(self) -> str:
         return format_element(self)
@@ -271,6 +237,25 @@ _set_num = GammaElement._num.__set__
 _set_den = GammaElement._den.__set__
 _set_hash = GammaElement._hash.__set__
 _make = GammaElement._make
+
+
+def _order_from_cmp(cls: type, kinds: Union[type, Tuple[type, ...]]) -> None:
+    """Give ``cls`` its own ``<``, ``<=``, ``>``, ``>=``: ``op(self._cmp(other), EQ)``
+    for an ``other`` of ``kinds``, else ``NotImplemented``, so Python tries the reflection."""
+
+    def method(name: str, op: Callable[[int, int], bool]) -> Callable[[object, object], bool]:
+        def compare(self, other: object) -> bool:
+            return op(self._cmp(other), EQ) if isinstance(other, kinds) else NotImplemented
+
+        compare.__name__, compare.__qualname__ = name, f"{cls.__name__}.{name}"
+        return compare
+
+    for name, op in (("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)):
+        setattr(cls, name, method(name, op))
+
+
+_order_from_cmp(GammaElement, GammaElement)
+_order_from_cmp(Infinity, (Infinity, GammaElement))
 
 
 def _check_index(index: object) -> None:
@@ -535,33 +520,33 @@ def predecessor(x: ExtendedElement) -> ExtendedElement:
     return psi_element(level - 1)
 
 
-def in_conv_psi(a: GammaElement) -> bool:
-    """Membership in the convex hull of the psi-set.
+def in_conv_psi(a: ExtendedElement) -> bool:
+    """Membership in the convex hull of the psi-set; False on ``inf``, which lies above it.
 
     The hull is the set of elements lying between two psi-set members.
     Criterion: with k the least index whose coefficient differs from 1,
     ``a`` is in the hull iff k >= 1 and coefficient(k) < 1 (below the
     next longer run of ones, at or above ``e0``).
     """
-    if not a:
+    if isinstance(a, Infinity) or not a:
         return False
     k = first_non_one_index(a)
     return k >= 1 and a.coefficient(k) < 1
 
 
-def in_positive_derivatives(a: GammaElement) -> bool:
+def in_positive_derivatives(a: ExtendedElement) -> bool:
     """Is ``a`` the derivative of some positive element?
 
     ``derivative`` is an order isomorphism from the nonzero elements
     onto the group, with inverse ``integrate``; membership reduces to
-    ``integrate(a) > 0``.
+    ``integrate(a) > 0``.  ``inf`` is ``derivative(0)`` alone: False.
     """
-    return integrate(a) > ZERO
+    return isinstance(a, GammaElement) and integrate(a) > ZERO
 
 
-def in_negative_derivatives(a: GammaElement) -> bool:
-    """Is ``a`` the derivative of some negative element?"""
-    return integrate(a) < ZERO
+def in_negative_derivatives(a: ExtendedElement) -> bool:
+    """Is ``a`` the derivative of some negative element?  False on ``inf``, as above."""
+    return isinstance(a, GammaElement) and integrate(a) < ZERO
 
 
 # --- text format ------------------------------------------------------------

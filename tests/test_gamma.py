@@ -9,6 +9,7 @@ are cross-checked against ``perfbench/oracle.py``, which computes on
 import ast
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import oracle
 import pytest
+import run
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -338,6 +340,20 @@ def test_each_rule_has_one_owner():
             assert name == "cli.py" or not json, f"{name}:{node.lineno} imports {json}"
 
 
+ORDER_OPERATORS = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_each_class_owns_its_order_operators():
+    # perfbench's traced run wraps vars(GammaElement)[name] for each name of
+    # GAMMA_OPERATORS, so an operator inherited from a shared base fails it with a
+    # KeyError.  Both classes get their own four from _cmp; gamma.py defines none by hand.
+    assert set(run.GAMMA_OPERATORS) <= set(vars(GammaElement))
+    assert set(ORDER_OPERATORS) <= set(vars(gamma.Infinity))
+    tree = ast.parse(Path(gamma.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & set(ORDER_OPERATORS)
+
+
 @given(elements, elements, elements)
 def test_group_laws(a, b, c):
     assert a + b == b + a
@@ -360,6 +376,18 @@ def test_compare_examples():
     assert elt((0, 1), (1, -5)) < unit(0)
     assert INF == INF and INF <= INF and not INF < INF
     assert unit(1) < unit(0) < INF
+
+
+def test_order_takes_only_elements_and_inf():
+    # a number, a string or None is neither below nor above an element or inf, in
+    # either operand order, and equals neither
+    for x in (unit(0), INF):
+        for other in (1, Fraction(1, 2), 0.5, "e0", None):
+            for a, b in ((x, other), (other, x)):
+                for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+                assert (a == b, a != b) == (False, True)
 
 
 @given(elements, elements)
@@ -611,6 +639,15 @@ def test_derivative_membership_examples():
     assert not gamma.in_positive_derivatives(ZERO)
     assert gamma.in_negative_derivatives(ZERO)
     assert gamma.in_negative_derivatives(unit(0))  # its integral is -e1 < 0
+
+
+def test_membership_predicates_are_false_on_inf():
+    # inf is derivative(0) alone, and 0 is neither positive nor negative; inf lies
+    # above every psi-set member, so outside their convex hull
+    assert gamma.derivative(ZERO) is INF
+    assert gamma.in_positive_derivatives(INF) is False
+    assert gamma.in_negative_derivatives(INF) is False
+    assert gamma.in_conv_psi(INF) is False
 
 
 @given(nonzero_elements)
