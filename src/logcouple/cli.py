@@ -27,7 +27,6 @@ import functools
 import os
 import stat
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import gamma, lang
@@ -85,8 +84,8 @@ def _json_text(value: object) -> str:
     """A report value as the bytes of ``json.dumps(..., indent=2)``: the one JSON writer.
 
     An element or ``inf`` is element text (a list or tuple of them goes through
-    ``format_elements``), a Fraction ``n/d`` text and a ``Record`` its fields in
-    ``__slots__`` order, less those that are None.  An AST node's object starts with
+    ``format_elements``) and a ``Record`` its fields in ``__slots__`` order, less
+    those that are None.  An AST node's object starts with
     ``"node": lang.NODE_NAMES[type(node)]``.  Dict keys are str or int (witness levels).
     Other keys and values raise TypeError, and too deep a value, one frame a level,
     RecursionError.  ``json.dumps`` with an indent costs about three times as much.
@@ -122,8 +121,6 @@ def _json_text(value: object) -> str:
             out.append("null" if value is None else "true" if value else "false")
         elif isinstance(value, int):
             out.append(int.__repr__(value))
-        elif isinstance(value, Fraction):
-            out.append(quote(str(value)))
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

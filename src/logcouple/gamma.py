@@ -614,9 +614,6 @@ def format_elements(xs: Iterable[ExtendedElement]) -> List[str]:
     return out
 
 
-_set = object.__setattr__  # how Record.__init__ sets its slots past Record.__setattr__
-
-
 class Record:
     """A record, equal to a record of its own class with equal fields.
 
@@ -627,43 +624,29 @@ class Record:
     ``==``, ``hash``, ``repr`` (``Name(field=value, ...)``) and the JSON that
     ``cli`` alone writes read the fields in that order.  A class that checks or
     normalizes its fields does so in its own ``__init__``, which then sets them
-    with ``self._set_fields`` (one or two fields) or ``Record.__init__``.
+    with ``self._set_fields``, the function that is every other class's
+    ``__init__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # A class of one or two fields sets them through its slot descriptors
-        # with the function made here, its _set_fields and, unless it has its
-        # own, its __init__: 0.35 µs a record less than the generic loop below.
+        # Every class sets its fields through its slot descriptors with one
+        # function generated from its __slots__, as dataclasses and namedtuple
+        # generate theirs: one path for every field count, as fast as a
+        # hand-written setter.  The names are __slots__ entries, which Python
+        # requires to be identifiers, so the text holds nothing from input.
         super().__init_subclass__()
-        if len(cls.__slots__) not in (1, 2):
-            return
-        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
-        if len(setters) == 1:
-            (set_a,) = setters
-
-            def __init__(self, a, /):
-                set_a(self, a)
-
-        else:
-            set_a, set_b = setters
-
-            def __init__(self, a, b, /):
-                set_a(self, a)
-                set_b(self, b)
-
+        names = cls.__slots__
+        scope = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+        params = "".join(f"{name}, " for name in names)
+        body = "".join(f"\n    set_{name}(self, {name})" for name in names) or "\n    pass"
+        exec(f"def __init__(self, {params}/):{body}", scope)
+        __init__ = scope["__init__"]
+        __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
         cls._set_fields = __init__
         if "__init__" not in cls.__dict__:
-            __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
             cls.__init__ = __init__
-
-    def __init__(self, *fields: object) -> None:
-        names = self.__slots__
-        if len(fields) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
-        for name, value in zip(names, fields):
-            _set(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

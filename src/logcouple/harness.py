@@ -181,7 +181,7 @@ class _Recorder:
     def check(
         self, ok: bool, check: str,
         inputs: Sequence[Tuple[str, Union[str, ExtendedElement, Tuple[GammaElement, ...]]]],
-        detail: Union[str, Callable[[], str]] = "property violated",
+        detail: Union[str, Callable[[], str]],
     ) -> None:
         """Count a check and record it if it failed.
 

@@ -130,6 +130,40 @@ def test_elements_and_the_reports_that_hold_them_copy_and_pickle():
     assert pickle.loads(pickle.dumps(INF)) is INF and copy.deepcopy(INF) is INF
 
 
+def test_every_record_class_sets_its_fields_through_one_generated_function():
+    # the function is the class's __init__, or the _set_fields that a class
+    # which checks its fields first calls from its own __init__
+    from logcouple import subspace
+
+    classes = [
+        value for module in (lang, harness, subspace) for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, gamma.Record) and value.__module__ == module.__name__
+    ]
+    assert {"ConstInf", "Failure", "SuiteReport", "WitnessReport", "ImageReport", "GrowthReport"} <= {
+        cls.__name__ for cls in classes
+    }
+    for cls in classes:
+        assert cls._set_fields.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert (cls.__init__ is cls._set_fields) == (cls.__name__ not in ("Div", "Apply", "AffineMap")), cls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
+def test_a_record_of_any_field_count_is_built_positionally(n):
+    names = tuple(f"f{i}" for i in range(n))
+    values = tuple(f"v{i}" for i in range(n))
+    cls = type(f"Record{n}", (gamma.Record,), {"__slots__": names})
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
+    assert copy.copy(record) == record and copy.deepcopy(record) == record
+    # one field too many, one too few, and the fields by keyword
+    wrong = [(values + ("extra",), {}), ((), dict(zip(names, values)) or {"f0": "v0"})]
+    if n:
+        wrong.append((values[:-1], {}))
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError, match=rf"^Record{n}\.__init__\(\)"):
+            cls(*args, **kwargs)
+
+
 # --- the int kernel against the oracle's dict-of-Fraction semantics ---------------
 
 # Mixed denominators, 20-digit numerators, and the scalars 0, 1 and -1.
