@@ -43,9 +43,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-class CliError(Exception):
-    """Input problem reported as a one-line diagnostic with exit code 2."""
-
 
 def load_generators(path: str) -> List[GammaElement]:
     """Read subspace generators: one element per line, in element text.
@@ -59,12 +56,12 @@ def load_generators(path: str) -> List[GammaElement]:
         with open(path, "r", encoding="utf-8") as handle:
             mode = os.fstat(handle.fileno()).st_mode
             if not (stat.S_ISREG(mode) or stat.S_ISFIFO(mode)):
-                raise CliError(f"cannot read {path}: not a regular file or a pipe")
+                raise ValueError(f"cannot read {path}: not a regular file or a pipe")
             lines = handle.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     generators: List[GammaElement] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -73,9 +70,9 @@ def load_generators(path: str) -> List[GammaElement]:
         try:
             element = lang.parse_element(line)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if isinstance(element, Infinity):
-            raise CliError(f"{path}:{lineno}: inf is not a group element") from None
+            raise ValueError(f"{path}:{lineno}: inf is not a group element") from None
         generators.append(element)
     return generators
 
@@ -133,7 +130,7 @@ def _report(as_json: bool, payload: Callable[[], object], text: Callable[[], str
     try:
         print(_json_text(payload()) if as_json else text())
     except RecursionError:  # only fmt's AST nests that deep
-        raise CliError("expression nested too deeply for JSON output") from None
+        raise ValueError("expression nested too deeply for JSON output") from None
 
 
 # --- report text ------------------------------------------------------------------
@@ -218,9 +215,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         name, sep, text = binding.partition("=")
         name = name.strip()
         if not sep:
-            raise CliError(f"malformed --let {binding!r}; expected NAME=ELEMENT")
+            raise ValueError(f"malformed --let {binding!r}; expected NAME=ELEMENT")
         if not lang.is_variable(name):  # '(x)' parses to Var('x') but is not a name
-            raise CliError(f"--let name {name!r} is not a variable")
+            raise ValueError(f"--let name {name!r} is not a variable")
         env[name] = lang.parse_element(text.strip())
     node = lang.parse_any(args.text, strict_llog=args.strict_llog)
     value = lang.evaluate(node, env)
@@ -237,9 +234,9 @@ MAX_TRIALS = 10**6
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 0:
-        raise CliError("--trials must be nonnegative")
+        raise ValueError("--trials must be nonnegative")
     if args.trials > MAX_TRIALS:
-        raise CliError(f"--trials {args.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+        raise ValueError(f"--trials {args.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
     report = _package.harness.run_suite(args.suite, args.seed, args.trials)
     _report(args.json, lambda: report, lambda: _suite_text(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -250,10 +247,10 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
     generators = load_generators(args.gens)
     if args.op == "growth":
         if args.extend is None:
-            raise CliError("--op growth requires --extend FILE")
+            raise ValueError("--op growth requires --extend FILE")
         extra = load_generators(args.extend)
         if not extra:
-            raise CliError(f"{args.extend}: growth needs at least one new generator")
+            raise ValueError(f"{args.extend}: growth needs at least one new generator")
         reports = subspace.growth_check(subspace.echelonize(generators), extra)
         ok = all(r.passed for r in reports)
         _report(args.json, lambda: {"passed": ok, "growth": reports},
@@ -374,7 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
         return code
-    except (CliError, ValueError) as exc:  # parse, element and domain errors are ValueErrors
+    except ValueError as exc:  # parse, element, domain and option errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

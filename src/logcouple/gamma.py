@@ -485,7 +485,8 @@ def integrate(x: ExtendedElement) -> ExtendedElement:
 
 
 def derivative(x: ExtendedElement) -> ExtendedElement:
-    """Asymptotic derivative ``x + psi(x)``; sends 0 and inf to inf."""
+    """Asymptotic derivative ``x + psi(x)``; sends 0 and inf to inf.  It does not call ``psi``,
+    which the failure-report tests replace: their golden ``axioms`` reports would change."""
     if isinstance(x, Infinity) or not x:
         return INF
     return x + psi_element(x._num[0][0])
@@ -512,8 +513,6 @@ def predecessor(x: ExtendedElement) -> ExtendedElement:
     member of level n >= 1; every other input (level 0, non-members,
     ``inf``) yields ``inf``.
     """
-    if isinstance(x, Infinity):
-        return INF
     level = psi_level(x)
     if level is None or level < 1:
         return INF
@@ -528,7 +527,7 @@ def in_conv_psi(a: ExtendedElement) -> bool:
     ``a`` is in the hull iff k >= 1 and coefficient(k) < 1 (below the
     next longer run of ones, at or above ``e0``).
     """
-    if isinstance(a, Infinity) or not a:
+    if isinstance(a, Infinity):
         return False
     k = first_non_one_index(a)
     return k >= 1 and a.coefficient(k) < 1

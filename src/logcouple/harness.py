@@ -444,15 +444,10 @@ class AffineMap(Record):
     def apply(self, point: Sequence[ExtendedElement]) -> ExtendedElement:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(point)}")
-        if isinstance(self.constant, Infinity):
-            return INF
         acc: ExtendedElement = self.constant
         for q, a in zip(self.coefficients, point):
-            if q == 0:
-                continue
-            if isinstance(a, Infinity):
-                return INF
-            acc = acc + a * q
+            if q:
+                acc = acc + a * q
         return acc
 
 
@@ -828,7 +823,7 @@ def make_witness(epsilon: GammaElement, count: int) -> WitnessReport:
         raise gamma.DomainError("epsilon must be a group element, not inf")
     if not epsilon > ZERO:
         raise gamma.DomainError("epsilon must be strictly positive")
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if count > MAX_WITNESS_COUNT:
         raise ValueError(f"count {count} exceeds MAX_WITNESS_COUNT = {MAX_WITNESS_COUNT}")

@@ -496,6 +496,8 @@ def test_affine_map_evaluation_absorbs_inf():
     assert mapping.apply((INF, psi(0))) == INF
     assert mapping.apply((psi(0), INF)) == psi(0)  # zero coefficient ignores inf
     assert AffineMap((Fraction(1),), INF).apply((psi(0),)) == INF
+    with pytest.raises(TypeError):  # inf absorbs elements only, not any argument
+        AffineMap((Fraction(1),), INF).apply(("e0",))
 
 
 def test_constant_coordinates_may_hold_inf_or_collide():
@@ -556,6 +558,8 @@ def test_witness_domain_errors():
         make_witness(INF, 3)
     with pytest.raises(ValueError):
         make_witness(unit(0), 0)
+    with pytest.raises(ValueError):
+        make_witness(unit(0), True)
 
 
 def test_witness_count_cap():
